@@ -8,16 +8,14 @@ from .rationals import (
     legendre_reconstruct,
     partial_fractions,
 )
-from .matrix import IntMatrix, RatMatrix, hnf, rcef, snf, snf_rational
+from .matrix import IntMatrix, RatMatrix, hnf, snf, snf_rational
 from .lll import babai_nearest_plane, lll
 from .lattice import (
     Lattice,
     TorusVec,
-    closest_dual_point,
     coset_canonical,
     dual_membership,
     dual_sample_uniform,
-    feature_length_bound,
     integer_orthogonal,
     lattice_from_generators,
     reciprocal_basis,

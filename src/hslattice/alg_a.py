@@ -24,6 +24,7 @@ from .lattice import (
     Lattice,
     TorusVec,
     dual_sample_uniform,
+    gaussian_grid_noise,
     lattice_from_generators,
 )
 from .lll import lll
@@ -36,10 +37,6 @@ class ScheduleOverflow(ValueError):
 
 
 PARAM_BIT_CEILING = 1 << 20
-
-# 2*sqrt(pi) to 17 significant digits; fixes the Gaussian width s/(2 sqrt(pi))
-# as an exact rational.
-_TWO_SQRT_PI = Fraction(35449077018110322, 10 ** 16)
 
 
 def _next_pow2(n: int) -> int:
@@ -131,56 +128,15 @@ class FourierSample:
     true_y0: Optional[TorusVec] = None
 
 
-_FRAME_CACHE: dict = {}
-
-
-def _orthogonal_frame(L: Lattice) -> List[Tuple[Tuple[Fraction, ...], Fraction]]:
-    """Exact Gram-Schmidt vectors of the basis with float-exact inverse norms."""
-    cached = _FRAME_CACHE.get(L)
-    if cached is not None:
-        return cached
-    cols = [list(L.basis.to_rational().column(j)) for j in range(L.rank)]
-    star: List[List[Fraction]] = []
-    out = []
-    for b in cols:
-        v = list(b)
-        for w in star:
-            nsq = sum((x * x for x in w), Fraction(0))
-            m = sum((x * y for x, y in zip(b, w)), Fraction(0)) / nsq
-            v = [x - m * y for x, y in zip(v, w)]
-        star.append(v)
-        nsq = sum((x * x for x in v), Fraction(0))
-        inv_norm = Fraction(1.0 / math.sqrt(float(nsq)))
-        out.append((tuple(v), inv_norm))
-    _FRAME_CACHE[L] = out
-    return out
-
-
 def sample_fourier_point(secret: Lattice, p: AlgAParams, rng: random.Random,
-                         debug: bool = False, noise: str = "gaussian") -> FourierSample:
+                         debug: bool = False) -> FourierSample:
     """Draw y1 = grid-round(y0 + u2): y0 exactly uniform over H^# (on the 1/Q
     grid in the torus directions), u2 Gaussian in H_R with density
     exp(-2 pi S^2 ||u||^2), i.e. per-coordinate deviation 1/(2 sqrt(pi) S)."""
     if secret.k != p.k:
         raise ValueError("dimension mismatch")
     y0 = dual_sample_uniform(secret, p.Q, rng)
-    coords = list(y0.coords)
-    if secret.rank:
-        sigma = 1 / (_TWO_SQRT_PI * p.S)
-        for vec, inv_norm in _orthogonal_frame(secret):
-            if noise == "gaussian":
-                z = Fraction(rng.gauss(0.0, 1.0))
-            elif noise == "uniform":
-                # probing mode: flat window with unit deviation (+/- sqrt(3));
-                # explores the constant-initial-state variant, no contract
-                z = Fraction(rng.uniform(-1.7320508, 1.7320508))
-            else:
-                raise ValueError(f"unknown noise mode {noise!r}")
-            t = z * sigma * inv_norm
-            if t:
-                coords = [c + t * g for c, g in zip(coords, vec)]
-    q = p.Q
-    y1 = TorusVec.make([Fraction((c * q + Fraction(1, 2)).__floor__(), q) for c in coords])
+    y1 = gaussian_grid_noise(secret, y0, p.S, p.Q, rng)
     return FourierSample(y1, y0 if debug else None)
 
 

@@ -172,8 +172,7 @@ def _emit_report(report: dict, as_json: bool) -> None:
 def cmd_hsp_recover(args) -> int:
     descriptor = json.loads(Path(args.descriptor).read_text())
     report = run_hsp_experiment(descriptor, seed=args.seed, trials=args.trials,
-                                debug_trace=args.debug_trace, timing=args.timing,
-                                workers=args.workers)
+                                debug_trace=args.debug_trace, timing=args.timing)
     _emit_report(report, args.json)
     return 0
 
@@ -181,8 +180,7 @@ def cmd_hsp_recover(args) -> int:
 def cmd_shift_recover(args) -> int:
     descriptor = json.loads(Path(args.descriptor).read_text())
     report = run_shift_experiment(descriptor, seed=args.seed, trials=args.trials,
-                                  noise=args.noise, timing=args.timing,
-                                  workers=args.workers)
+                                  noise=args.noise, timing=args.timing)
     _emit_report(report, args.json)
     return 0
 
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         p.add_argument("--timing", action="store_true",
                        help="attach wall times (sacrifices byte-reproducibility)")
-        p.add_argument("--workers", type=int, default=1)
         if name == "hsp-recover":
             p.add_argument("--debug-trace", action="store_true",
                            help="dump the recovery trace of trial 0")

@@ -1,18 +1,17 @@
 """Seeded experiment harness: descriptors in, reproducible JSON reports out.
 
 Seeds are 64-bit and expand through a splittable counter-based stream
-(SplitMix64), so per-trial generators are independent of execution order and
-trial fan-out cannot change results.  Reports are byte-for-byte reproducible
-for a fixed (descriptor, seed, trials); wall-clock timing is only attached on
-request since it breaks byte identity.
+(SplitMix64), so per-trial generators are independent of execution order.
+Reports are byte-for-byte reproducible for a fixed (descriptor, seed,
+trials); wall-clock timing is only attached on request since it breaks byte
+identity.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List
+from typing import Dict
 
 from .alg_a import AlgAStats, end_to_end, schedule
 from .lattice import Lattice, basis_bit_complexity, coset_canonical
@@ -51,8 +50,19 @@ def random_lattice(k: int, rank: int, entry_bound: int, rng: random.Random) -> L
             return L
 
 
+def _descriptor_int(descriptor: Dict, key: str) -> int:
+    if key not in descriptor:
+        raise ValueError(f"descriptor has no {key!r} field")
+    return int(descriptor[key])
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+
+
 def _secret_for_trial(descriptor: Dict, rng: random.Random) -> Lattice:
-    k = int(descriptor["k"])
+    k = _descriptor_int(descriptor, "k")
     spec = descriptor.get("secret", {"random_rank": "random"})
     if "basis" in spec:
         rows = spec["basis"]
@@ -67,10 +77,10 @@ def _secret_for_trial(descriptor: Dict, rng: random.Random) -> Lattice:
 
 
 def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
-                       debug_trace: bool = False, timing: bool = False,
-                       workers: int = 1) -> Dict:
+                       debug_trace: bool = False, timing: bool = False) -> Dict:
     """Plant secrets and run the full recovery per trial; emit a v1 report."""
-    k = int(descriptor["k"])
+    _check_trials(trials)
+    k = _descriptor_int(descriptor, "k")
 
     def one_trial(i: int) -> Dict:
         rng = trial_rng(seed, i)
@@ -109,7 +119,7 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
             }
         return record
 
-    records = _fan_out(one_trial, trials, workers)
+    records = [one_trial(i) for i in range(trials)]
     wins = sum(r["success"] for r in records)
     return {
         "schema": SCHEMA_VERSION,
@@ -123,12 +133,12 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
 
 
 def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
-                         noise: str = "exact", timing: bool = False,
-                         workers: int = 1) -> Dict:
+                         noise: str = "exact", timing: bool = False) -> Dict:
     """Plant hidden shifts and run the collimation sieve per trial."""
+    _check_trials(trials)
     lattice = Lattice.from_generators(IntMatrix.from_rows(descriptor["basis"])) \
-        if descriptor.get("basis") else Lattice.trivial(int(descriptor["k"]))
-    t = int(descriptor["t"])
+        if descriptor.get("basis") else Lattice.trivial(_descriptor_int(descriptor, "k"))
+    t = _descriptor_int(descriptor, "t")
     cfg = sieve_config(
         lattice, t,
         m=descriptor.get("m"),
@@ -167,7 +177,7 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
             record["wall_time_s"] = elapsed
         return record
 
-    records = _fan_out(one_trial, trials, workers)
+    records = [one_trial(i) for i in range(trials)]
     wins = sum(r["success"] for r in records)
     return {
         "schema": SCHEMA_VERSION,
@@ -180,10 +190,3 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
         "timing": None,
     }
 
-
-def _fan_out(fn, trials: int, workers: int) -> List[Dict]:
-    if workers <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(fn, range(trials)))
-    return sorted(records, key=lambda r: r["trial"])

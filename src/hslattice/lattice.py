@@ -9,13 +9,19 @@ exactly the pieces the recovery algorithms need.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .lll import babai_nearest_plane, lll
+from .lll import gram_schmidt
 from .matrix import IntMatrix, RatMatrix, hnf, hnf_pivots, snf
+
+# 2*sqrt(pi) to 17 significant digits; fixes the Gaussian width s/(2 sqrt(pi))
+# as an exact rational.
+_TWO_SQRT_PI = Fraction(35449077018110322, 10 ** 16)
 
 
 def _frac_mod1(x: Fraction) -> Fraction:
@@ -116,6 +122,30 @@ class Lattice:
     def pivots(self) -> List[Tuple[int, int]]:
         return hnf_pivots(self.basis)
 
+    @functools.cached_property
+    def geometry(self) -> "LatticeGeometry":
+        """The geometry of H^#, built on first use and kept with the lattice."""
+        return LatticeGeometry.of(self)
+
+
+@dataclass(frozen=True)
+class LatticeGeometry:
+    """What sampling from H^# needs: the reciprocal basis (None at rank 0),
+    the integer orthogonal of H_R, and the Gram-Schmidt frame of the basis as
+    (vector, float-exact inverse norm) pairs."""
+
+    reciprocal: Optional[RatMatrix]
+    ortho: RatMatrix
+    frame: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]
+
+    @staticmethod
+    def of(L: Lattice) -> "LatticeGeometry":
+        star, _, norms = gram_schmidt(L.basis.to_rational().columns())
+        frame = tuple((tuple(v), Fraction(1.0 / math.sqrt(float(n))))
+                      for v, n in zip(star, norms))
+        return LatticeGeometry(reciprocal_basis(L) if L.rank else None,
+                               integer_orthogonal(L).to_rational(), frame)
+
 
 def lattice_from_generators(G: IntMatrix) -> Lattice:
     """Canonicalize an arbitrary generating set (any rank, any shape)."""
@@ -175,43 +205,6 @@ def dual_membership(L: Lattice, y: TorusVec) -> bool:
     )
 
 
-@dataclass
-class DualDescription:
-    """Cached geometry of H^#: reciprocal basis, integer orthogonal, saturation."""
-
-    lattice: Lattice
-    reciprocal: Optional[RatMatrix]
-    ortho_int: IntMatrix
-    saturated: Lattice
-    component_index: int
-
-    @staticmethod
-    def of(L: Lattice) -> "DualDescription":
-        rec = reciprocal_basis(L) if L.rank else None
-        ortho = integer_orthogonal(L)
-        sat = saturation(L)
-        idx_sq, rem = divmod(L.gram_det, sat.gram_det)
-        if rem:
-            raise AssertionError("gram determinant ratio must be integral")
-        import math
-
-        idx = math.isqrt(idx_sq)
-        if idx * idx != idx_sq:
-            raise AssertionError("component index must be an exact square root")
-        return DualDescription(L, rec, ortho, sat, idx)
-
-
-_DUAL_CACHE: dict = {}
-
-
-def dual_description(L: Lattice) -> DualDescription:
-    d = _DUAL_CACHE.get(L)
-    if d is None:
-        d = DualDescription.of(L)
-        _DUAL_CACHE[L] = d
-    return d
-
-
 def dual_sample_uniform(L: Lattice, torus_grid: int, rng: random.Random,
                         return_parts: bool = False):
     """Exact uniform sample from H^#, with the connected torus part restricted
@@ -224,17 +217,17 @@ def dual_sample_uniform(L: Lattice, torus_grid: int, rng: random.Random,
     check genericity of the torus part."""
     if torus_grid < 1:
         raise ValueError("torus grid must be >= 1")
-    d = dual_description(L)
+    g = L.geometry
     coords = [Fraction(0)] * L.k
     a: List[int] = []
     u: List[Fraction] = []
-    if d.reciprocal is not None:
+    if g.reciprocal is not None:
         a = [rng.randrange(L.gram_det) for _ in range(L.rank)]
-        comp = d.reciprocal.mul_vec(a)
+        comp = g.reciprocal.mul_vec(a)
         coords = [c + v for c, v in zip(coords, comp)]
-    if d.ortho_int.cols:
-        u = [Fraction(rng.randrange(torus_grid), torus_grid) for _ in range(d.ortho_int.cols)]
-        tor = d.ortho_int.to_rational().mul_vec(u)
+    if g.ortho.cols:
+        u = [Fraction(rng.randrange(torus_grid), torus_grid) for _ in range(g.ortho.cols)]
+        tor = g.ortho.mul_vec(u)
         coords = [c + v for c, v in zip(coords, tor)]
     y = TorusVec.make(coords)
     if return_parts:
@@ -242,46 +235,23 @@ def dual_sample_uniform(L: Lattice, torus_grid: int, rng: random.Random,
     return y
 
 
-_REDUCED_RECIPROCAL_CACHE: dict = {}
-
-
-def _reduced_reciprocal(L: Lattice) -> RatMatrix:
-    B = _REDUCED_RECIPROCAL_CACHE.get(L)
-    if B is None:
-        B = lll(reciprocal_basis(L))
-        _REDUCED_RECIPROCAL_CACHE[L] = B
-    return B
-
-
-def closest_dual_point(L: Lattice, y: TorusVec) -> TorusVec:
-    """Approximate closest point of H^# to y (exact membership guaranteed).
-
-    The lift splits as an H_R^perp part, kept exactly, plus an H_R part that
-    is Babai-rounded against an LLL-reduced basis of the reciprocal lattice."""
-    if L.rank == 0:
-        return y
-    lift = list(y.lift())
-    M = L.basis.to_rational()
-    proj = M @ (M.transpose() @ M).inverse() @ M.transpose()
-    par = proj.mul_vec(lift)
-    perp = [x - p for x, p in zip(lift, par)]
-    z = babai_nearest_plane(_reduced_reciprocal(L), par)
-    return TorusVec.make([a + b for a, b in zip(perp, z)])
-
-
-def feature_length_bound(L: Lattice) -> Fraction:
-    """Lower bound 1/Delta on the feature length of H^# (no nonzero vector of
-    the reciprocal lattice is shorter)."""
-    if L.rank == 0:
-        raise ValueError("feature length undefined for the trivial lattice")
-    return Fraction(1, L.gram_det)
+def gaussian_grid_noise(L: Lattice, y: TorusVec, width: int, grid: int,
+                        rng: random.Random) -> TorusVec:
+    """Add Gaussian noise along H_R with density exp(-2 pi width^2 ||u||^2),
+    i.e. per-coordinate deviation 1/(2 sqrt(pi) width), and round to the
+    (1/grid) Z^k grid.  One standard normal draw per basis vector."""
+    coords = list(y.coords)
+    sigma = 1 / (_TWO_SQRT_PI * width)
+    for vec, inv_norm in L.geometry.frame:
+        z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
+        if z:
+            coords = [c + z * g for c, g in zip(coords, vec)]
+    return TorusVec.make([Fraction((c * grid + Fraction(1, 2)).__floor__(), grid) for c in coords])
 
 
 def basis_bit_complexity(L: Lattice) -> int:
     """Bit-complexity bound n with 2^n > prod_j ||m_j||_2 (Hadamard-style),
     the quantity the recovery schedule's R >= 2^(2n+1) needs."""
-    import math
-
     prod_sq = 1
     for j in range(L.rank):
         col = L.basis.column(j)

@@ -21,8 +21,9 @@ except ImportError:  # pragma: no cover
     mpz = int
 
 
-def _gram_schmidt(cols: List[Tuple[Fraction, ...]]):
-    """Exact GS data: orthogonal vectors and mu coefficients."""
+def gram_schmidt(cols: List[Tuple[Fraction, ...]]):
+    """Exact GS data: orthogonal vectors, mu coefficients and squared norms.
+    Raises ValueError when the columns are dependent (a zero norm)."""
     star: List[List[Fraction]] = []
     mu: List[List[Fraction]] = []
     norms: List[Fraction] = []
@@ -115,12 +116,12 @@ def _lll_integer(b: List[List], dnum: int, dden: int) -> None:
 
 
 def is_size_reduced(B: RatMatrix) -> bool:
-    _, mu, _ = _gram_schmidt(B.columns())
+    _, mu, _ = gram_schmidt(B.columns())
     return all(2 * abs(m) <= 1 for row in mu for m in row)
 
 
 def satisfies_lovasz(B: RatMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
-    _, mu, norms = _gram_schmidt(B.columns())
+    _, mu, norms = gram_schmidt(B.columns())
     return all(
         norms[k] >= (Fraction(delta) - mu[k][k - 1] ** 2) * norms[k - 1]
         for k in range(1, B.cols)
@@ -133,7 +134,7 @@ def babai_nearest_plane(B: RatMatrix, target: Sequence[Fraction]) -> Tuple[Fract
     Returns the lattice point; the residual target - point has Gram-Schmidt
     coordinates in (-1/2, 1/2]."""
     cols = B.columns()
-    star, _, norms = _gram_schmidt(cols)
+    star, _, norms = gram_schmidt(cols)
     resid = [Fraction(x) for x in target]
     point = [Fraction(0)] * B.rows
     for i in range(len(cols) - 1, -1, -1):
@@ -152,7 +153,7 @@ def enumerate_short_vectors(B: RatMatrix, bound_sq: Fraction) -> List[Tuple[Frac
     intended for small test lattices.  One vector per +/- pair is returned.
     """
     cols = B.columns()
-    star, mu, norms = _gram_schmidt(cols)
+    star, mu, norms = gram_schmidt(cols)
     n = len(cols)
     out: List[Tuple[Fraction, ...]] = []
     coeff = [0] * n
@@ -225,27 +226,13 @@ def successive_minima(B: RatMatrix) -> List[Fraction]:
         for v in vecs:
             if len(picked) == len(cols):
                 break
-            if _independent(picked + [v]):
-                picked.append(v)
-                minima.append(sum((x * x for x in v), Fraction(0)))
+            try:
+                gram_schmidt(picked + [v])
+            except ValueError:
+                continue  # dependent on the vectors already picked
+            picked.append(v)
+            minima.append(sum((x * x for x in v), Fraction(0)))
         if len(minima) == len(cols):
             return minima
         bound = min(2 * bound, cap) if bound < cap else 2 * bound
 
-
-def _independent(vecs: List[Tuple[Fraction, ...]]) -> bool:
-    rowsm = [list(v) for v in vecs]
-    rank = 0
-    ncols = len(rowsm[0]) if rowsm else 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, len(rowsm)) if rowsm[i][j] != 0), None)
-        if piv is None:
-            continue
-        rowsm[rank], rowsm[piv] = rowsm[piv], rowsm[rank]
-        inv_p = 1 / rowsm[rank][j]
-        for i in range(len(rowsm)):
-            if i != rank and rowsm[i][j] != 0:
-                f = rowsm[i][j] * inv_p
-                rowsm[i] = [x - f * y for x, y in zip(rowsm[i], rowsm[rank])]
-        rank += 1
-    return rank == len(rowsm)

@@ -1,4 +1,4 @@
-"""Dense exact matrices over Z and Q, with HNF, SNF, and echelon forms.
+"""Dense exact matrices over Z and Q, with HNF and SNF.
 
 Matrices are immutable values; every operation returns a fresh matrix.
 Conventions:
@@ -401,31 +401,6 @@ def snf_rational(A: RatMatrix) -> Tuple[RatMatrix, IntMatrix, IntMatrix]:
     D_int, V, W = snf(A.scale(c).to_integer())
     D = D_int.to_rational().scale(Fraction(1, c))
     return D, V, W
-
-
-def rcef(A: RatMatrix) -> Tuple[RatMatrix, List[int]]:
-    """Reduced column echelon form over Q: returns (E, pivot_rows).
-
-    Pivot entries are 1, pivot rows are zero elsewhere, the column span is
-    preserved, and zero columns trail."""
-    cols = [list(A.column(j)) for j in range(A.cols)]
-    pivot_rows: List[int] = []
-    next_col = 0
-    for r in range(A.rows):
-        piv = next((j for j in range(next_col, len(cols)) if cols[j][r] != 0), None)
-        if piv is None:
-            continue
-        cols[next_col], cols[piv] = cols[piv], cols[next_col]
-        inv_p = 1 / cols[next_col][r]
-        cols[next_col] = [x * inv_p for x in cols[next_col]]
-        for j in range(len(cols)):
-            if j != next_col and cols[j][r] != 0:
-                f = cols[j][r]
-                cols[j] = [x - f * y for x, y in zip(cols[j], cols[next_col])]
-        pivot_rows.append(r)
-        next_col += 1
-    E = RatMatrix.from_columns(cols, rows=A.rows)
-    return E, pivot_rows
 
 
 # ---------------------------------------------------------------------------

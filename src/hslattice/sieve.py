@@ -18,7 +18,6 @@ congruence system (approximate CVP on the solution lattice).
 from __future__ import annotations
 
 import cmath
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,12 +28,12 @@ from .lattice import (
     TorusVec,
     dual_membership,
     dual_sample_uniform,
+    gaussian_grid_noise,
     integer_orthogonal,
     lattice_from_generators,
 )
 from .lll import babai_nearest_plane, lll
 from .matrix import IntMatrix, snf
-from .alg_a import _orthogonal_frame, _TWO_SQRT_PI
 
 
 class SieveBudgetExceeded(RuntimeError):
@@ -183,7 +182,7 @@ def create_qubit(shift: Sequence[int], L: Lattice, cfg: SieveConfig,
             raise SieveBudgetExceeded("qubit budget exhausted")
     y = dual_sample_uniform(L, cfg.Q, rng)
     if cfg.noise == "gaussian":
-        y = _gaussian_grid_noise(L, y, cfg.G, cfg.Q, rng)
+        y = gaussian_grid_noise(L, y, cfg.G, cfg.Q, rng)
     elif cfg.noise != "exact":
         raise ValueError(f"unknown noise mode {cfg.noise!r}")
     counts: Counts = {}
@@ -192,20 +191,6 @@ def create_qubit(shift: Sequence[int], L: Lattice, cfg: SieveConfig,
     counts[y] = counts.get(y, 0) + 1
     spot = Spot(counts, Window(TorusVec.zero(L.k), Fraction(1, 2)))
     return PhaseVector((spot,), stage=0)
-
-
-def _gaussian_grid_noise(L: Lattice, y: TorusVec, G: int, Q: int,
-                         rng: random.Random) -> TorusVec:
-    """Add the Fourier-stage Gaussian (deviation 1/(2 sqrt(pi) G)) along H_R
-    and rasterize to the 1/Q grid."""
-    coords = list(y.coords)
-    if L.rank:
-        sigma = 1 / (_TWO_SQRT_PI * G)
-        for vec, inv_norm in _orthogonal_frame(L):
-            z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
-            if z:
-                coords = [c + z * g for c, g in zip(coords, vec)]
-    return TorusVec.make([Fraction((c * Q + Fraction(1, 2)).__floor__(), Q) for c in coords])
 
 
 def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:

@@ -105,13 +105,6 @@ class TestSampler:
                 hits += 1
         assert hits / draws >= 0.70
 
-    def test_uniform_noise_probe(self):
-        rng = random.Random(5)
-        sec = col_lattice([[3]], 1)
-        p = schedule(basis_bit_complexity(sec), 1)
-        s = sample_fourier_point(sec, p, rng, noise="uniform")
-        assert s.y1.k == 1
-
 
 class TestRecoverColattice:
     def test_zn_noiseless(self):

@@ -110,12 +110,6 @@ class TestReports:
         jsonschema.validate(r1, SCHEMA)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_hsp_worker_independence(self):
-        descriptor = {"k": 2, "secret": {"random_rank": 1, "entry_bound": 8}}
-        r1 = run_hsp_experiment(descriptor, seed=9, trials=4, workers=1)
-        r2 = run_hsp_experiment(descriptor, seed=9, trials=4, workers=3)
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
-
     def test_shift_schema_and_determinism(self):
         descriptor = {"k": 1, "basis": [[8]], "t": 2, "shift": [3], "shift_bound": 3}
         r1 = run_shift_experiment(descriptor, seed=5, trials=3)
@@ -156,3 +150,18 @@ class TestReports:
         report = json.loads(capsys.readouterr().out)
         assert "trace" in report["trials"][0]
         assert report["trials"][0]["trace"]["E"].startswith("3 3")
+
+    def test_cli_descriptor_without_k(self, tmp_path, capsys):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps({"secret": {"basis": [[4]]}}))
+        assert main(["hsp-recover", str(d), "--json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "'k'" in err
+
+    def test_cli_negative_trials(self, tmp_path, capsys):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps({"k": 1, "secret": {"basis": [[4]]}}))
+        assert main(["hsp-recover", str(d), "--trials", "-3", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1

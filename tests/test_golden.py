@@ -1,11 +1,15 @@
 """Pinned report digests: a refactor that keeps every RNG draw in place keeps
-these sha256 digests of json.dumps(report, sort_keys=True) unchanged."""
+these sha256 digests of json.dumps(report, sort_keys=True) unchanged.  Also
+guards against module-level mutable state in the package."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import hslattice
 from hslattice.experiments import run_hsp_experiment, run_shift_experiment
 
 HSP_DIGESTS = {
@@ -44,3 +48,15 @@ def test_hsp_report_digest(k, seed):
 def test_shift_report_digest(descriptor, noise, expected):
     report = run_shift_experiment(descriptor, seed=1, trials=3, noise=noise)
     assert digest(report) == expected
+
+
+def test_no_module_level_mutable_state():
+    """Per-lattice data lives on the Lattice; no module holds a cache."""
+    found = []
+    for info in pkgutil.iter_modules(hslattice.__path__):
+        module = importlib.import_module(f"hslattice.{info.name}")
+        for name, value in vars(module).items():
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and isinstance(value, (dict, list, set)):
+                found.append(f"{info.name}.{name}")
+    assert found == []

@@ -7,18 +7,14 @@ import pytest
 from hslattice.lattice import (
     Lattice,
     TorusVec,
-    closest_dual_point,
     coset_canonical,
-    dual_description,
     dual_membership,
     dual_sample_uniform,
-    feature_length_bound,
     integer_orthogonal,
     lattice_from_generators,
     reciprocal_basis,
     saturation,
 )
-from hslattice.lll import enumerate_short_vectors, lll
 from hslattice.matrix import IntMatrix, RatMatrix
 from hslattice.experiments import random_lattice
 
@@ -226,68 +222,6 @@ class TestDualSampling:
                 assert stat < chi2_dist.isf(0.001, ncomp - 1)
 
 
-class TestClosestDualPoint:
-    def test_fixed_point(self):
-        rng = random.Random(8)
-        L = col_lattice([[2]], 1)
-        for _ in range(20):
-            y = dual_sample_uniform(L, 8, rng)
-            assert closest_dual_point(L, y) == y
-
-    def test_1d_example(self):
-        L = col_lattice([[2]], 1)
-        assert closest_dual_point(L, TorusVec.make([Fraction(49, 100)])) == \
-            TorusVec.make([Fraction(1, 2)])
-
-    def test_zn_small(self):
-        L = Lattice.zn(2)
-        y = TorusVec.make([Fraction(1, 5), Fraction(-1, 5)])
-        assert closest_dual_point(L, y) == TorusVec.zero(2)
-
-    def test_perturbation_recovery(self):
-        rng = random.Random(9)
-        for _ in range(25):
-            k = rng.randrange(1, 4)
-            rank = rng.randrange(1, k + 1)
-            L = random_lattice(k, rank, 8, rng)
-            y = dual_sample_uniform(L, 8, rng)
-            bound = feature_length_bound(L) / 2
-            # perturb inside H_R (the noise model direction) below half the
-            # feature length; the perturbed point snaps back exactly
-            b = [Fraction(x) for x in L.basis.column(rng.randrange(L.rank))]
-            scale = bound / (4 * max(abs(x) for x in b) * k)
-            pert = [x * scale for x in b]
-            noisy = TorusVec.make([a + e for a, e in zip(y.coords, pert)])
-            assert closest_dual_point(L, noisy) == y
-
-
-class TestFeatureLength:
-    def test_zn(self):
-        assert feature_length_bound(Lattice.zn(2)) == 1
-
-    def test_2z(self):
-        L = col_lattice([[2]], 1)
-        assert feature_length_bound(L) == Fraction(1, 4)
-        rec = reciprocal_basis(L)
-        shortest = min(
-            sum(x * x for x in v)
-            for v in enumerate_short_vectors(lll(rec), Fraction(4))
-        )
-        assert shortest >= feature_length_bound(L) ** 2
-
-    def test_diagonal_line(self):
-        L = col_lattice([[1, 1]], 2)
-        assert feature_length_bound(L) == Fraction(1, 2)
-        rec = reciprocal_basis(L)
-        shortest = min(
-            sum(x * x for x in v)
-            for v in enumerate_short_vectors(lll(rec), Fraction(4))
-        )
-        # shortest H^o vector has norm 1/sqrt(2) >= 1/2
-        assert shortest == Fraction(1, 2)
-        assert shortest >= feature_length_bound(L) ** 2
-
-
 class TestCosetCanonical:
     def test_zn_all_zero(self):
         L = Lattice.zn(2)
@@ -321,16 +255,16 @@ class TestCosetCanonical:
                 assert coset_canonical(L, x) == coset_canonical(L, shifted)
 
 
-class TestDualDescription:
-    def test_component_index_square(self):
+class TestGeometry:
+    def test_reciprocal_and_orthogonal(self):
         rng = random.Random(12)
         for _ in range(20):
             k = rng.randrange(1, 5)
             L = random_lattice(k, rng.randrange(0, k + 1), 32, rng)
-            d = dual_description(L)
-            assert d.component_index ** 2 * d.saturated.gram_det == L.gram_det
-            if d.reciprocal is not None:
-                prod = L.basis.to_rational().transpose() @ d.reciprocal
-                assert prod.data == RatMatrix.identity(L.rank).data
-            prod0 = L.basis.transpose() @ d.ortho_int
-            assert all(x == 0 for row in prod0.data for x in row)
+            g = L.geometry
+            assert L.geometry is g  # built once per lattice
+            M = L.basis.to_rational()
+            if g.reciprocal is not None:
+                assert (g.reciprocal.transpose() @ M).data == RatMatrix.identity(L.rank).data
+            assert g.ortho.cols == k - L.rank
+            assert all(x == 0 for row in (M.transpose() @ g.ortho).data for x in row)

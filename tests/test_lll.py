@@ -113,9 +113,9 @@ class TestBabai:
             point = babai_nearest_plane(B, target)
             resid = [t - p for t, p in zip(target, point)]
             # residual lies in the fundamental Gram-Schmidt box
-            from hslattice.lll import _gram_schmidt
+            from hslattice.lll import gram_schmidt
 
-            star, _, norms = _gram_schmidt(B.columns())
+            star, _, norms = gram_schmidt(B.columns())
             for i in range(k):
                 c = sum((x * y for x, y in zip(resid, star[i])), Fraction(0)) / norms[i]
                 assert abs(c) <= Fraction(1, 2)

@@ -8,7 +8,6 @@ from hslattice.matrix import (
     hnf,
     hnf_pivots,
     parse_matrix,
-    rcef,
     snf,
     snf_rational,
 )
@@ -182,39 +181,6 @@ class TestRationalSNF:
             for a, b in zip(diag, diag[1:]):
                 if a != 0 and b != 0:
                     assert (b / a).denominator == 1
-
-
-class TestRCEF:
-    def test_identity(self):
-        E, rows = rcef(RatMatrix.identity(3))
-        assert E.data == RatMatrix.identity(3).data
-        assert rows == [0, 1, 2]
-
-    def test_single_column(self):
-        E, rows = rcef(RatMatrix.from_rows([[2], [4]]))
-        assert E.column(0) == (Fraction(1), Fraction(2))
-        assert rows == [0]
-
-    def test_dependent_columns(self):
-        A = RatMatrix.from_rows([[1, 2], [2, 4]])
-        E, rows = rcef(A)
-        assert len(rows) == 1
-        assert all(x == 0 for x in E.column(1))
-        # rank check via 2x2 determinants: A truly has rank 1
-        assert A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] == 0
-
-    def test_pivot_structure_random(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            k, n = rng.randrange(1, 5), rng.randrange(1, 5)
-            A = RatMatrix.from_rows([
-                [Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n)]
-                for _ in range(k)
-            ])
-            E, rows = rcef(A)
-            for c, r in enumerate(rows):
-                assert E[r, c] == 1
-                assert all(E[r, c2] == 0 for c2 in range(n) if c2 != c)
 
 
 class TestTextFormat:
