@@ -23,12 +23,14 @@ HSP_DIGESTS = {
 
 # Gaussian mode over [[8]] with t = 2 is left out: one trial of it takes minutes.
 SHIFT_CASES = [
-    ({"k": 1, "basis": [[8]], "t": 2, "shift_bound": 3, "check": True}, "exact",
+    ({"k": 1, "basis": [[8]], "t": 2, "shift_bound": 3, "check": True}, "exact", 3,
      "2bce6f55b764bf98846e428aac64d67bb15b35ee39961931b3b1092e4c99dd4b"),
-    ({"k": 1, "basis": [[2]], "t": 1}, "gaussian",
+    ({"k": 1, "basis": [[2]], "t": 1}, "gaussian", 3,
      "64c4bd76bb0163b7ce8470b3c200cad58409a59a8c5b6e702ae0fe9bc720165d"),
-    ({"k": 1, "basis": [], "t": 1}, "gaussian",
+    ({"k": 1, "basis": [], "t": 1}, "gaussian", 3,
      "a20c331296ed821aed72014f1e05fc5c03b6551c13f0ee6fe4d9094adc461c25"),
+    ({"k": 2, "basis": [[4, 0], [0, 4]], "t": 2, "check": True}, "exact", 2,
+     "a4b9a5aa44d256b6021200ac68b6c8d80d59049de4751e0d8176e40e31793622"),
 ]
 
 
@@ -43,10 +45,11 @@ def test_hsp_report_digest(k, seed):
     assert digest(report) == HSP_DIGESTS[k, seed]
 
 
-@pytest.mark.parametrize("descriptor,noise,expected", SHIFT_CASES,
-                         ids=["exact-8-t2", "gaussian-2-t1", "gaussian-trivial-t1"])
-def test_shift_report_digest(descriptor, noise, expected):
-    report = run_shift_experiment(descriptor, seed=1, trials=3, noise=noise)
+@pytest.mark.parametrize("descriptor,noise,trials,expected", SHIFT_CASES,
+                         ids=["exact-8-t2", "gaussian-2-t1", "gaussian-trivial-t1",
+                              "exact-diag44-t2"])
+def test_shift_report_digest(descriptor, noise, trials, expected):
+    report = run_shift_experiment(descriptor, seed=1, trials=trials, noise=noise)
     assert digest(report) == expected
 
 
