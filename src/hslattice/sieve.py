@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import cmath
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import (
     Lattice,
     TorusVec,
+    basis_bit_complexity,
     dual_membership,
     dual_sample_uniform,
     gaussian_grid_noise,
@@ -80,8 +83,6 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
         raise ValueError("t must be >= 1")
     k = L.k
     n = k * t
-    from .lattice import basis_bit_complexity
-
     h = basis_bit_complexity(L)
     need = k * (n + 2 * h) * (2 ** t)
     if m is None:
@@ -90,9 +91,6 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
             m += 1
     if k * m > stage_ceiling:
         raise ValueError(f"km = {k * m} exceeds the desk-scale ceiling {stage_ceiling}")
-    # Accuracy target: final radius 2^(-km^2-1) <= 1 / ((n+2h) k 2^(t+1)).
-    if m >= 2 and 2 ** (k * m * m) > need:
-        assert 2 ** (k * m * m + 1) >= k * (n + 2 * h) * 2 ** (t + 1)
     g_exp = k * m + t + 2
     q_exp = max(2 * g_exp, 2 * k * m * m + 2)
     return SieveConfig(
@@ -114,6 +112,13 @@ class Window:
 
 
 Counts = Dict[TorusVec, int]
+
+
+def _cumulative(counts: Dict) -> Tuple[list, List[int]]:
+    """Sorted keys of a multiset and their running unit totals: unit r
+    (0 <= r < total) lies in keys[bisect_right(ends, r)]."""
+    keys = sorted(counts)
+    return keys, list(accumulate(counts[y] for y in keys))
 
 
 @dataclass
@@ -255,18 +260,11 @@ def collimate(pv: PhaseVector, m: int, rng: random.Random,
     rule for this measurement."""
     tiles_per_axis = 2 ** (m + 1)
     per_spot_idx, tally = collimation_tally(pv, m)
-    total = sum(tally.values())
     if stats is not None:
         stats.collimations += 1
         stats.note_live(sum(len(s.counts) for s in pv.spots))
-    r = rng.randrange(total)
-    chosen: Tuple[int, ...] = ()
-    acc = 0
-    for ti in sorted(tally):
-        acc += tally[ti]
-        if r < acc:
-            chosen = ti
-            break
+    tiles, ends = _cumulative(tally)
+    chosen = tiles[bisect_right(ends, rng.randrange(ends[-1]))]
     new_spots = []
     for spot, assignment in zip(pv.spots, per_spot_idx):
         counts = {y: c for y, c in spot.counts.items() if assignment[y] == chosen}
@@ -392,26 +390,18 @@ def sieve(j: int, p: int, target: TorusVec, cfg: SieveConfig, L: Lattice,
     shift_dummy = ()
     half = Fraction(1, 2)
     if j == 0:
-        if p == 1:
-            pv = create_qubit(shift_dummy, L, cfg, rng, stats)
-            for _ in range(2 * km - 1):
-                pv = tensor(pv, create_qubit(shift_dummy, L, cfg, rng, stats))
-            # The base vector is unrestricted: trivial collimation window.
-            pv = PhaseVector(
-                (Spot(pv.spots[0].counts, Window(TorusVec.zero(cfg.k), half)),),
-                stage=0,
-            )
-            if cfg.check:
-                _check_vector(pv, cfg, L, 0, final=True)
-            return pv
+        # 2km qubits give one spot of length 4^km; p = 2 takes one more qubit
+        # and splits it in half.  Base windows are the whole torus.
         pv = create_qubit(shift_dummy, L, cfg, rng, stats)
-        for _ in range(2 * km):
+        for _ in range(2 * km - 2 + p):
             pv = tensor(pv, create_qubit(shift_dummy, L, cfg, rng, stats))
-        a, b = _balanced_split(pv.spots[0].counts, rng)
-        out = PhaseVector((
-            Spot(a, Window(TorusVec.zero(cfg.k), half)),
-            Spot(b, Window(target, half)),
-        ), stage=0)
+        counts = pv.spots[0].counts
+        if p == 1:
+            spots = (Spot(counts, Window(TorusVec.zero(cfg.k), half)),)
+        else:
+            a, b = _balanced_split(counts, rng)
+            spots = (Spot(a, Window(TorusVec.zero(cfg.k), half)), Spot(b, Window(target, half)))
+        out = PhaseVector(spots, stage=0)
         if cfg.check:
             _check_vector(out, cfg, L, 0, final=True)
         return out
@@ -445,13 +435,6 @@ def sieve(j: int, p: int, target: TorusVec, cfg: SieveConfig, L: Lattice,
     raise SieveBudgetExceeded(f"stage {j} retry budget exhausted")
 
 
-def _expand_sorted(counts: Counts) -> List[TorusVec]:
-    out = []
-    for y in sorted(counts, key=lambda v: v.coords):
-        out.extend([y] * counts[y])
-    return out
-
-
 def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[PhaseQubit]:
     """Pair up basis states across the two spots and measure the partition;
     a sampled pair becomes the output qubit, unpaired outcomes retry."""
@@ -462,9 +445,11 @@ def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[PhaseQ
     if rng.randrange(total) >= 2 * npairs:
         return None
     i = rng.randrange(npairs)
-    u = _expand_sorted(pv.spots[0].counts)[i]
-    v = _expand_sorted(pv.spots[1].counts)[i]
-    return PhaseQubit(u, v)
+    pair = []
+    for spot in pv.spots:
+        keys, ends = _cumulative(spot.counts)
+        pair.append(keys[bisect_right(ends, i)])
+    return PhaseQubit(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +466,6 @@ class CyclicFactor:
 @dataclass(frozen=True)
 class TargetGroup:
     factors: Tuple[CyclicFactor, ...]
-
-    def order(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f.order
-        return n
 
 
 def build_target_group(L: Lattice, t: int) -> TargetGroup:
@@ -563,8 +542,7 @@ class InfeasibleShift(ValueError):
     """No shift inside the norm box satisfies the measured congruences."""
 
 
-def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], A: TargetGroup,
-               L: Lattice, t: int, max_norm: Optional[int] = None) -> Tuple[int, ...]:
+def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice, t: int, max_norm: Optional[int] = None) -> Tuple[int, ...]:
     """Solve gen.s = c/d (mod 1) for all measured factors with ||s||_inf
     bounded, via a particular solution of the congruence system plus Babai
     nearest-plane on the solution lattice A^#."""
@@ -658,6 +636,6 @@ def recover_shift(shift: Sequence[int], L: Lattice, t: int, rng: random.Random,
         for fac in group.factors:
             c = assemble_cyclic(fac, cfg, L, shift, rng, stats)
             residues.append((fac, c))
-        return lift_shift(residues, group, L, t, max_norm=cfg.shift_bound)
+        return lift_shift(residues, L, t, max_norm=cfg.shift_bound)
     except (SieveBudgetExceeded, InfeasibleShift):
         return None

@@ -17,7 +17,6 @@ from hslattice.sieve import (
     PhaseVector,
     SieveStats,
     Spot,
-    TargetGroup,
     Window,
     assemble_cyclic,
     build_target_group,
@@ -375,7 +374,7 @@ class TestLiftShift:
         L = col_lattice([[4]], 1)
         g = build_target_group(L, 2)
         res = [(f, 0) for f in g.factors]
-        s = lift_shift(res, g, L, 2)
+        s = lift_shift(res, L, 2)
         assert coset_canonical(L, s) == (0,)
 
     def test_infeasible_box(self):
@@ -383,26 +382,23 @@ class TestLiftShift:
         # representative with |s| <= 2, so the error path fires
         L = col_lattice([[4]], 1)
         fac = CyclicFactor(8, tv("1/8"), "finite")
-        A = TargetGroup((fac,))
         with pytest.raises(InfeasibleShift):
-            lift_shift([(fac, 3)], A, L, 2)
+            lift_shift([(fac, 3)], L, 2)
 
     def test_quarter_residue(self):
         # k=1, trivial L, t=2, gen 1/4, residue 3: unique in-box solution -1
         L = Lattice.trivial(1)
         fac = CyclicFactor(4, tv("1/4"), "torsion")
-        A = TargetGroup((fac,))
-        s = lift_shift([(fac, 3)], A, L, 2)
+        s = lift_shift([(fac, 3)], L, 2)
         assert s == (-1,)
 
     def test_inconsistent_congruences(self):
         L = Lattice.trivial(1)
         f1 = CyclicFactor(4, tv("1/4"), "torsion")
         f2 = CyclicFactor(2, tv("1/2"), "torsion")
-        A = TargetGroup((f1, f2))
         # s = 1 mod 4 forces s odd; s = 0 mod 2 forces s even
         with pytest.raises(InfeasibleShift):
-            lift_shift([(f1, 1), (f2, 0)], A, L, 2)
+            lift_shift([(f1, 1), (f2, 0)], L, 2)
 
 
 class TestRecoverShift:
