@@ -276,88 +276,38 @@ def collimate(pv: PhaseVector, m: int, rng: random.Random,
     return PhaseVector(tuple(new_spots), stage=pv.stage)
 
 
-def _random_submultiset(counts: Counts, size: int, rng: random.Random) -> Counts:
-    """Uniformly random sub-multiset of the given size."""
-    total = sum(counts.values())
-    if size <= 0:
-        return {}
-    if size >= total:
-        return dict(counts)
-    if total <= 4096:
-        out: Counts = {}
-        remaining = total
-        take = size
-        for y in sorted(counts):
-            c = counts[y]
-            got = 0
-            for _ in range(c):
-                if take and rng.randrange(remaining) < take:
-                    got += 1
-                    take -= 1
-                remaining -= 1
-            if got:
-                out[y] = got
-        return out
-    # Large multiset: binomial split via random bits, then exact rebalance.
-    out = {}
-    for y in sorted(counts):
-        c = counts[y]
-        h = bin(rng.getrandbits(c)).count("1") if c else 0
-        if h:
-            out[y] = h
-    picked = sum(out.values())
-    while picked > size:
-        r = rng.randrange(picked)
-        acc = 0
-        for y in sorted(out):
-            acc += out[y]
-            if r < acc:
-                out[y] -= 1
-                if not out[y]:
-                    del out[y]
-                break
-        picked -= 1
-    while picked < size:
-        r = rng.randrange(total - picked)
-        acc = 0
-        for y in sorted(counts):
-            avail = counts[y] - out.get(y, 0)
-            acc += avail
-            if r < acc:
-                out[y] = out.get(y, 0) + 1
-                break
-        picked += 1
-    return out
+def _submultiset(counts: Counts, size: int, rng: random.Random) -> Counts:
+    """Uniformly random sub-multiset of the given size: `size` distinct units
+    drawn without replacement, tallied by bucket."""
+    keys, ends = _cumulative(counts)
+    taken = [0] * len(keys)
+    for r in rng.sample(range(ends[-1]), size):
+        taken[bisect_right(ends, r)] += 1
+    return {y: c for y, c in zip(keys, taken) if c}
 
 
 def shorten(pv: PhaseVector, cfg: SieveConfig, rng: random.Random) -> PhaseVector:
     """Measure oversized spots down into [4^km, 4^(km+1)).
 
-    Each oversized spot is split into two near-equal random parts and one
-    part is kept with probability proportional to its size, repeatedly;
-    two-spot vectors shorten each summand separately."""
+    An oversized spot is split into two near-equal random parts and one part
+    is kept with probability proportional to its size, repeatedly.  A uniform
+    part of a uniform part is uniform, and the kept lengths do not depend on
+    which units were drawn, so the halving runs on lengths alone and the kept
+    units are drawn once.  Two-spot vectors shorten each summand separately."""
     new_spots = []
     for spot in pv.spots:
-        counts = spot.counts
-        length = sum(counts.values())
-        while length >= cfg.max_len:
-            take = length // 2
-            sizes = (length - take, take)
-            keep_first = rng.randrange(length) < sizes[0]
-            part = _random_submultiset(counts, sizes[0], rng)
-            if keep_first:
-                counts = part
-            else:
-                counts = {y: c - part.get(y, 0) for y, c in counts.items()
-                          if c - part.get(y, 0) > 0}
-            length = sum(counts.values())
+        keep = spot.length
+        while keep >= cfg.max_len:
+            half = keep - keep // 2
+            keep = half if rng.randrange(keep) < half else keep // 2
+        counts = spot.counts if keep == spot.length else _submultiset(spot.counts, keep, rng)
         new_spots.append(Spot(counts, spot.window))
     return PhaseVector(tuple(new_spots), stage=pv.stage)
 
 
 def _balanced_split(counts: Counts, rng: random.Random) -> Tuple[Counts, Counts]:
     total = sum(counts.values())
-    half = _random_submultiset(counts, total // 2, rng)
+    half = _submultiset(counts, total // 2, rng)
     rest = {y: c - half.get(y, 0) for y, c in counts.items() if c - half.get(y, 0) > 0}
     return rest, half
 

@@ -24,11 +24,11 @@ HSP_DIGESTS = {
 # Gaussian mode over [[8]] with t = 2 is left out: one trial of it takes minutes.
 SHIFT_CASES = [
     ({"k": 1, "basis": [[8]], "t": 2, "shift_bound": 3, "check": True}, "exact", 3,
-     "2bce6f55b764bf98846e428aac64d67bb15b35ee39961931b3b1092e4c99dd4b"),
+     "e81520c49edcfc3e5ed8760e0f8091096acc8e8d71e9521e6e54ebe07ecd8d5b"),
     ({"k": 1, "basis": [[2]], "t": 1}, "gaussian", 3,
-     "64c4bd76bb0163b7ce8470b3c200cad58409a59a8c5b6e702ae0fe9bc720165d"),
+     "51af808007feeadaf0a28f7b53e83db8d1d81333319ece202ae2ca35adeadcb1"),
     ({"k": 1, "basis": [], "t": 1}, "gaussian", 3,
-     "a20c331296ed821aed72014f1e05fc5c03b6551c13f0ee6fe4d9094adc461c25"),
+     "904b743f2967326b2fcc9201500da201af8f207d187cf7c4b864bd12a2b6a608"),
     ({"k": 2, "basis": [[4, 0], [0, 4]], "t": 2, "check": True}, "exact", 2,
      "a4b9a5aa44d256b6021200ac68b6c8d80d59049de4751e0d8176e40e31793622"),
 ]

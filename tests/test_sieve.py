@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hslattice.lattice import (
     Lattice,
@@ -15,9 +18,12 @@ from hslattice.sieve import (
     InfeasibleShift,
     CyclicFactor,
     PhaseVector,
+    SieveConfig,
     SieveStats,
     Spot,
     Window,
+    _balanced_split,
+    _submultiset,
     assemble_cyclic,
     build_target_group,
     collimate,
@@ -240,6 +246,129 @@ class TestShorten:
             mults = [TorusVec.make([Fraction(rng.randrange(8), 8)]) for _ in range(n)]
             out = shorten(single_spot(mults), cfg, rng)
             assert cfg.min_len <= out.spots[0].length < cfg.max_len
+
+
+class _BranchRng:
+    """Stand-in RNG that follows one branch of the outcome tree: the i-th
+    draw takes option path[i] and multiplies the branch weight by its exact
+    probability.  `sample` yields each k-subset once, with weight 1/C(n, k);
+    the callers only tally the drawn units, so their order does not matter."""
+
+    def __init__(self, path):
+        self.path, self.arity, self.weight = path, [], Fraction(1)
+
+    def _pick(self, options):
+        i = len(self.arity)
+        if i == len(self.path):
+            self.path.append(0)
+        self.arity.append(len(options))
+        self.weight /= len(options)
+        return options[self.path[i]]
+
+    def randrange(self, n):
+        return self._pick(range(n))
+
+    def sample(self, population, k):
+        return list(self._pick(list(combinations(population, k))))
+
+
+def exact_law(fn):
+    """Every outcome of fn(rng) with its exact probability, by walking all
+    branches of the outcome tree in odometer order."""
+    law, path = {}, []
+    while True:
+        rng = _BranchRng(path)
+        out = fn(rng)
+        law[out] = law.get(out, 0) + rng.weight
+        while path and path[-1] + 1 == rng.arity[len(path) - 1]:
+            path.pop()
+        if not path:
+            return law
+        path[-1] += 1
+
+
+def frozen(counts):
+    return tuple(sorted(counts.items()))
+
+
+def hypergeometric(counts, size):
+    """Law of a uniform sub-multiset of the given size (multivariate
+    hypergeometric)."""
+    total = sum(counts.values())
+    law = {}
+    for taken in product(*(range(c + 1) for c in counts.values())):
+        if sum(taken) == size:
+            ways = math.prod(math.comb(c, x) for c, x in zip(counts.values(), taken))
+            law[frozen({y: x for y, x in zip(counts, taken) if x})] = \
+                Fraction(ways, math.comb(total, size))
+    return law
+
+
+def halving_length_law(n, max_len):
+    """Kept length after repeated halving: the part of size ceil(n/2) with
+    probability ceil(n/2)/n, the other with floor(n/2)/n, until below max_len."""
+    if n < max_len:
+        return {n: Fraction(1)}
+    law = {}
+    for part in (n - n // 2, n // 2):
+        for length, p in halving_length_law(part, max_len).items():
+            law[length] = law.get(length, 0) + Fraction(part, n) * p
+    return law
+
+
+def total_variation(p, q):
+    return sum(abs(p.get(x, 0) - q.get(x, 0)) for x in set(p) | set(q)) / 2
+
+
+TINY_CFG = SieveConfig(k=1, t=1, n=1, h=0, m=0, G=1, Q=1)  # min_len 1, max_len 4
+TINY_COUNTS = {tv(0): 3, tv("1/4"): 2, tv("1/2"): 2}
+
+
+class TestExactSamplingLaw:
+    def test_shorten_is_length_law_times_hypergeometric(self):
+        pv = single_spot([y for y, c in TINY_COUNTS.items() for _ in range(c)])
+        law = exact_law(lambda rng: frozen(shorten(pv, TINY_CFG, rng).spots[0].counts))
+        expected = {}
+        for length, p in halving_length_law(7, TINY_CFG.max_len).items():
+            for sub, q in hypergeometric(TINY_COUNTS, length).items():
+                expected[sub] = p * q
+        assert sum(law.values()) == 1
+        assert total_variation(law, expected) == 0
+
+    def test_balanced_split_is_hypergeometric(self):
+        law = exact_law(lambda rng: tuple(map(frozen, _balanced_split(TINY_COUNTS, rng))))
+        expected = {}
+        for half, q in hypergeometric(TINY_COUNTS, 3).items():
+            rest = {y: c - dict(half).get(y, 0) for y, c in TINY_COUNTS.items()}
+            expected[frozen({y: c for y, c in rest.items() if c}), half] = q
+        assert total_variation(law, expected) == 0
+
+
+multisets = st.dictionaries(st.integers(0, 15).map(lambda i: tv(Fraction(i, 16))),
+                            st.integers(1, 40), min_size=1, max_size=6)
+
+
+class TestSamplerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(multisets, st.data(), st.integers(0, 2 ** 32))
+    def test_submultiset(self, counts, data, seed):
+        size = data.draw(st.integers(0, sum(counts.values())))
+        sub = _submultiset(counts, size, random.Random(seed))
+        assert sum(sub.values()) == size
+        assert all(0 < c <= counts[y] for y, c in sub.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(multisets, st.integers(0, 2), st.integers(0, 2 ** 32))
+    def test_shorten(self, counts, m, seed):
+        cfg = SieveConfig(k=1, t=1, n=1, h=0, m=m, G=1, Q=1)
+        length = sum(counts.values())
+        out = shorten(single_spot([y for y, c in counts.items() for _ in range(c)]),
+                      cfg, random.Random(seed)).spots[0]
+        assert all(0 < c <= counts[y] for y, c in out.counts.items())
+        if length < cfg.max_len:
+            assert out.counts == counts
+        else:
+            assert cfg.min_len <= out.length < cfg.max_len
 
 
 class TestSieveRecursion:
