@@ -61,14 +61,20 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 0, got {trials}")
 
 
+def _lattice_from_rows(rows, k: int) -> Lattice:
+    """The lattice generated by the columns of a descriptor's basis rows."""
+    if not isinstance(rows, list) or len(rows) not in (0, k):
+        raise ValueError(f"basis must be a list of k = {k} rows, got {rows!r}")
+    return Lattice.from_generators(IntMatrix.from_rows(rows)) if rows else Lattice.trivial(k)
+
+
 def _secret_for_trial(descriptor: Dict, rng: random.Random) -> Lattice:
     k = _descriptor_int(descriptor, "k")
     spec = descriptor.get("secret", {"random_rank": "random"})
+    if not isinstance(spec, dict):
+        raise ValueError(f"descriptor 'secret' must be an object, got {spec!r}")
     if "basis" in spec:
-        rows = spec["basis"]
-        if rows:
-            return Lattice.from_generators(IntMatrix.from_rows(rows))
-        return Lattice.trivial(k)
+        return _lattice_from_rows(spec["basis"], k)
     rank = spec.get("random_rank", "random")
     if rank == "random":
         rank = rng.randrange(0, k + 1)
@@ -81,6 +87,8 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
     """Plant secrets and run the full recovery per trial; emit a v1 report."""
     _check_trials(trials)
     k = _descriptor_int(descriptor, "k")
+    if "basis" in descriptor:
+        raise ValueError("hsp-recover takes the secret basis as 'secret': {'basis': ...}")
 
     def one_trial(i: int) -> Dict:
         rng = trial_rng(seed, i)
@@ -136,8 +144,13 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
                          noise: str = "exact", timing: bool = False) -> Dict:
     """Plant hidden shifts and run the collimation sieve per trial."""
     _check_trials(trials)
-    lattice = Lattice.from_generators(IntMatrix.from_rows(descriptor["basis"])) \
-        if descriptor.get("basis") else Lattice.trivial(_descriptor_int(descriptor, "k"))
+    rows = descriptor.get("basis") or []
+    k = _descriptor_int(descriptor, "k") if "k" in descriptor or not rows else len(rows)
+    lattice = _lattice_from_rows(rows, k)
+    spec_shift = descriptor.get("shift", "random")
+    if spec_shift != "random" and (not isinstance(spec_shift, list) or len(spec_shift) != k):
+        raise ValueError(f"shift must be \"random\" or a list of k = {k} integers, "
+                         f"got {spec_shift!r}")
     t = _descriptor_int(descriptor, "t")
     cfg = sieve_config(
         lattice, t,
@@ -150,7 +163,6 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
 
     def one_trial(i: int) -> Dict:
         rng = trial_rng(seed, i)
-        spec_shift = descriptor.get("shift", "random")
         if spec_shift == "random":
             b = cfg.shift_bound
             shift = [rng.randrange(-b, b + 1) for _ in range(lattice.k)]

@@ -165,3 +165,19 @@ class TestReports:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,descriptor,needle", [
+        ("hsp-recover", {"k": 1, "secret": 5}, "secret"),
+        ("hsp-recover", {"k": 1, "basis": [[4]]}, "basis"),
+        ("shift-recover", {"k": 1, "basis": [[8]], "t": 2, "shift": [1, 2]}, "shift"),
+        ("shift-recover", {"k": 2, "basis": [[8]], "t": 2}, "basis"),
+    ], ids=["secret-not-object", "hsp-top-level-basis", "shift-length-vs-k",
+            "shift-rows-vs-k"])
+    def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(descriptor))
+        assert main([command, str(d), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert needle in captured.err
