@@ -3,8 +3,11 @@
 Phase vectors store their multiplier lists as multiplier -> multiplicity
 dictionaries (computational-basis measurements of equal-amplitude states
 depend only on counts, so this is exact and collapses the bookkeeping when
-the dual group is finite).  Phases are never materialized: the hidden shift
-enters only in the final Fourier measurement, where the exact rational
+the dual group is finite).  Unit r of a multiset is found from its sorted
+keys and running unit totals (`_cumulative`), and every random part of one is
+a single uniform sub-multiset draw (`_submultiset`: distinct units by
+`rng.sample`, tallied by bucket).  Phases are never materialized: the hidden
+shift enters only in the final Fourier measurement, where the exact rational
 multipliers determine the outcome distribution.
 
 The three stages mirror the qubit-creation / recursive-collimation / final-
