@@ -495,7 +495,8 @@ class InfeasibleShift(ValueError):
     """No shift inside the norm box satisfies the measured congruences."""
 
 
-def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice, t: int, max_norm: Optional[int] = None) -> Tuple[int, ...]:
+def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice, t: int,
+               max_norm: Optional[int] = None) -> Tuple[int, ...]:
     """Solve gen.s = c/d (mod 1) for all measured factors with ||s||_inf
     bounded, via a particular solution of the congruence system plus Babai
     nearest-plane on the solution lattice A^#."""
