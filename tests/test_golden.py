@@ -21,7 +21,6 @@ HSP_DIGESTS = {
     (3, 2): "f598c1519a951b227d3686915112519fbb9a1f4fbacc3169823d9da10e5c65de",
 }
 
-# Gaussian mode over [[8]] with t = 2 is left out: one trial of it takes minutes.
 SHIFT_CASES = [
     ({"k": 1, "basis": [[8]], "t": 2, "shift_bound": 3, "check": True}, "exact", 3,
      "e81520c49edcfc3e5ed8760e0f8091096acc8e8d71e9521e6e54ebe07ecd8d5b"),
@@ -31,6 +30,8 @@ SHIFT_CASES = [
      "904b743f2967326b2fcc9201500da201af8f207d187cf7c4b864bd12a2b6a608"),
     ({"k": 2, "basis": [[4, 0], [0, 4]], "t": 2, "check": True}, "exact", 2,
      "a4b9a5aa44d256b6021200ac68b6c8d80d59049de4751e0d8176e40e31793622"),
+    ({"k": 1, "basis": [[8]], "t": 2}, "gaussian", 3,
+     "0e4ad053ad2a61f6af8f3a707703025a3ad771e723c3bdd4bc1cde8d88fb4b68"),
 ]
 
 
@@ -47,7 +48,7 @@ def test_hsp_report_digest(k, seed):
 
 @pytest.mark.parametrize("descriptor,noise,trials,expected", SHIFT_CASES,
                          ids=["exact-8-t2", "gaussian-2-t1", "gaussian-trivial-t1",
-                              "exact-diag44-t2"])
+                              "exact-diag44-t2", "gaussian-8-t2"])
 def test_shift_report_digest(descriptor, noise, trials, expected):
     report = run_shift_experiment(descriptor, seed=1, trials=trials, noise=noise)
     assert digest(report) == expected
