@@ -130,12 +130,13 @@ class Lattice:
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """What sampling from H^# needs: the reciprocal basis (None at rank 0),
-    the integer orthogonal of H_R, and the Gram-Schmidt frame of the basis as
-    (vector, float-exact inverse norm) pairs."""
+    """What sampling from H^# needs: the reciprocal basis scaled by the Gram
+    determinant Delta (integral, since Delta (M^T M)^-1 is the adjugate; None
+    at rank 0), the integer orthogonal of H_R, and the Gram-Schmidt frame of
+    the basis as (vector, float-exact inverse norm) pairs."""
 
-    reciprocal: Optional[RatMatrix]
-    ortho: RatMatrix
+    scaled_reciprocal: Optional[IntMatrix]
+    ortho: IntMatrix
     frame: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]
 
     @staticmethod
@@ -143,8 +144,8 @@ class LatticeGeometry:
         star, _, norms = gram_schmidt(L.basis.to_rational().columns())
         frame = tuple((tuple(v), Fraction(1.0 / math.sqrt(float(n))))
                       for v, n in zip(star, norms))
-        return LatticeGeometry(reciprocal_basis(L) if L.rank else None,
-                               integer_orthogonal(L).to_rational(), frame)
+        scaled = reciprocal_basis(L).scale(L.gram_det).to_integer() if L.rank else None
+        return LatticeGeometry(scaled, integer_orthogonal(L), frame)
 
 
 def lattice_from_generators(G: IntMatrix) -> Lattice:
@@ -205,33 +206,44 @@ def dual_membership(L: Lattice, y: TorusVec) -> bool:
     )
 
 
-def dual_sample_uniform(L: Lattice, torus_grid: int, rng: random.Random,
-                        return_parts: bool = False):
-    """Exact uniform sample from H^#, with the connected torus part restricted
-    to the grid (1/torus_grid) Z^k.
+def dual_sample_numerators(L: Lattice, torus_grid: int, modulus: int,
+                           rng: random.Random) -> Tuple[Tuple[int, ...], List[int], List[int]]:
+    """Exact uniform sample y from H^#, with the connected torus part on the
+    grid (1/torus_grid) Z^k, as numerators over `modulus`: y = x / modulus.
+    The modulus must be a multiple of both Delta and torus_grid.
 
     The finite component group is hit via frac(M_rec a) with a uniform over
     (Z/Delta)^rank (valid because Delta H^o <= H), convolved with
-    frac(C u) for u uniform over the grid torus, C the integer orthogonal.
-    With return_parts the raw draws (a, u) come back too, so callers can
-    check genericity of the torus part."""
+    frac(C u / torus_grid) for u uniform over (Z/torus_grid)^(k - rank), C
+    the integer orthogonal.  Returns (x, a, u)."""
     if torus_grid < 1:
         raise ValueError("torus grid must be >= 1")
+    if modulus % L.gram_det or modulus % torus_grid:
+        raise ValueError(f"modulus {modulus} is not a multiple of Delta = {L.gram_det} "
+                         f"and the torus grid {torus_grid}")
     g = L.geometry
-    coords = [Fraction(0)] * L.k
-    a: List[int] = []
-    u: List[Fraction] = []
-    if g.reciprocal is not None:
-        a = [rng.randrange(L.gram_det) for _ in range(L.rank)]
-        comp = g.reciprocal.mul_vec(a)
-        coords = [c + v for c, v in zip(coords, comp)]
-    if g.ortho.cols:
-        u = [Fraction(rng.randrange(torus_grid), torus_grid) for _ in range(g.ortho.cols)]
-        tor = g.ortho.mul_vec(u)
-        coords = [c + v for c, v in zip(coords, tor)]
-    y = TorusVec.make(coords)
+    x = [0] * L.k
+    a = [rng.randrange(L.gram_det) for _ in range(L.rank)]
+    if a:
+        step = modulus // L.gram_det
+        x = [c + step * v for c, v in zip(x, g.scaled_reciprocal.mul_vec(a))]
+    u = [rng.randrange(torus_grid) for _ in range(g.ortho.cols)]
+    if u:
+        step = modulus // torus_grid
+        x = [c + step * v for c, v in zip(x, g.ortho.mul_vec(u))]
+    return tuple(c % modulus for c in x), a, u
+
+
+def dual_sample_uniform(L: Lattice, torus_grid: int, rng: random.Random,
+                        return_parts: bool = False):
+    """`dual_sample_numerators` as a TorusVec, over the least modulus
+    lcm(Delta, torus_grid).  With return_parts the raw draws (a, u / torus_grid)
+    come back too, so callers can check genericity of the torus part."""
+    modulus = math.lcm(L.gram_det, torus_grid)
+    x, a, u = dual_sample_numerators(L, torus_grid, modulus, rng)
+    y = TorusVec(tuple(Fraction(c, modulus) for c in x))
     if return_parts:
-        return y, a, u
+        return y, a, [Fraction(c, torus_grid) for c in u]
     return y
 
 

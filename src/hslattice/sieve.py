@@ -1,14 +1,19 @@
 """Classical simulation of the collimation sieve for abelian hidden shifts.
 
-Phase vectors store their multiplier lists as multiplier -> multiplicity
-dictionaries (computational-basis measurements of equal-amplitude states
-depend only on counts, so this is exact and collapses the bookkeeping when
-the dual group is finite).  Unit r of a multiset is found from its sorted
-keys and running unit totals (`_cumulative`), and every random part of one is
-a single uniform sub-multiset draw (`_submultiset`: distinct units by
-`rng.sample`, tallied by bucket).  Phases are never materialized: the hidden
-shift enters only in the final Fourier measurement, where the exact rational
-multipliers determine the outcome distribution.
+In exact mode every multiplier lies on the grid (1/N) Z^k / Z^k with
+N = lcm(Delta, Q) (Delta the Gram determinant of the basis, Q the torus
+grid), so the sieve holds a multiplier as the tuple of its numerators in
+[0, N) and a window as an integer center and radius in units of 1/N; sums,
+tiles and window tests are integer arithmetic mod N.  Phase vectors store
+their multiplier lists as multiplier -> multiplicity dictionaries
+(computational-basis measurements of equal-amplitude states depend only on
+counts, so this is exact and collapses the bookkeeping when the dual group
+is finite).  Unit r of a multiset is found from its sorted keys and running
+unit totals (`_cumulative`), and every random part of one is a single
+uniform sub-multiset draw (`_submultiset`: distinct units by `rng.sample`,
+tallied by bucket).  Phases are never materialized: the hidden shift enters
+only in the final Fourier measurement, where the multipliers' numerators
+determine the outcome distribution.
 
 The three stages mirror the qubit-creation / recursive-collimation / final-
 measurement split: create_qubit draws a dual point per qubit, sieve() runs
@@ -21,6 +26,7 @@ congruence system (approximate CVP on the solution lattice).
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -33,13 +39,15 @@ from .lattice import (
     TorusVec,
     basis_bit_complexity,
     dual_membership,
-    dual_sample_uniform,
+    dual_sample_numerators,
     gaussian_grid_noise,
     integer_orthogonal,
     lattice_from_generators,
 )
 from .lll import babai_nearest_plane, lll
 from .matrix import IntMatrix, snf
+
+Point = Tuple[int, ...]  # numerators over the modulus N: the point x / N of the torus
 
 
 class SieveBudgetExceeded(RuntimeError):
@@ -55,14 +63,16 @@ class SieveConfig:
     m: int              # stage exponent; km collimation stages
     G: int              # Gaussian width for the noisy sampler (1/g)
     Q: int              # measurement/torus grid radix
+    N: int              # multiplier modulus, lcm(Delta, Q)
     noise: str = "exact"            # "exact" | "gaussian"
     shift_bound: int = 0            # infinity-norm box for the lifted shift
     max_retries: int = 64           # per recursion node
     qubit_budget: int = 1 << 22
     check: bool = False             # assert window/length invariants as we go
 
-    def stage_radius(self, j: int) -> Fraction:
-        return Fraction(1, 2 ** (j * self.m + 1))
+    def stage_radius(self, j: int) -> int:
+        """Window radius 2^-(jm+1) at stage j, in units of 1/N."""
+        return self.N >> (j * self.m + 1)
 
     @property
     def min_len(self) -> int:
@@ -81,7 +91,9 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
 
     m is minimal (>= 2) with 2^(k m^2) > k (n + 2h) 2^t, which makes the
     final collimation radius 2^(-k m^2 - 1) fine enough for the target-group
-    measurement to land within trace distance 1/2."""
+    measurement to land within trace distance 1/2.  Q = 2^q with
+    q >= 2 k m^2 + 2, so every window radius and tile width down to the last
+    stage is a whole number of 1/N steps."""
     if t < 1:
         raise ValueError("t must be >= 1")
     k = L.k
@@ -96,25 +108,49 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
         raise ValueError(f"km = {k * m} exceeds the desk-scale ceiling {stage_ceiling}")
     g_exp = k * m + t + 2
     q_exp = max(2 * g_exp, 2 * k * m * m + 2)
+    Q = 2 ** q_exp
     return SieveConfig(
-        k=k, t=t, n=n, h=h, m=m, G=2 ** g_exp, Q=2 ** q_exp, noise=noise,
-        shift_bound=shift_bound if shift_bound is not None else 2 ** (t - 1),
+        k=k, t=t, n=n, h=h, m=m, G=2 ** g_exp, Q=Q, N=math.lcm(L.gram_det, Q),
+        noise=noise, shift_bound=shift_bound if shift_bound is not None else 2 ** (t - 1),
         max_retries=max_retries, check=check,
     )
 
 
+def _on_grid(y: TorusVec, N: int) -> Point:
+    """The numerators of y over N; a point off the (1/N) grid is an error,
+    never rounded."""
+    out = []
+    for c in y.coords:
+        x, r = divmod(c.numerator * N, c.denominator)
+        if r:
+            raise ValueError(f"{y} is not on the (1/{N}) Z^k grid")
+        out.append(x)
+    return tuple(out)
+
+
+def _lift(d: int, N: int) -> int:
+    """The representative of d mod N in (-N/2, N/2]."""
+    d %= N
+    return d - N if 2 * d > N else d
+
+
 @dataclass(frozen=True)
 class Window:
-    center: TorusVec
-    radius: Fraction
+    """The box of points within `radius` of `center` per coordinate on the
+    torus; center and radius in units of 1/modulus."""
 
-    def contains(self, y: TorusVec) -> bool:
-        if 2 * self.radius >= 1:
+    center: Point
+    radius: int
+    modulus: int
+
+    def contains(self, y: Point) -> bool:
+        N, r = self.modulus, self.radius
+        if 2 * r >= N:
             return True
-        return all(abs(c) <= self.radius for c in (y - self.center).lift())
+        return all(abs(_lift(a - c, N)) <= r for a, c in zip(y, self.center))
 
 
-Counts = Dict[TorusVec, int]
+Counts = Dict[Point, int]
 
 
 def _cumulative(counts: Dict) -> Tuple[list, List[int]]:
@@ -151,13 +187,15 @@ class PhaseVector:
 
 @dataclass(frozen=True)
 class PhaseQubit:
-    """Length-2 phase vector: multipliers for the |0> and |1> branches."""
+    """Length-2 phase vector: multipliers for the |0> and |1> branches, as
+    numerators over the modulus."""
 
-    zero_mult: TorusVec
-    one_mult: TorusVec
+    zero_mult: Point
+    one_mult: Point
+    modulus: int
 
-    def delta(self) -> TorusVec:
-        return self.one_mult - self.zero_mult
+    def delta(self) -> Point:
+        return tuple((b - a) % self.modulus for a, b in zip(self.zero_mult, self.one_mult))
 
 
 @dataclass
@@ -188,21 +226,22 @@ def create_qubit(shift: Sequence[int], L: Lattice, cfg: SieveConfig,
         stats.qubits += 1
         if stats.qubits > cfg.qubit_budget:
             raise SieveBudgetExceeded("qubit budget exhausted")
-    y = dual_sample_uniform(L, cfg.Q, rng)
+    N = cfg.N
+    y, _, _ = dual_sample_numerators(L, cfg.Q, N, rng)
     if cfg.noise == "gaussian":
-        y = gaussian_grid_noise(L, y, cfg.G, cfg.Q, rng)
+        noisy = gaussian_grid_noise(L, TorusVec(tuple(Fraction(c, N) for c in y)),
+                                    cfg.G, cfg.Q, rng)
+        y = _on_grid(noisy, N)
     elif cfg.noise != "exact":
         raise ValueError(f"unknown noise mode {cfg.noise!r}")
-    counts: Counts = {}
-    zero = TorusVec.zero(L.k)
-    counts[zero] = counts.get(zero, 0) + 1
+    zero = (0,) * L.k
+    counts: Counts = {zero: 1}
     counts[y] = counts.get(y, 0) + 1
-    spot = Spot(counts, Window(TorusVec.zero(L.k), Fraction(1, 2)))
-    return PhaseVector((spot,), stage=0)
+    return PhaseVector((Spot(counts, Window(zero, N // 2, N)),), stage=0)
 
 
 def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:
-    """Tensor product: pairwise multiplier sums, windows add in tandem.
+    """Tensor product: pairwise multiplier sums mod N, windows add in tandem.
 
     Two-spot x one-spot keeps the two-spot structure; two-spot x two-spot is
     never needed by the sieve and is rejected."""
@@ -213,28 +252,45 @@ def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:
     else:
         raise ValueError("tensor of two two-spot phase vectors is not supported")
     rspot = right.spots[0]
+    rwin = rspot.window
+    N = rwin.modulus
     new_spots = []
     for spot in left.spots:
         counts: Counts = {}
         for u, cu in spot.counts.items():
             for v, cv in rspot.counts.items():
-                w = u + v
+                w = tuple([(x + y) % N for x, y in zip(u, v)])
                 counts[w] = counts.get(w, 0) + cu * cv
-        new_spots.append(Spot(
-            counts,
-            Window(spot.window.center + rspot.window.center,
-                   spot.window.radius + rspot.window.radius),
-        ))
+        win = spot.window
+        center = tuple([(x + y) % N for x, y in zip(win.center, rwin.center)])
+        new_spots.append(Spot(counts, Window(center, win.radius + rwin.radius, N)))
     return PhaseVector(tuple(new_spots), stage=left.stage)
 
 
-def _tile_index(y: TorusVec, window: Window, tiles_per_axis: int) -> Tuple[int, ...]:
-    width = 2 * window.radius / tiles_per_axis
+def _tile_index(y: Point, window: Window, tiles_per_axis: int) -> Tuple[int, ...]:
+    """Per-axis index of the tile of width 2 radius / tiles_per_axis that
+    holds y, counted from center - radius and clamped into the window."""
+    N, r = window.modulus, window.radius
+    width = 2 * r // tiles_per_axis
+    top = tiles_per_axis - 1
     idx = []
-    for c in (y - window.center).lift():
-        i = int((c + window.radius) / width)
-        idx.append(min(max(i, 0), tiles_per_axis - 1))
+    for a, c in zip(y, window.center):
+        d = (a - c) % N
+        i = (d - N + r if 2 * d > N else d + r) // width  # the lift of d, plus r
+        idx.append(0 if i < 0 else top if i > top else i)
     return tuple(idx)
+
+
+def _subwindow(window: Window, tile: Tuple[int, ...], tiles_per_axis: int) -> Window:
+    """The window of one tile: radius / tiles_per_axis about the tile's
+    center.  The radius must split into whole 1/N steps."""
+    sub, rem = divmod(window.radius, tiles_per_axis)
+    if rem:
+        raise ValueError(f"radius {window.radius} does not split into {tiles_per_axis} tiles")
+    N = window.modulus
+    center = tuple([(c - window.radius + (2 * i + 1) * sub) % N
+                    for c, i in zip(window.center, tile)])
+    return Window(center, sub, N)
 
 
 def collimation_tally(pv: PhaseVector, m: int):
@@ -244,7 +300,7 @@ def collimation_tally(pv: PhaseVector, m: int):
     per_spot_idx = []
     tally: Dict[Tuple[int, ...], int] = {}
     for spot in pv.spots:
-        assignment: Dict[TorusVec, Tuple[int, ...]] = {}
+        assignment: Dict[Point, Tuple[int, ...]] = {}
         for y, c in spot.counts.items():
             ti = _tile_index(y, spot.window, tiles_per_axis)
             assignment[y] = ti
@@ -271,11 +327,7 @@ def collimate(pv: PhaseVector, m: int, rng: random.Random,
     new_spots = []
     for spot, assignment in zip(pv.spots, per_spot_idx):
         counts = {y: c for y, c in spot.counts.items() if assignment[y] == chosen}
-        radius = spot.window.radius / tiles_per_axis
-        width = 2 * spot.window.radius / tiles_per_axis
-        offset = [(-spot.window.radius + (i + Fraction(1, 2)) * width) for i in chosen]
-        center = TorusVec.make([a + b for a, b in zip(spot.window.center.coords, offset)])
-        new_spots.append(Spot(counts, Window(center, radius)))
+        new_spots.append(Spot(counts, _subwindow(spot.window, chosen, tiles_per_axis)))
     return PhaseVector(tuple(new_spots), stage=pv.stage)
 
 
@@ -318,12 +370,14 @@ def _balanced_split(counts: Counts, rng: random.Random) -> Tuple[Counts, Counts]
 def _check_vector(pv: PhaseVector, cfg: SieveConfig, L: Lattice, j: int,
                   final: bool) -> None:
     radius = cfg.stage_radius(j)
+    basis = L.basis.columns()
     for spot in pv.spots:
         assert spot.window.radius == radius, "radius telescoping violated"
         for y in spot.counts:
             assert spot.window.contains(y), "multiplier escaped its window"
             if cfg.noise == "exact":
-                assert dual_membership(L, y), "multiplier left the dual group"
+                assert all(sum(a * b for a, b in zip(y, col)) % cfg.N == 0 for col in basis), \
+                    "multiplier left the dual group"
         if final:
             assert cfg.min_len <= spot.length < cfg.max_len, "length discipline violated"
 
@@ -341,7 +395,6 @@ def sieve(j: int, p: int, target: TorusVec, cfg: SieveConfig, L: Lattice,
         raise ValueError("stage out of range")
     km = cfg.k * cfg.m
     shift_dummy = ()
-    half = Fraction(1, 2)
     if j == 0:
         # 2km qubits give one spot of length 4^km; p = 2 takes one more qubit
         # and splits it in half.  Base windows are the whole torus.
@@ -349,11 +402,12 @@ def sieve(j: int, p: int, target: TorusVec, cfg: SieveConfig, L: Lattice,
         for _ in range(2 * km - 2 + p):
             pv = tensor(pv, create_qubit(shift_dummy, L, cfg, rng, stats))
         counts = pv.spots[0].counts
+        whole = Window((0,) * cfg.k, cfg.N // 2, cfg.N)
         if p == 1:
-            spots = (Spot(counts, Window(TorusVec.zero(cfg.k), half)),)
+            spots = (Spot(counts, whole),)
         else:
             a, b = _balanced_split(counts, rng)
-            spots = (Spot(a, Window(TorusVec.zero(cfg.k), half)), Spot(b, Window(target, half)))
+            spots = (Spot(a, whole), Spot(b, Window(_on_grid(target, cfg.N), cfg.N // 2, cfg.N)))
         out = PhaseVector(spots, stage=0)
         if cfg.check:
             _check_vector(out, cfg, L, 0, final=True)
@@ -402,7 +456,7 @@ def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[PhaseQ
     for spot in pv.spots:
         keys, ends = _cumulative(spot.counts)
         pair.append(keys[bisect_right(ends, i)])
-    return PhaseQubit(*pair)
+    return PhaseQubit(pair[0], pair[1], pv.spots[0].window.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +522,12 @@ def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, L: Lattice,
             continue
         if stats is not None:
             stats.postselect_successes += 1
+        # delta . s per level; the phase of index b sums the levels of its bits.
+        pairings = [sum(a * x for a, x in zip(shift, delta)) for delta in deltas]
         phases = []
         for b in range(d):
-            acc = TorusVec.zero(cfg.k)
-            for level in range(e):
-                if (b >> level) & 1:
-                    acc = acc + deltas[level]
-            phases.append(float(acc.pairing(shift)))
+            acc = sum(pr for level, pr in enumerate(pairings) if (b >> level) & 1)
+            phases.append(float(Fraction(acc % cfg.N, cfg.N)))
         probs = []
         for c in range(d):
             amp = sum(cmath.exp(2j * cmath.pi * (theta - b * c / d))

@@ -286,14 +286,12 @@ def test_10_sieve_micro_oracle():
     for _ in range(50):
         k = rng.randrange(1, 3)
         total = rng.randrange(2, 65)
-        mults = [TorusVec.make([Fraction(rng.randrange(64), 64) for _ in range(k)])
-                 for _ in range(total)]
+        # multipliers on (1/64) Z^k, as numerators over N = 64
+        mults = [tuple(rng.randrange(64) for _ in range(k)) for _ in range(total)]
         counts = {}
         for y in mults:
             counts[y] = counts.get(y, 0) + 1
-        pv = PhaseVector(
-            (Spot(counts, Window(TorusVec.zero(k), Fraction(1, 2))),), stage=0
-        )
+        pv = PhaseVector((Spot(counts, Window((0,) * k, 32, 64)),), stage=0)
         per_spot, tally = collimation_tally(pv, rng.randrange(1, 3))
         born = {}
         for y in mults:

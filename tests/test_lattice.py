@@ -264,7 +264,8 @@ class TestGeometry:
             g = L.geometry
             assert L.geometry is g  # built once per lattice
             M = L.basis.to_rational()
-            if g.reciprocal is not None:
-                assert (g.reciprocal.transpose() @ M).data == RatMatrix.identity(L.rank).data
+            if g.scaled_reciprocal is not None:
+                reciprocal = g.scaled_reciprocal.to_rational().scale(Fraction(1, L.gram_det))
+                assert (reciprocal.transpose() @ M).data == RatMatrix.identity(L.rank).data
             assert g.ortho.cols == k - L.rank
-            assert all(x == 0 for row in (M.transpose() @ g.ortho).data for x in row)
+            assert all(x == 0 for row in (M.transpose() @ g.ortho.to_rational()).data for x in row)

@@ -6,12 +6,17 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hslattice.experiments import random_lattice
 from hslattice.lattice import (
     Lattice,
     TorusVec,
     coset_canonical,
     dual_membership,
+    dual_sample_numerators,
+    dual_sample_uniform,
+    integer_orthogonal,
     lattice_from_generators,
+    reciprocal_basis,
 )
 from hslattice.matrix import IntMatrix
 from hslattice.sieve import (
@@ -23,7 +28,10 @@ from hslattice.sieve import (
     Spot,
     Window,
     _balanced_split,
+    _on_grid,
+    _subwindow,
     _submultiset,
+    _tile_index,
     assemble_cyclic,
     build_target_group,
     collimate,
@@ -53,13 +61,30 @@ def tv(*coords):
                           for c in coords])
 
 
+N = 128  # modulus of the hand-built phase vectors: every multiplier below is on (1/128) Z
+
+
+def nv(*coords):
+    """The point tv(*coords) as numerators over N."""
+    return _on_grid(tv(*coords), N)
+
+
+def torus(y, modulus):
+    """Numerators over the modulus back to a TorusVec."""
+    return TorusVec.make([Fraction(c, modulus) for c in y])
+
+
+def window(center, radius):
+    return Window(center, int(Fraction(radius) * N), N)
+
+
 def single_spot(multipliers, center=None, radius=Fraction(1, 2), stage=0):
     counts = {}
     for m in multipliers:
         counts[m] = counts.get(m, 0) + 1
-    k = multipliers[0].k
-    c = center if center is not None else TorusVec.zero(k)
-    return PhaseVector((Spot(counts, Window(c, Fraction(radius))),), stage=stage)
+    k = len(multipliers[0])
+    c = center if center is not None else (0,) * k
+    return PhaseVector((Spot(counts, window(c, radius)),), stage=stage)
 
 
 class TestConfig:
@@ -90,7 +115,7 @@ class TestCreateQubit:
         cfg = sieve_config(Lattice.zn(1), 1)
         for _ in range(10):
             q = create_qubit((), Lattice.zn(1), cfg, rng)
-            assert set(q.spots[0].counts) == {TorusVec.zero(1)}
+            assert set(q.spots[0].counts) == {(0,)}
             assert q.spots[0].length == 2
 
     def test_2z_uniform(self):
@@ -100,7 +125,7 @@ class TestCreateQubit:
         counts = {0: 0, 1: 0}
         for _ in range(4000):
             q = create_qubit((), L, cfg, rng)
-            nonzero = [y for y in q.spots[0].counts if not y.is_zero()]
+            nonzero = [y for y in q.spots[0].counts if any(y)]
             counts[1 if nonzero else 0] += 1
         # y = 0 and y = 1/2 each with prob 1/2; chi-squared 1 dof
         chi2 = sum((c - 2000) ** 2 / 2000 for c in counts.values())
@@ -113,36 +138,36 @@ class TestCreateQubit:
         for _ in range(20):
             q = create_qubit((), L, cfg, rng)
             for y in q.spots[0].counts:
-                assert dual_membership(L, y)
+                assert dual_membership(L, torus(y, cfg.N))
 
 
 class TestTensor:
     def test_identity_element(self):
-        a = single_spot([tv(0), tv(0)])  # {0} twice: the |0>+|1> qubit at y=0
-        b = single_spot([tv(0), tv("1/4")])
+        a = single_spot([nv(0), nv(0)])  # {0} twice: the |0>+|1> qubit at y=0
+        b = single_spot([nv(0), nv("1/4")])
         out = tensor(a, b)
-        assert out.spots[0].counts == {tv(0): 2, tv("1/4"): 2}
+        assert out.spots[0].counts == {nv(0): 2, nv("1/4"): 2}
 
     def test_direct_sums(self):
-        a = single_spot([tv(0), tv("1/4")])
-        b = single_spot([tv(0), tv("1/8")])
+        a = single_spot([nv(0), nv("1/4")])
+        b = single_spot([nv(0), nv("1/8")])
         out = tensor(a, b)
-        assert out.spots[0].counts == {tv(0): 1, tv("1/8"): 1, tv("1/4"): 1, tv("3/8"): 1}
+        assert out.spots[0].counts == {nv(0): 1, nv("1/8"): 1, nv("1/4"): 1, nv("3/8"): 1}
 
     def test_lengths_multiply(self):
-        a = single_spot([tv("1/16")] * 4)
-        b = single_spot([tv("1/32")] * 4)
+        a = single_spot([nv("1/16")] * 4)
+        b = single_spot([nv("1/32")] * 4)
         assert tensor(a, b).spots[0].length == 16
 
     def test_radii_add(self):
-        a = single_spot([tv(0)], radius=Fraction(1, 8))
-        b = single_spot([tv(0)], radius=Fraction(1, 16))
-        assert tensor(a, b).spots[0].window.radius == Fraction(3, 16)
+        a = single_spot([nv(0)], radius=Fraction(1, 8))
+        b = single_spot([nv(0)], radius=Fraction(1, 16))
+        assert Fraction(tensor(a, b).spots[0].window.radius, N) == Fraction(3, 16)
 
     def test_two_by_two_rejected(self):
         two = PhaseVector(
-            (Spot({tv(0): 1}, Window(tv(0), Fraction(1, 2))),
-             Spot({tv("1/4"): 1}, Window(tv("1/4"), Fraction(1, 2)))),
+            (Spot({nv(0): 1}, window(nv(0), Fraction(1, 2))),
+             Spot({nv("1/4"): 1}, window(nv("1/4"), Fraction(1, 2)))),
             stage=0,
         )
         with pytest.raises(ValueError):
@@ -152,15 +177,15 @@ class TestTensor:
 class TestCollimate:
     def test_single_tile_unchanged(self):
         rng = random.Random(3)
-        mults = [tv("1/64"), tv("1/128"), tv(0)]
+        mults = [nv("1/64"), nv("1/128"), nv(0)]
         pv = single_spot(mults, radius=Fraction(1, 2))
         out = collimate(pv, 2, rng)
         assert sum(out.spots[0].counts.values()) == 3
-        assert out.spots[0].window.radius == Fraction(1, 16)
+        assert Fraction(out.spots[0].window.radius, N) == Fraction(1, 16)
 
     def test_counting_probabilities(self):
         # two occupied tiles with 3 and 1 residents: probabilities 3/4, 1/4
-        mults = [tv("1/64"), tv("1/64"), tv("3/128"), tv("1/2")]
+        mults = [nv("1/64"), nv("1/64"), nv("3/128"), nv("1/2")]
         pv = single_spot(mults, radius=Fraction(1, 2))
         _, tally = collimation_tally(pv, 1)
         occ = sorted(tally.values())
@@ -174,17 +199,17 @@ class TestCollimate:
     def test_tandem_equal_lengths(self):
         # identical spot layouts (translated by the target) stay equal
         rng = random.Random(4)
-        offs = tv("1/4")
-        layout = [tv(0), tv("1/64"), tv("3/64"), tv("1/64")]
+        offs = nv("1/4")
+        layout = [nv(0), nv("1/64"), nv("3/64"), nv("1/64")]
         spot1 = {}
         spot2 = {}
         for y in layout:
             spot1[y] = spot1.get(y, 0) + 1
-            y2 = y + offs
+            y2 = tuple((a + b) % N for a, b in zip(y, offs))
             spot2[y2] = spot2.get(y2, 0) + 1
         pv = PhaseVector(
-            (Spot(spot1, Window(tv(0), Fraction(1, 8))),
-             Spot(spot2, Window(offs, Fraction(1, 8)))),
+            (Spot(spot1, window(nv(0), Fraction(1, 8))),
+             Spot(spot2, window(offs, Fraction(1, 8)))),
             stage=0,
         )
         for seed in range(30):
@@ -195,7 +220,7 @@ class TestCollimate:
         # total length <= 64: the sampler's analytic distribution equals the
         # Born distribution of the full equal-amplitude state, exactly
         rng = random.Random(5)
-        mults = [TorusVec.make([Fraction(rng.randrange(64), 64)]) for _ in range(48)]
+        mults = [(rng.randrange(64) * N // 64,) for _ in range(48)]
         pv = single_spot(mults)
         per_spot, tally = collimation_tally(pv, 2)
         total = sum(tally.values())
@@ -214,24 +239,24 @@ class TestShorten:
 
     def test_at_min_unchanged(self):
         cfg = self.cfg()
-        pv = single_spot([tv("1/8")] * cfg.min_len)
+        pv = single_spot([nv("1/8")] * cfg.min_len)
         out = shorten(pv, cfg, random.Random(0))
         assert out.spots[0].length == cfg.min_len
 
     def test_double_max_two_equal_parts(self):
         cfg = self.cfg()
-        pv = single_spot([tv("1/8")] * (2 * cfg.max_len))
+        pv = single_spot([nv("1/8")] * (2 * cfg.max_len))
         out = shorten(pv, cfg, random.Random(1))
         # recursive halving: 2*max -> max -> max/2 = 2*min
         assert out.spots[0].length == 2 * cfg.min_len
 
     def test_two_spot_selective(self):
         cfg = self.cfg()
-        big = {tv("1/8"): cfg.max_len}
-        small = {tv("1/4"): cfg.min_len}
+        big = {nv("1/8"): cfg.max_len}
+        small = {nv("1/4"): cfg.min_len}
         pv = PhaseVector(
-            (Spot(dict(big), Window(tv(0), Fraction(1, 2))),
-             Spot(dict(small), Window(tv("1/8"), Fraction(1, 2)))),
+            (Spot(dict(big), window(nv(0), Fraction(1, 2))),
+             Spot(dict(small), window(nv("1/8"), Fraction(1, 2)))),
             stage=0,
         )
         out = shorten(pv, cfg, random.Random(2))
@@ -243,7 +268,7 @@ class TestShorten:
         rng = random.Random(3)
         for _ in range(20):
             n = rng.randrange(cfg.max_len, 6 * cfg.max_len)
-            mults = [TorusVec.make([Fraction(rng.randrange(8), 8)]) for _ in range(n)]
+            mults = [(rng.randrange(8) * N // 8,) for _ in range(n)]
             out = shorten(single_spot(mults), cfg, rng)
             assert cfg.min_len <= out.spots[0].length < cfg.max_len
 
@@ -320,8 +345,8 @@ def total_variation(p, q):
     return sum(abs(p.get(x, 0) - q.get(x, 0)) for x in set(p) | set(q)) / 2
 
 
-TINY_CFG = SieveConfig(k=1, t=1, n=1, h=0, m=0, G=1, Q=1)  # min_len 1, max_len 4
-TINY_COUNTS = {tv(0): 3, tv("1/4"): 2, tv("1/2"): 2}
+TINY_CFG = SieveConfig(k=1, t=1, n=1, h=0, m=0, G=1, Q=1, N=1)  # min_len 1, max_len 4
+TINY_COUNTS = {nv(0): 3, nv("1/4"): 2, nv("1/2"): 2}
 
 
 class TestExactSamplingLaw:
@@ -344,7 +369,7 @@ class TestExactSamplingLaw:
         assert total_variation(law, expected) == 0
 
 
-multisets = st.dictionaries(st.integers(0, 15).map(lambda i: tv(Fraction(i, 16))),
+multisets = st.dictionaries(st.integers(0, 15).map(lambda i: nv(Fraction(i, 16))),
                             st.integers(1, 40), min_size=1, max_size=6)
 
 
@@ -360,7 +385,7 @@ class TestSamplerProperties:
     @settings(max_examples=60, deadline=None)
     @given(multisets, st.integers(0, 2), st.integers(0, 2 ** 32))
     def test_shorten(self, counts, m, seed):
-        cfg = SieveConfig(k=1, t=1, n=1, h=0, m=m, G=1, Q=1)
+        cfg = SieveConfig(k=1, t=1, n=1, h=0, m=m, G=1, Q=1, N=1)
         length = sum(counts.values())
         out = shorten(single_spot([y for y, c in counts.items() for _ in range(c)]),
                       cfg, random.Random(seed)).spots[0]
@@ -371,6 +396,107 @@ class TestSamplerProperties:
             assert cfg.min_len <= out.length < cfg.max_len
 
 
+@st.composite
+def torus_windows(draw):
+    """(N, k, window, point): N = 2^a b, a center and a point in (Z/N)^k, and
+    a radius N / 2^e."""
+    a, b, k = draw(st.integers(1, 10)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    n = 2 ** a * b
+    point = st.tuples(*[st.integers(0, n - 1)] * k)
+    e = draw(st.integers(0, a))
+    return n, k, Window(draw(point), n >> e, n), draw(point)
+
+
+def fraction_window(w):
+    """The window as (TorusVec center, Fraction radius), as the sieve held it
+    before multipliers were numerators."""
+    return torus(w.center, w.modulus), Fraction(w.radius, w.modulus)
+
+
+class TestIntegerTorus:
+    """The integer torus against a Fraction reference written here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(torus_windows())
+    def test_contains(self, case):
+        n, _, w, y = case
+        center, radius = fraction_window(w)
+        expect = 2 * radius >= 1 or all(abs(c) <= radius for c in (torus(y, n) - center).lift())
+        assert w.contains(y) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(torus_windows(), st.integers(0, 4))
+    def test_tile_index(self, case, m):
+        n, _, w, y = case
+        tiles = 2 ** (m + 1)
+        if 2 * w.radius % tiles:
+            return  # tile width off the grid; the sieve's Q rules this out
+        center, radius = fraction_window(w)
+        width = 2 * radius / tiles
+        expect = tuple(min(max(int((c + radius) / width), 0), tiles - 1)
+                       for c in (torus(y, n) - center).lift())
+        assert _tile_index(y, w, tiles) == expect
+
+    @settings(max_examples=300, deadline=None)
+    @given(torus_windows(), st.integers(0, 4), st.data())
+    def test_subwindow_center(self, case, m, data):
+        n, k, w, _ = case
+        tiles = 2 ** (m + 1)
+        if w.radius % tiles:
+            with pytest.raises(ValueError):
+                _subwindow(w, (0,) * k, tiles)
+            return
+        tile = data.draw(st.tuples(*[st.integers(0, tiles - 1)] * k))
+        center, radius = fraction_window(w)
+        width = 2 * radius / tiles
+        offset = [-radius + (i + Fraction(1, 2)) * width for i in tile]
+        expect = TorusVec.make([a + b for a, b in zip(center.coords, offset)])
+        sub = _subwindow(w, tile, tiles)
+        assert torus(sub.center, n) == expect
+        assert Fraction(sub.radius, n) == radius / tiles
+
+    @settings(max_examples=100, deadline=None)
+    @given(torus_windows(), st.integers(0, 3), st.data())
+    def test_tensor_sums(self, case, e, data):
+        n, k, w1, c2 = case
+        w2 = Window(c2, n >> e, n)
+        point = st.tuples(*[st.integers(0, n - 1)] * k)
+        bag = st.dictionaries(point, st.integers(1, 5), min_size=1, max_size=5)
+        u, v = data.draw(bag), data.draw(bag)
+        out = tensor(PhaseVector((Spot(u, w1),), 0), PhaseVector((Spot(v, w2),), 0)).spots[0]
+        expect = {}
+        for y, cy in u.items():
+            for z, cz in v.items():
+                s = torus(y, n) + torus(z, n)
+                expect[s] = expect.get(s, 0) + cy * cz
+        assert {torus(y, n): c for y, c in out.counts.items()} == expect
+        assert torus(out.window.center, n) == torus(w1.center, n) + torus(w2.center, n)
+        assert out.window.radius == w1.radius + w2.radius
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.data(), st.integers(0, 8), st.integers(1, 3),
+           st.integers(0, 2 ** 32))
+    def test_sampling_core(self, k, data, grid_exp, extra, seed):
+        L = random_lattice(k, data.draw(st.integers(0, k)), 8, random.Random(seed))
+        grid = 2 ** grid_exp
+        modulus = math.lcm(L.gram_det, grid) * extra
+        # the Fraction formula the sampler used before the integer core
+        rng = random.Random(seed)
+        coords = [Fraction(0)] * k
+        if L.rank:
+            a = [rng.randrange(L.gram_det) for _ in range(L.rank)]
+            coords = [c + x for c, x in zip(coords, reciprocal_basis(L).mul_vec(a))]
+        C = integer_orthogonal(L).to_rational()
+        if C.cols:
+            u = [Fraction(rng.randrange(grid), grid) for _ in range(C.cols)]
+            coords = [c + x for c, x in zip(coords, C.mul_vec(u))]
+        expect = TorusVec.make(coords)
+        x, _, _ = dual_sample_numerators(L, grid, modulus, random.Random(seed))
+        assert all(0 <= c < modulus for c in x)
+        assert torus(x, modulus) == expect
+        assert dual_sample_uniform(L, grid, random.Random(seed)) == expect
+
+
 class TestSieveRecursion:
     def test_base_single_spot(self):
         rng = random.Random(6)
@@ -378,7 +504,7 @@ class TestSieveRecursion:
         out = sieve(0, 1, TorusVec.zero(1), cfg, L8(), rng)
         assert out.spot_count == 1
         assert out.spots[0].length == cfg.min_len
-        assert out.spots[0].window.radius == Fraction(1, 2)
+        assert Fraction(out.spots[0].window.radius, cfg.N) == Fraction(1, 2)
 
     def test_base_two_spot_equal_split(self):
         rng = random.Random(7)
@@ -388,7 +514,7 @@ class TestSieveRecursion:
         assert out.spot_count == 2
         assert out.spots[0].length == cfg.min_len
         assert out.spots[1].length == cfg.min_len
-        assert out.spots[1].window.center == target
+        assert torus(out.spots[1].window.center, cfg.N) == target
 
     def test_full_run_difference_near_target(self):
         cfg = sieve_config(L8(), 2, check=True)
@@ -396,7 +522,7 @@ class TestSieveRecursion:
         target = tv("1/8")
         for seed in range(5):
             q = sieve(km, 2, target, cfg, L8(), random.Random(seed), SieveStats())
-            diff = (q.delta() - target).lift()
+            diff = (torus(q.delta(), cfg.N) - target).lift()
             bound = Fraction(2, 2 ** (cfg.k * cfg.m * cfg.m + 1))
             assert all(abs(c) <= bound for c in diff)
 
@@ -411,7 +537,7 @@ class TestSieveRecursion:
         cfg = sieve_config(L8(), 2)
         out = sieve(2, 1, TorusVec.zero(1), cfg, L8(), random.Random(9))
         for y in out.spots[0].counts:
-            assert dual_membership(L8(), y)
+            assert dual_membership(L8(), torus(y, cfg.N))
 
 
 class TestTargetGroup:
