@@ -50,10 +50,17 @@ def random_lattice(k: int, rank: int, entry_bound: int, rng: random.Random) -> L
             return L
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer; a bool, a string or a float is a descriptor error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"descriptor {name} must be an integer, got {value!r}")
+    return value
+
+
 def _descriptor_int(descriptor: Dict, key: str) -> int:
     if key not in descriptor:
         raise ValueError(f"descriptor has no {key!r} field")
-    return int(descriptor[key])
+    return _json_int(descriptor[key], repr(key))
 
 
 def _check_trials(trials: int) -> None:
@@ -148,18 +155,18 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
     k = _descriptor_int(descriptor, "k") if "k" in descriptor or not rows else len(rows)
     lattice = _lattice_from_rows(rows, k)
     spec_shift = descriptor.get("shift", "random")
-    if spec_shift != "random" and (not isinstance(spec_shift, list) or len(spec_shift) != k):
-        raise ValueError(f"shift must be \"random\" or a list of k = {k} integers, "
-                         f"got {spec_shift!r}")
+    if spec_shift != "random":
+        if not isinstance(spec_shift, list) or len(spec_shift) != k:
+            raise ValueError(f"shift must be \"random\" or a list of k = {k} integers, "
+                             f"got {spec_shift!r}")
+        spec_shift = [_json_int(c, "'shift' entry") for c in spec_shift]
     t = _descriptor_int(descriptor, "t")
-    cfg = sieve_config(
-        lattice, t,
-        m=descriptor.get("m"),
-        noise=noise,
-        shift_bound=descriptor.get("shift_bound"),
-        max_retries=int(descriptor.get("max_retries", 64)),
-        check=bool(descriptor.get("check", False)),
-    )
+    options = {key: _descriptor_int(descriptor, key)
+               for key in ("m", "shift_bound", "max_retries") if key in descriptor}
+    check = descriptor.get("check", False)
+    if not isinstance(check, bool):
+        raise ValueError(f"descriptor 'check' must be true or false, got {check!r}")
+    cfg = sieve_config(lattice, t, noise=noise, check=check, **options)
 
     def one_trial(i: int) -> Dict:
         rng = trial_rng(seed, i)
@@ -167,7 +174,7 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
             b = cfg.shift_bound
             shift = [rng.randrange(-b, b + 1) for _ in range(lattice.k)]
         else:
-            shift = [int(c) for c in spec_shift]
+            shift = list(spec_shift)
         stats = SieveStats()
         t0 = time.monotonic()
         recovered = recover_shift(shift, lattice, t, rng, cfg=cfg, stats=stats)

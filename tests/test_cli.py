@@ -181,3 +181,21 @@ class TestReports:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert needle in captured.err
+
+    @pytest.mark.parametrize("field,value", [
+        ("shift", [[1]]),
+        ("m", "2"),
+        ("shift_bound", "3"),
+        ("max_retries", 2.5),
+        ("check", 1),
+        ("t", True),
+    ], ids=["shift-entry-list", "m-string", "shift-bound-string", "max-retries-float",
+            "check-int", "t-bool"])
+    def test_cli_wrong_type_descriptor(self, tmp_path, capsys, field, value):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps({"k": 1, "basis": [[8]], "t": 2, field: value}))
+        assert main(["shift-recover", str(d), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert repr(field) in captured.err
