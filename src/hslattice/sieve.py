@@ -96,6 +96,10 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     stage is a whole number of 1/N steps."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    if m is not None and m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if shift_bound is not None and shift_bound < 0:
+        raise ValueError(f"shift_bound must be >= 0, got {shift_bound}")
     k = L.k
     n = k * t
     h = basis_bit_complexity(L)

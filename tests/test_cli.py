@@ -171,8 +171,10 @@ class TestReports:
         ("hsp-recover", {"k": 1, "basis": [[4]]}, "basis"),
         ("shift-recover", {"k": 1, "basis": [[8]], "t": 2, "shift": [1, 2]}, "shift"),
         ("shift-recover", {"k": 2, "basis": [[8]], "t": 2}, "basis"),
+        ("shift-recover", {"k": 1, "basis": [[8]], "t": 2, "m": 0}, "m"),
+        ("shift-recover", {"k": 1, "basis": [[8]], "t": 2, "shift_bound": -1}, "shift_bound"),
     ], ids=["secret-not-object", "hsp-top-level-basis", "shift-length-vs-k",
-            "shift-rows-vs-k"])
+            "shift-rows-vs-k", "m-zero", "shift-bound-negative"])
     def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
         d = tmp_path / "d.json"
         d.write_text(json.dumps(descriptor))
