@@ -61,7 +61,6 @@ class AlgAParams:
     T: int
     S: int
     retries: int = 8
-    c_exponent: int = 1
 
     def validate(self) -> None:
         n, k = self.n, self.k
@@ -71,7 +70,7 @@ class AlgAParams:
         assert self.R * self.R >= k + 1
         assert self.R1 >= delta_bound and self.R1 >= 1 << k
         assert self.R1 >= (1 << (k + 1)) * self.R
-        assert self.Lambda == self.R1 ** (self.c_exponent * k)
+        assert self.Lambda == self.R1 ** k
         assert self.T >= self.Lambda * self.R1 and self.T > 1
         assert self.S >= delta_bound * delta_bound
         assert self.S * self.S >= self.Lambda * self.Lambda * k
@@ -90,13 +89,13 @@ class AlgAParams:
         return p
 
 
-def schedule(n: int, k: int, retries: int = 8, c_exponent: int = 1) -> AlgAParams:
+def schedule(n: int, k: int, retries: int = 8) -> AlgAParams:
     """Smallest power-of-two parameters satisfying the full constraint list."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     R = _next_pow2(max(1 << (2 * n + 1), k + 1))
     R1 = _next_pow2(max(1 << (2 * n), 1 << k, (1 << (k + 1)) * R))
-    Lam = R1 ** (c_exponent * k)
+    Lam = R1 ** k
     T = Lam * R1
     sqrt_k = math.isqrt(k) + 1  # integer upper bound on sqrt(k)
     S = _next_pow2(max(
@@ -111,8 +110,7 @@ def schedule(n: int, k: int, retries: int = 8, c_exponent: int = 1) -> AlgAParam
         raise ScheduleOverflow(
             f"Q needs {Q.bit_length()} bits, ceiling is {PARAM_BIT_CEILING}"
         )
-    p = AlgAParams(n=n, k=k, Q=Q, R=R, R1=R1, Lambda=Lam, T=T, S=S,
-                   retries=retries, c_exponent=c_exponent)
+    p = AlgAParams(n=n, k=k, Q=Q, R=R, R1=R1, Lambda=Lam, T=T, S=S, retries=retries)
     p.validate()
     return p
 

@@ -38,10 +38,6 @@ class TorusVec:
     def make(values: Sequence) -> "TorusVec":
         return TorusVec(tuple(_frac_mod1(Fraction(v)) for v in values))
 
-    @staticmethod
-    def zero(k: int) -> "TorusVec":
-        return TorusVec(tuple(Fraction(0) for _ in range(k)))
-
     @property
     def k(self) -> int:
         return len(self.coords)
@@ -50,21 +46,12 @@ class TorusVec:
         """Canonical lift into (-1/2, 1/2]^k; reducing it back is the identity."""
         return tuple(c if 2 * c <= 1 else c - 1 for c in self.coords)
 
-    def __add__(self, other: "TorusVec") -> "TorusVec":
-        return TorusVec(tuple(_frac_mod1(a + b) for a, b in zip(self.coords, other.coords)))
-
     def __sub__(self, other: "TorusVec") -> "TorusVec":
         return TorusVec(tuple(_frac_mod1(a - b) for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, n: int) -> "TorusVec":
-        return TorusVec(tuple(_frac_mod1(n * c) for c in self.coords))
 
     def pairing(self, x: Sequence[int]) -> Fraction:
         """x . y as an element of R/Z, represented in [0, 1)."""
         return _frac_mod1(sum((Fraction(a) * c for a, c in zip(x, self.coords)), Fraction(0)))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def norm_sq(self) -> Fraction:
         """Squared distance to 0, i.e. the squared norm of the canonical lift."""
@@ -72,10 +59,6 @@ class TorusVec:
 
     def __str__(self) -> str:
         return " ".join(str(c) for c in self.coords)
-
-    @staticmethod
-    def parse(text: str) -> "TorusVec":
-        return TorusVec.make([Fraction(tok) for tok in text.split()])
 
 
 @dataclass(frozen=True)

@@ -109,9 +109,6 @@ class IntMatrix:
             prev = a[t][t]
         return sign * a[n - 1][n - 1]
 
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
-
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a unimodular matrix (integer entries)."""
         inv = self.to_rational().inverse()

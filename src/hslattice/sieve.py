@@ -4,8 +4,10 @@ In exact mode every multiplier lies on the grid (1/N) Z^k / Z^k with
 N = lcm(Delta, Q) (Delta the Gram determinant of the basis, Q the torus
 grid), so the sieve holds a multiplier as the tuple of its numerators in
 [0, N) and a window as an integer center and radius in units of 1/N; sums,
-tiles and window tests are integer arithmetic mod N.  Phase vectors store
-their multiplier lists as multiplier -> multiplicity dictionaries
+tiles and window tests are integer arithmetic mod N.  A generator of the
+target group is likewise the tuple of its numerators over its order d, and
+d divides N, so every sieve target is an integer point too.  Phase vectors
+store their multiplier lists as multiplier -> multiplicity dictionaries
 (computational-basis measurements of equal-amplitude states depend only on
 counts, so this is exact and collapses the bookkeeping when the dual group
 is finite).  Unit r of a multiset is found from its sorted keys and running
@@ -38,16 +40,18 @@ from .lattice import (
     Lattice,
     TorusVec,
     basis_bit_complexity,
-    dual_membership,
     dual_sample_numerators,
     gaussian_grid_noise,
-    integer_orthogonal,
     lattice_from_generators,
 )
 from .lll import babai_nearest_plane, lll
 from .matrix import IntMatrix, snf
 
 Point = Tuple[int, ...]  # numerators over the modulus N: the point x / N of the torus
+
+QUBIT_BUDGET = 1 << 22      # qubits one SieveStats may count
+STAGE_CEILING = 12          # largest km sieve_config accepts
+POSTSELECT_ATTEMPTS = 64    # post-selection rounds per cyclic factor
 
 
 class SieveBudgetExceeded(RuntimeError):
@@ -58,8 +62,6 @@ class SieveBudgetExceeded(RuntimeError):
 class SieveConfig:
     k: int
     t: int
-    n: int              # shift bit budget, k * t
-    h: int              # basis bit size of the visible lattice
     m: int              # stage exponent; km collimation stages
     G: int              # Gaussian width for the noisy sampler (1/g)
     Q: int              # measurement/torus grid radix
@@ -67,7 +69,6 @@ class SieveConfig:
     noise: str = "exact"            # "exact" | "gaussian"
     shift_bound: int = 0            # infinity-norm box for the lifted shift
     max_retries: int = 64           # per recursion node
-    qubit_budget: int = 1 << 22
     check: bool = False             # assert window/length invariants as we go
 
     def stage_radius(self, j: int) -> int:
@@ -85,8 +86,7 @@ class SieveConfig:
 
 def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
                  noise: str = "exact", shift_bound: Optional[int] = None,
-                 max_retries: int = 64, check: bool = False,
-                 stage_ceiling: int = 12) -> SieveConfig:
+                 max_retries: int = 64, check: bool = False) -> SieveConfig:
     """Choose the stage exponent m and grids for a shift recovery over L.
 
     m is minimal (>= 2) with 2^(k m^2) > k (n + 2h) 2^t, which makes the
@@ -108,21 +108,21 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
         m = 2
         while 2 ** (k * m * m) <= need:
             m += 1
-    if k * m > stage_ceiling:
-        raise ValueError(f"km = {k * m} exceeds the desk-scale ceiling {stage_ceiling}")
+    if k * m > STAGE_CEILING:
+        raise ValueError(f"km = {k * m} exceeds the desk-scale ceiling {STAGE_CEILING}")
     g_exp = k * m + t + 2
     q_exp = max(2 * g_exp, 2 * k * m * m + 2)
     Q = 2 ** q_exp
     return SieveConfig(
-        k=k, t=t, n=n, h=h, m=m, G=2 ** g_exp, Q=Q, N=math.lcm(L.gram_det, Q),
+        k=k, t=t, m=m, G=2 ** g_exp, Q=Q, N=math.lcm(L.gram_det, Q),
         noise=noise, shift_bound=shift_bound if shift_bound is not None else 2 ** (t - 1),
         max_retries=max_retries, check=check,
     )
 
 
 def _on_grid(y: TorusVec, N: int) -> Point:
-    """The numerators of y over N; a point off the (1/N) grid is an error,
-    never rounded."""
+    """The numerators of y over N (the gaussian sampler's grid-rounded
+    point); a point off the (1/N) grid is an error, never rounded."""
     out = []
     for c in y.coords:
         x, r = divmod(c.numerator * N, c.denominator)
@@ -179,14 +179,6 @@ class PhaseVector:
     """One- or two-spot phase vector; two-spot windows differ by the target."""
 
     spots: Tuple[Spot, ...]
-    stage: int
-
-    @property
-    def spot_count(self) -> int:
-        return len(self.spots)
-
-    def total_length(self) -> int:
-        return sum(s.length for s in self.spots)
 
 
 @dataclass(frozen=True)
@@ -219,16 +211,13 @@ class SieveStats:
         self.rejections[stage] = self.rejections.get(stage, 0) + 1
 
 
-def create_qubit(shift: Sequence[int], L: Lattice, cfg: SieveConfig,
-                 rng: random.Random, stats: Optional[SieveStats] = None) -> PhaseVector:
+def create_qubit(L: Lattice, cfg: SieveConfig, rng: random.Random,
+                 stats: Optional[SieveStats] = None) -> PhaseVector:
     """Sample one phase qubit: multipliers {0, y} with y uniform over H^#.
-
-    The hidden shift is accepted for interface parity with the physical
-    oracle call but never read: phases are implied, not stored."""
-    del shift  # phases live only in measurement operations
+    Phases are implied, not stored, so the hidden shift is not needed."""
     if stats is not None:
         stats.qubits += 1
-        if stats.qubits > cfg.qubit_budget:
+        if stats.qubits > QUBIT_BUDGET:
             raise SieveBudgetExceeded("qubit budget exhausted")
     N = cfg.N
     y, _, _ = dual_sample_numerators(L, cfg.Q, N, rng)
@@ -241,7 +230,7 @@ def create_qubit(shift: Sequence[int], L: Lattice, cfg: SieveConfig,
     zero = (0,) * L.k
     counts: Counts = {zero: 1}
     counts[y] = counts.get(y, 0) + 1
-    return PhaseVector((Spot(counts, Window(zero, N // 2, N)),), stage=0)
+    return PhaseVector((Spot(counts, Window(zero, N // 2, N)),))
 
 
 def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:
@@ -249,9 +238,9 @@ def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:
 
     Two-spot x one-spot keeps the two-spot structure; two-spot x two-spot is
     never needed by the sieve and is rejected."""
-    if b.spot_count == 1 and a.spot_count in (1, 2):
+    if len(b.spots) == 1 and len(a.spots) in (1, 2):
         left, right = a, b
-    elif a.spot_count == 1 and b.spot_count == 2:
+    elif len(a.spots) == 1 and len(b.spots) == 2:
         left, right = b, a
     else:
         raise ValueError("tensor of two two-spot phase vectors is not supported")
@@ -268,7 +257,7 @@ def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:
         win = spot.window
         center = tuple([(x + y) % N for x, y in zip(win.center, rwin.center)])
         new_spots.append(Spot(counts, Window(center, win.radius + rwin.radius, N)))
-    return PhaseVector(tuple(new_spots), stage=left.stage)
+    return PhaseVector(tuple(new_spots))
 
 
 def _tile_index(y: Point, window: Window, tiles_per_axis: int) -> Tuple[int, ...]:
@@ -332,7 +321,7 @@ def collimate(pv: PhaseVector, m: int, rng: random.Random,
     for spot, assignment in zip(pv.spots, per_spot_idx):
         counts = {y: c for y, c in spot.counts.items() if assignment[y] == chosen}
         new_spots.append(Spot(counts, _subwindow(spot.window, chosen, tiles_per_axis)))
-    return PhaseVector(tuple(new_spots), stage=pv.stage)
+    return PhaseVector(tuple(new_spots))
 
 
 def _submultiset(counts: Counts, size: int, rng: random.Random) -> Counts:
@@ -361,7 +350,7 @@ def shorten(pv: PhaseVector, cfg: SieveConfig, rng: random.Random) -> PhaseVecto
             keep = half if rng.randrange(keep) < half else keep // 2
         counts = spot.counts if keep == spot.length else _submultiset(spot.counts, keep, rng)
         new_spots.append(Spot(counts, spot.window))
-    return PhaseVector(tuple(new_spots), stage=pv.stage)
+    return PhaseVector(tuple(new_spots))
 
 
 def _balanced_split(counts: Counts, rng: random.Random) -> Tuple[Counts, Counts]:
@@ -386,9 +375,9 @@ def _check_vector(pv: PhaseVector, cfg: SieveConfig, L: Lattice, j: int,
             assert cfg.min_len <= spot.length < cfg.max_len, "length discipline violated"
 
 
-def sieve(j: int, p: int, target: TorusVec, cfg: SieveConfig, L: Lattice,
+def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
           rng: random.Random, stats: Optional[SieveStats] = None):
-    """Depth-first collimation sieve.
+    """Depth-first collimation sieve; the target is numerators over cfg.N.
 
     p=1 returns a single-spot vector at stage j; p=2 below the last stage
     returns a two-spot vector whose windows differ by the target; at the last
@@ -398,21 +387,20 @@ def sieve(j: int, p: int, target: TorusVec, cfg: SieveConfig, L: Lattice,
     if not (0 <= j <= cfg.k * cfg.m):
         raise ValueError("stage out of range")
     km = cfg.k * cfg.m
-    shift_dummy = ()
     if j == 0:
         # 2km qubits give one spot of length 4^km; p = 2 takes one more qubit
         # and splits it in half.  Base windows are the whole torus.
-        pv = create_qubit(shift_dummy, L, cfg, rng, stats)
+        pv = create_qubit(L, cfg, rng, stats)
         for _ in range(2 * km - 2 + p):
-            pv = tensor(pv, create_qubit(shift_dummy, L, cfg, rng, stats))
+            pv = tensor(pv, create_qubit(L, cfg, rng, stats))
         counts = pv.spots[0].counts
         whole = Window((0,) * cfg.k, cfg.N // 2, cfg.N)
         if p == 1:
             spots = (Spot(counts, whole),)
         else:
             a, b = _balanced_split(counts, rng)
-            spots = (Spot(a, whole), Spot(b, Window(_on_grid(target, cfg.N), cfg.N // 2, cfg.N)))
-        out = PhaseVector(spots, stage=0)
+            spots = (Spot(a, whole), Spot(b, Window(target, cfg.N // 2, cfg.N)))
+        out = PhaseVector(spots)
         if cfg.check:
             _check_vector(out, cfg, L, 0, final=True)
         return out
@@ -427,7 +415,6 @@ def sieve(j: int, p: int, target: TorusVec, cfg: SieveConfig, L: Lattice,
             w = sieve(j - 1, 1, target, cfg, L, rng, stats)
             joined = tensor(uv, w)
         out = collimate(joined, cfg.m, rng, stats)
-        out = PhaseVector(out.spots, stage=j)
         if any(s.length < cfg.min_len for s in out.spots):
             if stats is not None:
                 stats.reject(j)
@@ -470,41 +457,32 @@ def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[PhaseQ
 @dataclass(frozen=True)
 class CyclicFactor:
     order: int
-    generator: TorusVec
+    generator: Point  # numerators over the order: the point generator / order
     kind: str  # "finite" (complement of H_1^# in H^#) or "torsion" (2^t part)
 
 
-@dataclass(frozen=True)
-class TargetGroup:
-    factors: Tuple[CyclicFactor, ...]
-
-
-def build_target_group(L: Lattice, t: int) -> TargetGroup:
+def build_target_group(L: Lattice, t: int) -> Tuple[CyclicFactor, ...]:
     """A = A1 + A2: a complement of H_1^# in H^# (one cyclic factor per
     nontrivial invariant factor of the basis) plus the 2^t-torsion of H_1^#
-    (integer-orthogonal columns scaled by 2^-t)."""
+    (integer-orthogonal columns over 2^t)."""
     factors: List[CyclicFactor] = []
     if L.rank:
         D, V, _ = snf(L.basis)
         for i in range(L.rank):
             d = D[i, i]
             if d > 1:
-                gen = TorusVec.make([Fraction(V[i, j], d) for j in range(L.k)])
-                factors.append(CyclicFactor(d, gen, "finite"))
-    C = integer_orthogonal(L)
-    for j in range(C.cols):
-        col = C.column(j)
-        gen = TorusVec.make([Fraction(c, 2 ** t) for c in col])
-        factors.append(CyclicFactor(2 ** t, gen, "torsion"))
-    for f in factors:
-        assert dual_membership(L, f.generator)
-    return TargetGroup(tuple(factors))
+                factors.append(CyclicFactor(d, tuple(V[i, j] % d for j in range(L.k)), "finite"))
+    for col in L.geometry.ortho.columns():
+        factors.append(CyclicFactor(2 ** t, tuple(c % 2 ** t for c in col), "torsion"))
+    for f in factors:  # in H^#: every basis vector pairs to 0 mod the order
+        assert all(sum(g * b for g, b in zip(f.generator, col)) % f.order == 0
+                   for col in L.basis.columns())
+    return tuple(factors)
 
 
 def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, L: Lattice,
                     shift: Sequence[int], rng: random.Random,
-                    stats: Optional[SieveStats] = None,
-                    max_attempts: int = 64) -> int:
+                    stats: Optional[SieveStats] = None) -> int:
     """Produce the qubits for one cyclic factor, post-select onto indices
     below the order, and sample the Z/d Fourier measurement outcome.
 
@@ -513,10 +491,11 @@ def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, L: Lattice,
     d = factor.order
     e = max(1, (d - 1).bit_length())
     km = cfg.k * cfg.m
-    for _ in range(max_attempts):
+    step = cfg.N // d  # d divides N: finite orders divide Delta, 2^t divides Q
+    for _ in range(POSTSELECT_ATTEMPTS):
         deltas = []
         for level in range(e):
-            target = factor.generator.scale(2 ** level)
+            target = tuple(g * 2 ** level * step % cfg.N for g in factor.generator)
             qubit = sieve(km, 2, target, cfg, L, rng, stats)
             deltas.append(qubit.delta())
         # Boolean post-selection onto b < d succeeds with probability d/2^e.
@@ -552,29 +531,17 @@ class InfeasibleShift(ValueError):
     """No shift inside the norm box satisfies the measured congruences."""
 
 
-def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice, t: int,
-               max_norm: Optional[int] = None) -> Tuple[int, ...]:
-    """Solve gen.s = c/d (mod 1) for all measured factors with ||s||_inf
-    bounded, via a particular solution of the congruence system plus Babai
+def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice,
+               bound: int) -> Tuple[int, ...]:
+    """Solve gen.s = c (mod d) for all measured factors with ||s||_inf <= bound,
+    via a particular solution of the congruence system plus Babai
     nearest-plane on the solution lattice A^#."""
     k = L.k
-    bound = max_norm if max_norm is not None else 2 ** (t - 1)
     if not residues:
         return tuple([0] * k)
-    rows: List[List[int]] = []
-    mods: List[int] = []
-    targets: List[int] = []
-    for fac, c in residues:
-        d = fac.order
-        row = []
-        for coord in fac.generator.coords:
-            x = coord * d
-            if x.denominator != 1:
-                raise ValueError("generator order does not clear denominators")
-            row.append(x.numerator)
-        rows.append(row)
-        mods.append(d)
-        targets.append(int(c) % d)
+    rows = [list(fac.generator) for fac, _ in residues]
+    mods = [fac.order for fac, _ in residues]
+    targets = [int(c) % fac.order for fac, c in residues]
     m = len(rows)
     sys_rows = [rows[i] + [mods[i] if j == i else 0 for j in range(m)] for i in range(m)]
     Asys = IntMatrix.from_rows(sys_rows)
@@ -635,18 +602,16 @@ def _small_boxes(k: int, span) -> List[Tuple[int, ...]]:
 
 
 def recover_shift(shift: Sequence[int], L: Lattice, t: int, rng: random.Random,
-                  cfg: Optional[SieveConfig] = None,
+                  cfg: SieveConfig,
                   stats: Optional[SieveStats] = None) -> Optional[Tuple[int, ...]]:
     """Full shift recovery; returns a vector congruent to the planted shift
     mod L with probability >= 1/2 in exact mode, or None on failure."""
-    cfg = cfg or sieve_config(L, t)
     stats = stats if stats is not None else SieveStats()
-    group = build_target_group(L, t)
     residues: List[Tuple[CyclicFactor, int]] = []
     try:
-        for fac in group.factors:
+        for fac in build_target_group(L, t):
             c = assemble_cyclic(fac, cfg, L, shift, rng, stats)
             residues.append((fac, c))
-        return lift_shift(residues, L, t, max_norm=cfg.shift_bound)
+        return lift_shift(residues, L, cfg.shift_bound)
     except (SieveBudgetExceeded, InfeasibleShift):
         return None

@@ -291,7 +291,7 @@ def test_10_sieve_micro_oracle():
         counts = {}
         for y in mults:
             counts[y] = counts.get(y, 0) + 1
-        pv = PhaseVector((Spot(counts, Window((0,) * k, 32, 64)),), stage=0)
+        pv = PhaseVector((Spot(counts, Window((0,) * k, 32, 64)),))
         per_spot, tally = collimation_tally(pv, rng.randrange(1, 3))
         born = {}
         for y in mults:
@@ -332,10 +332,10 @@ def test_11_sieve_end_to_end():
 
 def test_12_scaling_probe():
     L = col_lattice([[8]], 1)
-    target = TorusVec.make([Fraction(1, 8)])
     means = []
     for m in (2, 3, 4):
         cfg = sieve_config(L, 2, m=m, shift_bound=3)
+        target = (cfg.N // 8,)  # the point 1/8, as numerators over N
         tot = 0
         runs = 5
         for i in range(runs):

@@ -112,7 +112,7 @@ class TestRecoverColattice:
         y = Lattice.zn(2)
         from hslattice.lattice import TorusVec
 
-        h1, trace = recover_colattice(TorusVec.zero(2), p)
+        h1, trace = recover_colattice(TorusVec.make([0, 0]), p)
         assert h1 == Lattice.zn(2)
         assert trace.ell_guess == 2
 

@@ -10,6 +10,7 @@ from hslattice.experiments import random_lattice
 from hslattice.lattice import (
     Lattice,
     TorusVec,
+    basis_bit_complexity,
     coset_canonical,
     dual_membership,
     dual_sample_numerators,
@@ -28,7 +29,6 @@ from hslattice.sieve import (
     Spot,
     Window,
     _balanced_split,
-    _on_grid,
     _subwindow,
     _submultiset,
     _tile_index,
@@ -66,7 +66,7 @@ N = 128  # modulus of the hand-built phase vectors: every multiplier below is on
 
 def nv(*coords):
     """The point tv(*coords) as numerators over N."""
-    return _on_grid(tv(*coords), N)
+    return tuple(int(c * N) for c in tv(*coords).coords)
 
 
 def torus(y, modulus):
@@ -74,17 +74,22 @@ def torus(y, modulus):
     return TorusVec.make([Fraction(c, modulus) for c in y])
 
 
+def add(y, z):
+    """Sum of two TorusVecs, the Fraction reference for the sieve's sums."""
+    return TorusVec.make([a + b for a, b in zip(y.coords, z.coords)])
+
+
 def window(center, radius):
     return Window(center, int(Fraction(radius) * N), N)
 
 
-def single_spot(multipliers, center=None, radius=Fraction(1, 2), stage=0):
+def single_spot(multipliers, center=None, radius=Fraction(1, 2)):
     counts = {}
     for m in multipliers:
         counts[m] = counts.get(m, 0) + 1
     k = len(multipliers[0])
     c = center if center is not None else (0,) * k
-    return PhaseVector((Spot(counts, window(c, radius)),), stage=stage)
+    return PhaseVector((Spot(counts, window(c, radius)),))
 
 
 class TestConfig:
@@ -99,9 +104,10 @@ class TestConfig:
     def test_accuracy_forced(self):
         for t in (1, 2, 3):
             cfg = sieve_config(L8(), t)
-            need = cfg.k * (cfg.n + 2 * cfg.h) * 2 ** t
+            n, h = cfg.k * t, basis_bit_complexity(L8())
+            need = cfg.k * (n + 2 * h) * 2 ** t
             assert 2 ** (cfg.k * cfg.m ** 2) > need
-            assert 2 ** (cfg.k * cfg.m ** 2 + 1) >= cfg.k * (cfg.n + 2 * cfg.h) * 2 ** (t + 1)
+            assert 2 ** (cfg.k * cfg.m ** 2 + 1) >= cfg.k * (n + 2 * h) * 2 ** (t + 1)
             assert cfg.Q >= cfg.G * cfg.G
 
     def test_ceiling(self):
@@ -114,7 +120,7 @@ class TestCreateQubit:
         rng = random.Random(0)
         cfg = sieve_config(Lattice.zn(1), 1)
         for _ in range(10):
-            q = create_qubit((), Lattice.zn(1), cfg, rng)
+            q = create_qubit(Lattice.zn(1), cfg, rng)
             assert set(q.spots[0].counts) == {(0,)}
             assert q.spots[0].length == 2
 
@@ -124,7 +130,7 @@ class TestCreateQubit:
         cfg = sieve_config(L, 1)
         counts = {0: 0, 1: 0}
         for _ in range(4000):
-            q = create_qubit((), L, cfg, rng)
+            q = create_qubit(L, cfg, rng)
             nonzero = [y for y in q.spots[0].counts if any(y)]
             counts[1 if nonzero else 0] += 1
         # y = 0 and y = 1/2 each with prob 1/2; chi-squared 1 dof
@@ -136,7 +142,7 @@ class TestCreateQubit:
         L = col_lattice([[3, 1]], 2)
         cfg = sieve_config(L, 1)
         for _ in range(20):
-            q = create_qubit((), L, cfg, rng)
+            q = create_qubit(L, cfg, rng)
             for y in q.spots[0].counts:
                 assert dual_membership(L, torus(y, cfg.N))
 
@@ -168,7 +174,6 @@ class TestTensor:
         two = PhaseVector(
             (Spot({nv(0): 1}, window(nv(0), Fraction(1, 2))),
              Spot({nv("1/4"): 1}, window(nv("1/4"), Fraction(1, 2)))),
-            stage=0,
         )
         with pytest.raises(ValueError):
             tensor(two, two)
@@ -210,7 +215,6 @@ class TestCollimate:
         pv = PhaseVector(
             (Spot(spot1, window(nv(0), Fraction(1, 8))),
              Spot(spot2, window(offs, Fraction(1, 8)))),
-            stage=0,
         )
         for seed in range(30):
             out = collimate(pv, 1, random.Random(seed))
@@ -257,7 +261,6 @@ class TestShorten:
         pv = PhaseVector(
             (Spot(dict(big), window(nv(0), Fraction(1, 2))),
              Spot(dict(small), window(nv("1/8"), Fraction(1, 2)))),
-            stage=0,
         )
         out = shorten(pv, cfg, random.Random(2))
         assert cfg.min_len <= out.spots[0].length < cfg.max_len
@@ -345,7 +348,7 @@ def total_variation(p, q):
     return sum(abs(p.get(x, 0) - q.get(x, 0)) for x in set(p) | set(q)) / 2
 
 
-TINY_CFG = SieveConfig(k=1, t=1, n=1, h=0, m=0, G=1, Q=1, N=1)  # min_len 1, max_len 4
+TINY_CFG = SieveConfig(k=1, t=1, m=0, G=1, Q=1, N=1)  # min_len 1, max_len 4
 TINY_COUNTS = {nv(0): 3, nv("1/4"): 2, nv("1/2"): 2}
 
 
@@ -385,7 +388,7 @@ class TestSamplerProperties:
     @settings(max_examples=60, deadline=None)
     @given(multisets, st.integers(0, 2), st.integers(0, 2 ** 32))
     def test_shorten(self, counts, m, seed):
-        cfg = SieveConfig(k=1, t=1, n=1, h=0, m=m, G=1, Q=1, N=1)
+        cfg = SieveConfig(k=1, t=1, m=m, G=1, Q=1, N=1)
         length = sum(counts.values())
         out = shorten(single_spot([y for y, c in counts.items() for _ in range(c)]),
                       cfg, random.Random(seed)).spots[0]
@@ -463,14 +466,14 @@ class TestIntegerTorus:
         point = st.tuples(*[st.integers(0, n - 1)] * k)
         bag = st.dictionaries(point, st.integers(1, 5), min_size=1, max_size=5)
         u, v = data.draw(bag), data.draw(bag)
-        out = tensor(PhaseVector((Spot(u, w1),), 0), PhaseVector((Spot(v, w2),), 0)).spots[0]
+        out = tensor(PhaseVector((Spot(u, w1),)), PhaseVector((Spot(v, w2),))).spots[0]
         expect = {}
         for y, cy in u.items():
             for z, cz in v.items():
-                s = torus(y, n) + torus(z, n)
+                s = add(torus(y, n), torus(z, n))
                 expect[s] = expect.get(s, 0) + cy * cz
         assert {torus(y, n): c for y, c in out.counts.items()} == expect
-        assert torus(out.window.center, n) == torus(w1.center, n) + torus(w2.center, n)
+        assert torus(out.window.center, n) == add(torus(w1.center, n), torus(w2.center, n))
         assert out.window.radius == w1.radius + w2.radius
 
     @settings(max_examples=60, deadline=None)
@@ -501,28 +504,26 @@ class TestSieveRecursion:
     def test_base_single_spot(self):
         rng = random.Random(6)
         cfg = sieve_config(L8(), 2, check=True)
-        out = sieve(0, 1, TorusVec.zero(1), cfg, L8(), rng)
-        assert out.spot_count == 1
+        out = sieve(0, 1, (0,), cfg, L8(), rng)
+        assert len(out.spots) == 1
         assert out.spots[0].length == cfg.min_len
         assert Fraction(out.spots[0].window.radius, cfg.N) == Fraction(1, 2)
 
     def test_base_two_spot_equal_split(self):
         rng = random.Random(7)
         cfg = sieve_config(L8(), 2, check=True)
-        target = tv("1/8")
-        out = sieve(0, 2, target, cfg, L8(), rng)
-        assert out.spot_count == 2
+        out = sieve(0, 2, (cfg.N // 8,), cfg, L8(), rng)
+        assert len(out.spots) == 2
         assert out.spots[0].length == cfg.min_len
         assert out.spots[1].length == cfg.min_len
-        assert torus(out.spots[1].window.center, cfg.N) == target
+        assert torus(out.spots[1].window.center, cfg.N) == tv("1/8")
 
     def test_full_run_difference_near_target(self):
         cfg = sieve_config(L8(), 2, check=True)
         km = cfg.k * cfg.m
-        target = tv("1/8")
         for seed in range(5):
-            q = sieve(km, 2, target, cfg, L8(), random.Random(seed), SieveStats())
-            diff = (torus(q.delta(), cfg.N) - target).lift()
+            q = sieve(km, 2, (cfg.N // 8,), cfg, L8(), random.Random(seed), SieveStats())
+            diff = (torus(q.delta(), cfg.N) - tv("1/8")).lift()
             bound = Fraction(2, 2 ** (cfg.k * cfg.m * cfg.m + 1))
             assert all(abs(c) <= bound for c in diff)
 
@@ -530,50 +531,48 @@ class TestSieveRecursion:
         # check=True asserts window soundness and radii at every stage
         cfg = sieve_config(L8(), 2, check=True)
         stats = SieveStats()
-        sieve(cfg.k * cfg.m, 1, TorusVec.zero(1), cfg, L8(), random.Random(8), stats)
+        sieve(cfg.k * cfg.m, 1, (0,), cfg, L8(), random.Random(8), stats)
         assert stats.qubits > 0
 
     def test_exact_mode_closure(self):
         cfg = sieve_config(L8(), 2)
-        out = sieve(2, 1, TorusVec.zero(1), cfg, L8(), random.Random(9))
+        out = sieve(2, 1, (0,), cfg, L8(), random.Random(9))
         for y in out.spots[0].counts:
             assert dual_membership(L8(), torus(y, cfg.N))
 
 
 class TestTargetGroup:
     def test_zn_trivial(self):
-        assert build_target_group(Lattice.zn(3), 2).factors == ()
+        assert build_target_group(Lattice.zn(3), 2) == ()
 
     def test_2z(self):
         g = build_target_group(col_lattice([[2]], 1), 1)
-        assert len(g.factors) == 1
-        f = g.factors[0]
-        assert f.order == 2 and f.generator == tv("1/2") and f.kind == "finite"
+        assert len(g) == 1
+        f = g[0]
+        assert f.order == 2 and f.generator == (1,) and f.kind == "finite"
 
     def test_trivial_z1_torsion(self):
         g = build_target_group(Lattice.trivial(1), 3)
-        assert len(g.factors) == 1
-        f = g.factors[0]
-        assert f.order == 8 and f.generator in (tv("1/8"), tv("7/8")) and f.kind == "torsion"
+        assert len(g) == 1
+        f = g[0]
+        assert f.order == 8 and f.generator in ((1,), (7,)) and f.kind == "torsion"
 
     def test_orders_exact_and_independent(self):
-        rng = random.Random(10)
         for cols, k, t in ([[2, 0], [0, 4]], 2, 1), ([[2, 4]], 2, 1), ([], 2, 2):
             L = col_lattice(cols, k)
             g = build_target_group(L, t)
-            for f in g.factors:
-                assert f.generator.scale(f.order).is_zero()
+            for f in g:
+                # numerators over the order, so order * g = 0; no smaller multiple is
+                assert all(0 <= x < f.order for x in f.generator)
                 for mult in range(1, f.order):
-                    assert not f.generator.scale(mult).is_zero()
-            # joint independence: sum a_i g_i = 0 only when all a_i = 0 mod d_i
-            from itertools import product
-
-            orders = [f.order for f in g.factors]
-            for combo in product(*(range(d) for d in orders)):
-                acc = TorusVec.zero(k)
-                for a, f in zip(combo, g.factors):
-                    acc = acc + f.generator.scale(a)
-                if acc.is_zero():
+                    assert any(mult * x % f.order for x in f.generator)
+            # joint independence: sum a_i g_i = 0 only when all a_i = 0 mod d_i,
+            # summed as numerators over the lcm of the orders
+            modulus = math.lcm(*(f.order for f in g))
+            for combo in product(*(range(f.order) for f in g)):
+                acc = [sum(a * f.generator[j] * (modulus // f.order) for a, f in zip(combo, g))
+                       % modulus for j in range(k)]
+                if not any(acc):
                     assert all(a == 0 for a in combo)
 
     def test_sizes(self):
@@ -582,8 +581,8 @@ class TestTargetGroup:
 
         L = col_lattice([[2, 4]], 2)  # index 2 inside its saturation, rank 1
         g = build_target_group(L, 2)
-        finite = [f for f in g.factors if f.kind == "finite"]
-        torsion = [f for f in g.factors if f.kind == "torsion"]
+        finite = [f for f in g if f.kind == "finite"]
+        torsion = [f for f in g if f.kind == "torsion"]
         prod_finite = math.prod(f.order for f in finite)
         prod_torsion = math.prod(f.order for f in torsion)
         assert prod_finite == 2
@@ -595,7 +594,7 @@ class TestAssembleCyclic:
         # gen . s = 1/2 makes the DFT a delta at c = 1; = 0 gives c = 0
         L = col_lattice([[2]], 1)
         cfg = sieve_config(L, 1)
-        fac = build_target_group(L, 1).factors[0]
+        fac = build_target_group(L, 1)[0]
         for s, expect in (([1], 1), ([0], 0), ([2], 0)):
             c = assemble_cyclic(fac, cfg, L, s, random.Random(11))
             assert c == expect
@@ -604,7 +603,7 @@ class TestAssembleCyclic:
         # d = 3, e = 2: acceptance probability 3/4
         L = col_lattice([[3]], 1)
         cfg = sieve_config(L, 1)
-        fac = build_target_group(L, 1).factors[0]
+        fac = build_target_group(L, 1)[0]
         assert fac.order == 3
         stats = SieveStats()
         rng = random.Random(12)
@@ -616,11 +615,11 @@ class TestAssembleCyclic:
     def test_d3_outcome(self):
         L = col_lattice([[3]], 1)
         cfg = sieve_config(L, 1)
-        fac = build_target_group(L, 1).factors[0]
+        fac = build_target_group(L, 1)[0]
         for s in ([0], [1], [2]):
             c = assemble_cyclic(fac, cfg, L, s, random.Random(13))
             # gen . s = s/3 exactly: outcome = s mod 3 deterministically
-            expect = (fac.generator.pairing(s) * 3) % 3
+            expect = sum(g * x for g, x in zip(fac.generator, s)) % 3
             assert c == expect
 
 
@@ -628,7 +627,7 @@ class TestLiftShift:
     def test_all_zero(self):
         L = col_lattice([[4]], 1)
         g = build_target_group(L, 2)
-        res = [(f, 0) for f in g.factors]
+        res = [(f, 0) for f in g]
         s = lift_shift(res, L, 2)
         assert coset_canonical(L, s) == (0,)
 
@@ -636,21 +635,21 @@ class TestLiftShift:
         # artificial order-8 generator with L = 4Z, t = 2: s = 3 mod 8 has no
         # representative with |s| <= 2, so the error path fires
         L = col_lattice([[4]], 1)
-        fac = CyclicFactor(8, tv("1/8"), "finite")
+        fac = CyclicFactor(8, (1,), "finite")
         with pytest.raises(InfeasibleShift):
             lift_shift([(fac, 3)], L, 2)
 
     def test_quarter_residue(self):
         # k=1, trivial L, t=2, gen 1/4, residue 3: unique in-box solution -1
         L = Lattice.trivial(1)
-        fac = CyclicFactor(4, tv("1/4"), "torsion")
+        fac = CyclicFactor(4, (1,), "torsion")
         s = lift_shift([(fac, 3)], L, 2)
         assert s == (-1,)
 
     def test_inconsistent_congruences(self):
         L = Lattice.trivial(1)
-        f1 = CyclicFactor(4, tv("1/4"), "torsion")
-        f2 = CyclicFactor(2, tv("1/2"), "torsion")
+        f1 = CyclicFactor(4, (1,), "torsion")
+        f2 = CyclicFactor(2, (1,), "torsion")
         # s = 1 mod 4 forces s odd; s = 0 mod 2 forces s even
         with pytest.raises(InfeasibleShift):
             lift_shift([(f1, 1), (f2, 0)], L, 2)
@@ -715,7 +714,7 @@ class TestRecoverShift:
             tot = 0
             for i in range(3):
                 stats = SieveStats()
-                sieve(cfg.k * cfg.m, 2, tv("1/8"), cfg, L, random.Random(400 + i), stats)
+                sieve(cfg.k * cfg.m, 2, (cfg.N // 8,), cfg, L, random.Random(400 + i), stats)
                 tot += stats.qubits
             counts.append(tot / 3)
         alpha = (math.log2(counts[2]) - math.log2(counts[0])) / 2
