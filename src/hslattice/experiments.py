@@ -85,8 +85,12 @@ def _secret_for_trial(descriptor: Dict, rng: random.Random) -> Lattice:
     rank = spec.get("random_rank", "random")
     if rank == "random":
         rank = rng.randrange(0, k + 1)
-    bound = int(spec.get("entry_bound", 64))
-    return random_lattice(k, int(rank), bound, rng)
+    elif not 0 <= _json_int(rank, "secret 'random_rank'") <= k:
+        raise ValueError(f"secret 'random_rank' must be in [0, k = {k}], got {rank}")
+    bound = _json_int(spec.get("entry_bound", 64), "secret 'entry_bound'")
+    if bound < 1:
+        raise ValueError(f"secret 'entry_bound' must be >= 1, got {bound}")
+    return random_lattice(k, rank, bound, rng)
 
 
 def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
@@ -96,12 +100,16 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
     k = _descriptor_int(descriptor, "k")
     if "basis" in descriptor:
         raise ValueError("hsp-recover takes the secret basis as 'secret': {'basis': ...}")
+    stated_n = _json_int(descriptor.get("n", 0), "'n'")  # 0: the secret's bit size
+    retries = _json_int(descriptor.get("retries", 8), "'retries'")
+    if retries < 1:
+        raise ValueError(f"descriptor 'retries' must be >= 1, got {retries}")
 
     def one_trial(i: int) -> Dict:
         rng = trial_rng(seed, i)
         secret = _secret_for_trial(descriptor, rng)
-        n = descriptor.get("n") or max(1, basis_bit_complexity(secret))
-        params = schedule(int(n), k, retries=int(descriptor.get("retries", 8)))
+        n = stated_n or max(1, basis_bit_complexity(secret))
+        params = schedule(n, k, retries=retries)
         stats = AlgAStats()
         t0 = time.monotonic()
         recovered = end_to_end(secret, params, rng, stats=stats)
@@ -111,7 +119,7 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
             "success": recovered == secret,
             "samples": stats.samples,
             "secret_rank": secret.rank,
-            "n": int(n),
+            "n": n,
             "params_bits": {"Q": params.Q.bit_length(), "R": params.R.bit_length(),
                             "S": params.S.bit_length(), "T": params.T.bit_length()},
             "secret_basis": [list(row) for row in secret.basis.data],

@@ -173,8 +173,13 @@ class TestReports:
         ("shift-recover", {"k": 2, "basis": [[8]], "t": 2}, "basis"),
         ("shift-recover", {"k": 1, "basis": [[8]], "t": 2, "m": 0}, "m"),
         ("shift-recover", {"k": 1, "basis": [[8]], "t": 2, "shift_bound": -1}, "shift_bound"),
+        ("hsp-recover", {"k": 2, "secret": {"random_rank": 3}}, "random_rank"),
+        ("hsp-recover", {"k": 1, "secret": {"random_rank": -1}}, "random_rank"),
+        ("hsp-recover", {"k": 1, "secret": {"random_rank": 1, "entry_bound": 0}}, "entry_bound"),
+        ("hsp-recover", {"k": 1, "retries": 0}, "retries"),
     ], ids=["secret-not-object", "hsp-top-level-basis", "shift-length-vs-k",
-            "shift-rows-vs-k", "m-zero", "shift-bound-negative"])
+            "shift-rows-vs-k", "m-zero", "shift-bound-negative", "random-rank-above-k",
+            "random-rank-negative", "entry-bound-zero", "retries-zero"])
     def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
         d = tmp_path / "d.json"
         d.write_text(json.dumps(descriptor))
@@ -197,6 +202,22 @@ class TestReports:
         d = tmp_path / "d.json"
         d.write_text(json.dumps({"k": 1, "basis": [[8]], "t": 2, field: value}))
         assert main(["shift-recover", str(d), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert repr(field) in captured.err
+
+    @pytest.mark.parametrize("descriptor,field", [
+        ({"k": 1, "n": [1]}, "n"),
+        ({"k": 1, "n": True}, "n"),
+        ({"k": 1, "retries": "8"}, "retries"),
+        ({"k": 1, "secret": {"entry_bound": [2]}}, "entry_bound"),
+        ({"k": 1, "secret": {"random_rank": [1]}}, "random_rank"),
+    ], ids=["n-list", "n-bool", "retries-string", "entry-bound-list", "random-rank-list"])
+    def test_cli_hsp_wrong_type_descriptor(self, tmp_path, capsys, descriptor, field):
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps(descriptor))
+        assert main(["hsp-recover", str(d), "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
