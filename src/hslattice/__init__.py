@@ -32,7 +32,6 @@ from .sieve import (
     lift_shift,
     recover_shift,
     shorten,
-    sieve,
     sieve_config,
     tensor,
 )

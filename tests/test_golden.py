@@ -1,11 +1,15 @@
 """Pinned report digests: a refactor that keeps every RNG draw in place keeps
 these sha256 digests of json.dumps(report, sort_keys=True) unchanged.  Also
-guards against module-level mutable state in the package."""
+guards against module-level mutable state in the package, and checks that
+the benchmark's trace hooks still find every layer function they name."""
 
 import hashlib
 import importlib
+import importlib.util
 import json
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +68,28 @@ def test_no_module_level_mutable_state():
             if not dunder and isinstance(value, (dict, list, set)):
                 found.append(f"{info.name}.{name}")
     assert found == []
+
+
+def test_sieve_attribute_is_the_module():
+    assert importlib.import_module("hslattice.sieve") is hslattice.sieve
+
+
+def test_trace_layers_resolve():
+    """perfbench/tracing.py wraps each LAYERS function by name, so a rename in
+    the package breaks benchmark runs with `--trace 1`, which nothing else here
+    exercises."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for _, module_name, attr in tracing.LAYERS:
+            owner = sys.modules[module_name]
+            if "." in attr:
+                cls_name, attr = attr.split(".")
+                owner = getattr(owner, cls_name)
+            assert hasattr(getattr(owner, attr), "__wrapped__"), f"{module_name}.{attr} is not traced"
+    finally:
+        tracer.uninstall()
