@@ -66,7 +66,9 @@ N = 128  # modulus of the hand-built phase vectors: every multiplier below is on
 
 def nv(*coords):
     """The point tv(*coords) as numerators over N."""
-    return tuple(int(c * N) for c in tv(*coords).coords)
+    scaled = [c * N for c in tv(*coords).coords]
+    assert all(x.denominator == 1 for x in scaled), "point off the (1/N) grid"
+    return tuple(x.numerator for x in scaled)
 
 
 def torus(y, modulus):
