@@ -45,8 +45,15 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
+
+
 def cmd_pf(args) -> int:
-    form = partial_fractions(Fraction(args.rational))
+    form = partial_fractions(_parse_rational(args.rational))
     if args.json:
         n, abbrev = form.abbreviated()
         print(json.dumps({
@@ -80,7 +87,7 @@ def cmd_oracle(args) -> int:
             _check_brick(oracle)
     elif kind == "rational":
         oracle = rational_oracle([int(p) for p in args.accepted.split(",") if p])
-        token = oracle.token(Fraction(args.element)).decode()
+        token = oracle.token(_parse_rational(args.element)).decode()
         if args.check:
             _check_rational(oracle)
     elif kind == "sparse-simon":

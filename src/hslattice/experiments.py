@@ -72,7 +72,12 @@ def _lattice_from_rows(rows, k: int) -> Lattice:
     """The lattice generated by the columns of a descriptor's basis rows."""
     if not isinstance(rows, list) or len(rows) not in (0, k):
         raise ValueError(f"basis must be a list of k = {k} rows, got {rows!r}")
-    return Lattice.from_generators(IntMatrix.from_rows(rows)) if rows else Lattice.trivial(k)
+    if not rows:
+        return Lattice.trivial(k)
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"descriptor 'basis' rows must be lists, got {rows!r}")
+    ints = [[_json_int(x, "'basis' entry") for x in row] for row in rows]
+    return Lattice.from_generators(IntMatrix.from_rows(ints))
 
 
 def _secret_for_trial(descriptor: Dict, rng: random.Random) -> Lattice:

@@ -62,6 +62,15 @@ def test_pf_example(capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+@pytest.mark.parametrize("argv", [["pf", "1/0"], ["oracle", "rational", "3/0", "--accepted", "5"]],
+                         ids=["pf", "oracle-rational"])
+def test_zero_denominator(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_oracle_brick(matrix_file, capsys):
     f = matrix_file("b.txt", "2 1\n7\n1\n")
     assert main(["oracle", "brick", "5 7", "--basis", f]) == 0
@@ -196,8 +205,11 @@ class TestReports:
         ("max_retries", 2.5),
         ("check", 1),
         ("t", True),
+        ("basis", [["8"]]),
+        ("basis", [[True]]),
+        ("basis", [[8.5]]),
     ], ids=["shift-entry-list", "m-string", "shift-bound-string", "max-retries-float",
-            "check-int", "t-bool"])
+            "check-int", "t-bool", "basis-string", "basis-bool", "basis-float"])
     def test_cli_wrong_type_descriptor(self, tmp_path, capsys, field, value):
         d = tmp_path / "d.json"
         d.write_text(json.dumps({"k": 1, "basis": [[8]], "t": 2, field: value}))
@@ -213,7 +225,10 @@ class TestReports:
         ({"k": 1, "retries": "8"}, "retries"),
         ({"k": 1, "secret": {"entry_bound": [2]}}, "entry_bound"),
         ({"k": 1, "secret": {"random_rank": [1]}}, "random_rank"),
-    ], ids=["n-list", "n-bool", "retries-string", "entry-bound-list", "random-rank-list"])
+        ({"k": 2, "secret": {"basis": [[1.5, 2], [2, 4]]}}, "basis"),
+        ({"k": 2, "secret": {"basis": [1, 2]}}, "basis"),
+    ], ids=["n-list", "n-bool", "retries-string", "entry-bound-list", "random-rank-list",
+            "basis-float", "basis-row-not-list"])
     def test_cli_hsp_wrong_type_descriptor(self, tmp_path, capsys, descriptor, field):
         d = tmp_path / "d.json"
         d.write_text(json.dumps(descriptor))
