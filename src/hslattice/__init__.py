@@ -9,7 +9,7 @@ from .rationals import (
     partial_fractions,
 )
 from .matrix import IntMatrix, RatMatrix, hnf, snf, snf_rational
-from .lll import babai_nearest_plane, lll
+from .lll import babai_nearest_plane
 from .lattice import (
     Lattice,
     TorusVec,

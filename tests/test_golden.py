@@ -70,8 +70,11 @@ def test_no_module_level_mutable_state():
     assert found == []
 
 
-def test_sieve_attribute_is_the_module():
-    assert importlib.import_module("hslattice.sieve") is hslattice.sieve
+def test_submodule_attributes_are_the_modules():
+    """A name re-exported by the package must not shadow a submodule."""
+    for info in pkgutil.iter_modules(hslattice.__path__):
+        module = importlib.import_module(f"hslattice.{info.name}")
+        assert getattr(hslattice, info.name) is module, info.name
 
 
 def test_trace_layers_resolve():
