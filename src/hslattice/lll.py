@@ -115,19 +115,6 @@ def _lll_integer(b: List[List], dnum: int, dden: int) -> None:
             k += 1
 
 
-def is_size_reduced(B: RatMatrix) -> bool:
-    _, mu, _ = gram_schmidt(B.columns())
-    return all(2 * abs(m) <= 1 for row in mu for m in row)
-
-
-def satisfies_lovasz(B: RatMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
-    _, mu, norms = gram_schmidt(B.columns())
-    return all(
-        norms[k] >= (Fraction(delta) - mu[k][k - 1] ** 2) * norms[k - 1]
-        for k in range(1, B.cols)
-    )
-
-
 def babai_nearest_plane(B: RatMatrix, target: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     """Nearest-plane rounding of target against the (ideally reduced) basis B.
 
@@ -144,95 +131,3 @@ def babai_nearest_plane(B: RatMatrix, target: Sequence[Fraction]) -> Tuple[Fract
             resid = [x - c * y for x, y in zip(resid, cols[i])]
             point = [p + c * y for p, y in zip(point, cols[i])]
     return tuple(point)
-
-
-def enumerate_short_vectors(B: RatMatrix, bound_sq: Fraction) -> List[Tuple[Fraction, ...]]:
-    """All nonzero lattice vectors v with ||v||^2 <= bound_sq (exact).
-
-    Fincke-Pohst style recursion on the Gram-Schmidt triangularization of B;
-    intended for small test lattices.  One vector per +/- pair is returned.
-    """
-    cols = B.columns()
-    star, mu, norms = gram_schmidt(cols)
-    n = len(cols)
-    out: List[Tuple[Fraction, ...]] = []
-    coeff = [0] * n
-
-    def center(i: int) -> Fraction:
-        return -sum((Fraction(coeff[j]) * mu[j][i] for j in range(i + 1, n)), Fraction(0))
-
-    def recurse(i: int, remaining: Fraction) -> None:
-        if i < 0:
-            if any(coeff):
-                v = [Fraction(0)] * B.rows
-                for c, col in zip(coeff, cols):
-                    if c:
-                        v = [x + c * y for x, y in zip(v, col)]
-                out.append(tuple(v))
-            return
-        c = center(i)
-        # |x - c|^2 * norms[i] <= remaining
-        radius_sq = remaining / norms[i]
-        lo, hi = _rational_interval(c, radius_sq)
-        for x in range(lo, hi + 1):
-            coeff[i] = x
-            used = (Fraction(x) - c) ** 2 * norms[i]
-            if used <= remaining:
-                recurse(i - 1, remaining - used)
-        coeff[i] = 0
-
-    recurse(n - 1, Fraction(bound_sq))
-    # Keep one representative per antipodal pair.
-    seen = set()
-    uniq = []
-    for v in out:
-        if v in seen or tuple(-x for x in v) in seen:
-            continue
-        seen.add(v)
-        uniq.append(v)
-    return uniq
-
-
-def _rational_interval(c: Fraction, radius_sq: Fraction) -> Tuple[int, int]:
-    """Integer range [lo, hi] containing {x : (x - c)^2 <= radius_sq}."""
-    if radius_sq < 0:
-        return 0, -1
-    from math import isqrt
-
-    # r = sqrt(radius_sq): bracket with integers: floor/ceil of c +/- r.
-    num, den = radius_sq.numerator, radius_sq.denominator
-    r_hi = Fraction(isqrt(num * den) + 1, den)  # >= sqrt(radius_sq)
-    lo = (c - r_hi).__ceil__()
-    hi = (c + r_hi).__floor__()
-    return lo, hi
-
-
-def successive_minima(B: RatMatrix) -> List[Fraction]:
-    """Exact successive minima (squared norms) of the lattice spanned by B.
-
-    Brute-force oracle: enumerate short vectors inside balls of doubling
-    radius (so skewed lattices do not force one huge enumeration) and
-    greedily pick linearly independent ones by increasing norm."""
-    reduced = lll(B)
-    cols = reduced.columns()
-    norms = [sum((x * x for x in c), Fraction(0)) for c in cols]
-    bound = min(norms)
-    cap = max(norms)
-    while True:
-        vecs = enumerate_short_vectors(reduced, bound)
-        vecs.sort(key=lambda v: sum((x * x for x in v), Fraction(0)))
-        picked: List[Tuple[Fraction, ...]] = []
-        minima: List[Fraction] = []
-        for v in vecs:
-            if len(picked) == len(cols):
-                break
-            try:
-                gram_schmidt(picked + [v])
-            except ValueError:
-                continue  # dependent on the vectors already picked
-            picked.append(v)
-            minima.append(sum((x * x for x in v), Fraction(0)))
-        if len(minima) == len(cols):
-            return minima
-        bound = min(2 * bound, cap) if bound < cap else 2 * bound
-

@@ -20,11 +20,12 @@ from hslattice.lattice import (
     dual_sample_uniform,
     lattice_from_generators,
 )
-from hslattice.lll import is_size_reduced, lll, satisfies_lovasz, successive_minima
+from hslattice.lll import lll
 from hslattice.matrix import IntMatrix, RatMatrix, hnf, snf, snf_rational
 from hslattice.oracles import SparseVec, brick_oracle, rational_oracle, shift_pair_oracle, sparse_simon_oracle
 from hslattice.rationals import legendre_reconstruct, partial_fractions
 from hslattice.sieve import SieveStats, collimation_tally, recover_shift, sieve, sieve_config
+from hslattice.verify import is_size_reduced, satisfies_lovasz, successive_minima
 
 
 def col_lattice(cols, k):

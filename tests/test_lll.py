@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from hslattice.lll import (
-    babai_nearest_plane,
+from hslattice.lll import babai_nearest_plane, lll
+from hslattice.matrix import IntMatrix, RatMatrix, hnf
+from hslattice.verify import (
     enumerate_short_vectors,
     is_size_reduced,
-    lll,
     satisfies_lovasz,
     successive_minima,
 )
-from hslattice.matrix import IntMatrix, RatMatrix, hnf
 
 
 def norm_sq(v):
