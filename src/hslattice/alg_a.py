@@ -27,7 +27,7 @@ from .lattice import (
     gaussian_grid_noise,
     lattice_from_generators,
 )
-from .lll import lll
+from .lll import lll_from_coarse
 from .matrix import IntMatrix, RatMatrix, snf_rational
 from .rationals import legendre_reconstruct
 
@@ -164,12 +164,18 @@ def recover_colattice(y1: TorusVec, p: AlgAParams) -> Tuple[Optional[Lattice], R
     t = Fraction(1, p.T)
     r_sq = Fraction(1, p.R * p.R)
     lift = y1.lift()
-    cols = [[Fraction(int(i == j)) for i in range(k + 1)] for j in range(k)]
-    cols.append(list(lift) + [t])
-    E = RatMatrix.from_columns(cols)
+    units = [[Fraction(int(i == j)) for i in range(k + 1)] for j in range(k)]
+    E = RatMatrix.from_columns(units + [list(lift) + [t]])
     trace = RecoveryTrace(E=E)
 
-    B = lll(E)
+    # Reduce first with lift(y1) rounded to the grid 1/G, G = T * 2^bits(R).
+    # A lattice vector no longer than 1/R has last coordinate c/T with
+    # |c| <= T/R, so the rounding moves each of its entries by at most
+    # |c|/(2G) < 1/(2R^2): the short vectors keep their shape on a basis of
+    # a fraction of Q's bits.  The exact pass on E follows.
+    G = p.T << p.R.bit_length()
+    coarse = RatMatrix.from_columns(units + [[Fraction(round(x * G), G) for x in lift] + [t]])
+    B = lll_from_coarse(E, coarse)
     trace.lll_basis = B
     kappa = 0
     for j in range(k + 1):

@@ -2,8 +2,10 @@
 
 The LLL core is the all-integer variant (de Weger bookkeeping: Gram
 subdeterminants d_i and scaled Gram-Schmidt coefficients lambda_ij), so a
-rational input is cleared to a common denominator first and rescaled at the
-end.  gmpy2 integers are used inside the core when available; they are a
+rational input is cleared to the lcm of its denominators first and rescaled
+at the end.  The core can also record its unimodular transform, which
+lll_from_coarse uses to do most of the work on a low-precision copy of the
+basis before one exact pass at full precision.  gmpy2 integers are used inside the core when available; they are a
 drop-in replacement for int and considerably faster at the operand sizes the
 recovery schedule produces.
 """
@@ -11,7 +13,7 @@ recovery schedule produces.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .matrix import RatMatrix
 
@@ -49,47 +51,96 @@ def lll(B: RatMatrix, delta: Fraction = Fraction(3, 4)) -> RatMatrix:
     The output generates the same lattice, is size-reduced (|mu_ij| <= 1/2),
     and satisfies the Lovasz condition with parameter delta.
     """
+    dnum, dden = _delta_parts(delta)
+    if B.cols == 0:
+        return B
+    scale, cols = _integer_columns(B)
+    _lll_integer(cols, dnum, dden)
+    return _rational_columns(cols, scale, B.rows)
+
+
+def lll_from_coarse(B: RatMatrix, coarse: RatMatrix,
+                    delta: Fraction = Fraction(3, 4)) -> RatMatrix:
+    """LLL-reduce B, starting from the reduction of `coarse`, a basis of the
+    same shape whose entries are B's rounded to a coarser grid.
+
+    The unimodular transform U that reduces `coarse` is recorded and applied
+    to B; B*U generates B's lattice and is close to reduced, so the final pass
+    of the exact core on it is short.  Nearly all swaps then act on integers
+    of the coarse size, not of B's (the gradual-precision idea of van Hoeij
+    and Novocin, and of Novocin, Stehle and Villard).  The output meets the
+    same conditions as lll(B)'s.
+    """
+    dnum, dden = _delta_parts(delta)
+    if (coarse.rows, coarse.cols) != (B.rows, B.cols):
+        raise ValueError("coarse basis must have the shape of B")
+    if B.cols == 0:
+        return B
+    n = B.cols
+    _, rough = _integer_columns(coarse)
+    u = [[mpz(int(i == j)) for i in range(n)] for j in range(n)]
+    _lll_integer(rough, dnum, dden, u)
+    scale, cols = _integer_columns(B)
+    moved = [[sum(c * col[r] for c, col in zip(uj, cols)) for r in range(B.rows)] for uj in u]
+    _lll_integer(moved, dnum, dden)
+    return _rational_columns(moved, scale, B.rows)
+
+
+def _delta_parts(delta: Fraction) -> Tuple[int, int]:
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
-    if B.cols == 0:
-        return B
+    return delta.numerator, delta.denominator
+
+
+def _integer_columns(B: RatMatrix) -> Tuple[int, List[List]]:
+    """(s, columns of s*B) with s the lcm of B's denominators."""
     scale = B.denominator_lcm()
-    cols = [[mpz(x.numerator * (scale // x.denominator)) for x in B.column(j)]
-            for j in range(B.cols)]
-    _lll_integer(cols, delta.numerator, delta.denominator)
+    return scale, [[mpz(x.numerator * (scale // x.denominator)) for x in B.column(j)]
+                   for j in range(B.cols)]
+
+
+def _rational_columns(cols: List[List], scale: int, rows: int) -> RatMatrix:
     inv = Fraction(1, scale)
-    return RatMatrix.from_columns([[int(x) * inv for x in c] for c in cols], rows=B.rows)
+    return RatMatrix.from_columns([[int(x) * inv for x in c] for c in cols], rows=rows)
 
 
-def _lll_integer(b: List[List], dnum: int, dden: int) -> None:
-    """In-place integer LLL on column vectors b (de Weger formulation)."""
+def _lll_integer(b: List[List], dnum: int, dden: int, u: Optional[List[List]] = None) -> None:
+    """In-place integer LLL on column vectors b (de Weger formulation).
+
+    When u is given (one coefficient column per column of b), every
+    size-reduction and swap is applied to it as well, so a u that starts as
+    the identity ends as the transform U with input * U = output."""
     n = len(b)
     d = [mpz(1)] * (n + 1)
     lam = [[mpz(0)] * n for _ in range(n)]
 
     def init_column(i: int) -> None:
         for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
+            g = sum(x * y for x, y in zip(b[i], b[j]))
             for t in range(j):
-                u = (d[t + 1] * u - lam[i][t] * lam[j][t]) // d[t]
+                g = (d[t + 1] * g - lam[i][t] * lam[j][t]) // d[t]
             if j < i:
-                lam[i][j] = u
+                lam[i][j] = g
             else:
-                if u == 0:
+                if g == 0:
                     raise ValueError("dependent columns")
-                d[i + 1] = u
+                d[i + 1] = g
 
     def reduce(k: int, l: int) -> None:
         if 2 * abs(lam[k][l]) > d[l + 1]:
             q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
             b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            if u is not None:
+                u[k] = [x - q * y for x, y in zip(u[k], u[l])]
             lam[k][l] -= q * d[l + 1]
             for t in range(l):
                 lam[k][t] -= q * lam[l][t]
 
     def swap(k: int) -> None:
         b[k], b[k - 1] = b[k - 1], b[k]
+        if u is not None:
+            u[k], u[k - 1] = u[k - 1], u[k]
         for t in range(k - 1):
             lam[k][t], lam[k - 1][t] = lam[k - 1][t], lam[k][t]
         lam_k = lam[k][k - 1]

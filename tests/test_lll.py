@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from hslattice.lll import babai_nearest_plane, lll
+from hslattice.alg_a import recover_colattice, schedule
+from hslattice.lattice import TorusVec
+from hslattice.lll import _lll_integer, babai_nearest_plane, lll, lll_from_coarse
 from hslattice.matrix import IntMatrix, RatMatrix, hnf
 from hslattice.verify import (
     enumerate_short_vectors,
@@ -93,6 +96,61 @@ class TestLLL:
     def test_delta_range(self):
         with pytest.raises(ValueError):
             lll(RatMatrix.identity(2), delta=Fraction(1, 8))
+
+
+@st.composite
+def int_bases(draw, k=None, bound=20):
+    """A nonsingular k x k integer matrix (k in 1..4 unless given) with
+    entries in [-bound, bound]."""
+    k = k or draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    M = IntMatrix.from_rows(rows)
+    assume(M.det() != 0)
+    return M
+
+
+class TestLLLProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(int_bases())
+    def test_reduced_same_lattice(self, M):
+        out = lll(M.to_rational())
+        assert is_size_reduced(out) and satisfies_lovasz(out)
+        assert hnf(out.to_integer())[0].data == hnf(M)[0].data
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_bases())
+    def test_recorded_transform(self, M):
+        """The recorded U is unimodular and input * U is the output."""
+        k = M.cols
+        cols = [list(M.column(j)) for j in range(k)]
+        u = [[int(i == j) for i in range(k)] for j in range(k)]
+        _lll_integer(cols, 3, 4, u)
+        U = IntMatrix.from_columns(u, rows=k)
+        assert abs(U.det()) == 1
+        assert (M @ U).data == IntMatrix.from_columns(cols, rows=k).data
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_bases(), st.data())
+    def test_any_coarse_basis(self, M, data):
+        """The output is exact whatever the coarse basis: a poor one only
+        leaves more work to the final pass."""
+        coarse = data.draw(int_bases(k=M.cols))
+        out = lll_from_coarse(M.to_rational(), coarse.to_rational())
+        assert is_size_reduced(out) and satisfies_lovasz(out)
+        assert hnf(out.to_integer())[0].data == hnf(M)[0].data
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_flattened_lattice(self, k, n, data):
+        """recover_colattice's two-step reduction of E = [I_k, lift(y1); 0, 1/T]."""
+        p = schedule(n, k)
+        y1 = TorusVec.make([Fraction(data.draw(st.integers(0, p.Q - 1)), p.Q)
+                            for _ in range(k)])
+        _, trace = recover_colattice(y1, p)
+        out = trace.lll_basis
+        assert is_size_reduced(out) and satisfies_lovasz(out)
+        assert same_lattice(out, trace.E)
 
 
 class TestBabai:
