@@ -5,9 +5,9 @@ subdeterminants d_i and scaled Gram-Schmidt coefficients lambda_ij), so a
 rational input is cleared to the lcm of its denominators first and rescaled
 at the end.  The core can also record its unimodular transform, which
 lll_from_coarse uses to do most of the work on a low-precision copy of the
-basis before one exact pass at full precision.  gmpy2 integers are used inside the core when available; they are a
-drop-in replacement for int and considerably faster at the operand sizes the
-recovery schedule produces.
+basis before one exact pass at full precision.  gmpy2 integers are used
+inside the core when available; they are a drop-in replacement for int and
+considerably faster at the operand sizes the recovery schedule produces.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ try:
     from gmpy2 import mpz
 except ImportError:  # pragma: no cover
     mpz = int
+
+DELTA = Fraction(3, 4)
 
 
 def gram_schmidt(cols: List[Tuple[Fraction, ...]]):
@@ -45,24 +47,25 @@ def gram_schmidt(cols: List[Tuple[Fraction, ...]]):
     return star, mu, norms
 
 
-def lll(B: RatMatrix, delta: Fraction = Fraction(3, 4)) -> RatMatrix:
+def lll(B: RatMatrix, delta: Fraction = DELTA) -> RatMatrix:
     """LLL-reduce the columns of B with exact rational arithmetic.
 
     The output generates the same lattice, is size-reduced (|mu_ij| <= 1/2),
     and satisfies the Lovasz condition with parameter delta.
     """
-    dnum, dden = _delta_parts(delta)
+    delta = Fraction(delta)
+    if not Fraction(1, 4) < delta < 1:
+        raise ValueError("delta must lie in (1/4, 1)")
     if B.cols == 0:
         return B
     scale, cols = _integer_columns(B)
-    _lll_integer(cols, dnum, dden)
+    _lll_integer(cols, delta.numerator, delta.denominator)
     return _rational_columns(cols, scale, B.rows)
 
 
-def lll_from_coarse(B: RatMatrix, coarse: RatMatrix,
-                    delta: Fraction = Fraction(3, 4)) -> RatMatrix:
-    """LLL-reduce B, starting from the reduction of `coarse`, a basis of the
-    same shape whose entries are B's rounded to a coarser grid.
+def lll_from_coarse(B: RatMatrix, coarse: RatMatrix) -> RatMatrix:
+    """LLL-reduce B (delta = 3/4), starting from the reduction of `coarse`, a
+    basis of the same shape whose entries are B's rounded to a coarser grid.
 
     The unimodular transform U that reduces `coarse` is recorded and applied
     to B; B*U generates B's lattice and is close to reduced, so the final pass
@@ -71,26 +74,16 @@ def lll_from_coarse(B: RatMatrix, coarse: RatMatrix,
     and Novocin, and of Novocin, Stehle and Villard).  The output meets the
     same conditions as lll(B)'s.
     """
-    dnum, dden = _delta_parts(delta)
     if (coarse.rows, coarse.cols) != (B.rows, B.cols):
         raise ValueError("coarse basis must have the shape of B")
-    if B.cols == 0:
-        return B
     n = B.cols
     _, rough = _integer_columns(coarse)
     u = [[mpz(int(i == j)) for i in range(n)] for j in range(n)]
-    _lll_integer(rough, dnum, dden, u)
+    _lll_integer(rough, DELTA.numerator, DELTA.denominator, u)
     scale, cols = _integer_columns(B)
     moved = [[sum(c * col[r] for c, col in zip(uj, cols)) for r in range(B.rows)] for uj in u]
-    _lll_integer(moved, dnum, dden)
+    _lll_integer(moved, DELTA.numerator, DELTA.denominator)
     return _rational_columns(moved, scale, B.rows)
-
-
-def _delta_parts(delta: Fraction) -> Tuple[int, int]:
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
-    return delta.numerator, delta.denominator
 
 
 def _integer_columns(B: RatMatrix) -> Tuple[int, List[List]]:
