@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .lattice import lattice_from_generators, reciprocal_basis, saturation
 from .lll import lll
-from .matrix import format_matrix, parse_int_matrix, parse_matrix, hnf, snf
+from .matrix import format_matrix, parse_int_matrix, parse_matrix, parse_rational, hnf, snf
 from .oracles import SparseVec, brick_oracle, rational_oracle, shift_pair_oracle, sparse_simon_oracle
 from .rationals import partial_fractions
 from .experiments import run_hsp_experiment, run_shift_experiment
@@ -45,15 +45,8 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {text!r}") from None
-
-
 def cmd_pf(args) -> int:
-    form = partial_fractions(_parse_rational(args.rational))
+    form = partial_fractions(parse_rational(args.rational))
     if args.json:
         n, abbrev = form.abbreviated()
         print(json.dumps({
@@ -87,7 +80,7 @@ def cmd_oracle(args) -> int:
             _check_brick(oracle)
     elif kind == "rational":
         oracle = rational_oracle([int(p) for p in args.accepted.split(",") if p])
-        token = oracle.token(_parse_rational(args.element)).decode()
+        token = oracle.token(parse_rational(args.element)).decode()
         if args.check:
             _check_rational(oracle)
     elif kind == "sparse-simon":

@@ -411,6 +411,14 @@ def format_matrix(M) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_rational(text: str) -> Fraction:
+    """An integer or 'p/q' token; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {text!r}") from None
+
+
 def parse_matrix(text: str) -> RatMatrix:
     tokens = text.split()
     if len(tokens) < 2:
@@ -419,7 +427,7 @@ def parse_matrix(text: str) -> RatMatrix:
     entries = tokens[2:]
     if len(entries) != r * c:
         raise ValueError(f"expected {r * c} entries, got {len(entries)}")
-    data = [[Fraction(entries[i * c + j]) for j in range(c)] for i in range(r)]
+    data = [[parse_rational(entries[i * c + j]) for j in range(c)] for i in range(r)]
     return RatMatrix.from_rows(data) if r else RatMatrix(0, c, ())
 
 

@@ -62,9 +62,11 @@ def test_pf_example(capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
-@pytest.mark.parametrize("argv", [["pf", "1/0"], ["oracle", "rational", "3/0", "--accepted", "5"]],
-                         ids=["pf", "oracle-rational"])
-def test_zero_denominator(capsys, argv):
+@pytest.mark.parametrize("argv", [["pf", "1/0"], ["oracle", "rational", "3/0", "--accepted", "5"],
+                                  ["lattice", "lll", "MATRIX"]],
+                         ids=["pf", "oracle-rational", "matrix-entry"])
+def test_zero_denominator(matrix_file, capsys, argv):
+    argv = [matrix_file("z.txt", "1 1\n1/0\n") if a == "MATRIX" else a for a in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
