@@ -23,6 +23,10 @@ HSP_DIGESTS = {
     (2, 2): "4302cc159beae3cad6cf798e5056bd2103e66e33ea1a720f0497722cc6239c59",
     (3, 1): "6053505eacc2ef80432f118ad5cd94614f22e998e4b53bc9b7559a8f9c60e005",
     (3, 2): "f598c1519a951b227d3686915112519fbb9a1f4fbacc3169823d9da10e5c65de",
+    (4, 1): "c6aa16733544bcc23b4ce9f61f27d9a9d09b9a173f9abf5cb4146dad89c7f376",
+    (4, 2): "4eba30b75734016ad33cf5e1e20c654c4dac085919f0c285c40bbe370a036e27",
+    (5, 1): "6dd6adc7fa7b9bf27295e381f16a74011a69395a1ec05d37bf1306d6f43b7e8d",
+    (5, 2): "73abf36e4ac2eac29aa01cb440bd2854caba85f1c6bb175b5ef7e088408379fe",
 }
 
 SHIFT_CASES = [
