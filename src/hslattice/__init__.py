@@ -1,6 +1,6 @@
 """Exact-arithmetic lattice toolkit and hidden-structure recovery harness."""
 
-from .intmath import extended_gcd, factor, is_probable_prime
+from .intmath import factor, is_probable_prime
 from .rationals import (
     PartialFractionForm,
     Rat,

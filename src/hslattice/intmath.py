@@ -1,4 +1,4 @@
-"""Integer helpers: extended gcd, primality testing, desk-scale factoring."""
+"""Integer helpers: primality testing, desk-scale factoring."""
 
 from __future__ import annotations
 
@@ -14,23 +14,6 @@ _TRIAL_LIMIT = 1 << 20
 
 class FactorBoundExceeded(ValueError):
     """Input is beyond the configured desk-scale factoring bound."""
-
-
-def extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    if a == 0 and b == 0:
-        return 0, 0, 0
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None) -> bool:

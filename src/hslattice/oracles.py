@@ -9,7 +9,6 @@ trials should use one oracle instance each and merge counts afterwards.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple
@@ -190,7 +189,3 @@ def sparse_simon_oracle(accepted) -> SparseSimonOracle:
 def shift_pair_oracle(lattice: Lattice, shift: Sequence[int],
                       base: Optional[BrickOracle] = None) -> ShiftPairOracle:
     return ShiftPairOracle(lattice, shift, base or BrickOracle(lattice))
-
-
-def oracle_descriptor_json(oracle) -> str:
-    return json.dumps(oracle.descriptor(), sort_keys=True)

@@ -4,33 +4,9 @@ import pytest
 
 from hslattice.intmath import (
     FactorBoundExceeded,
-    extended_gcd,
     factor,
     is_probable_prime,
 )
-
-
-def test_extended_gcd_degenerate():
-    assert extended_gcd(0, 0) == (0, 0, 0)
-    assert extended_gcd(1, 0) == (1, 1, 0)
-
-
-def test_extended_gcd_bezout():
-    g, x, y = extended_gcd(12, 18)
-    assert g == 6
-    assert 12 * x + 18 * y == 6
-
-
-def test_extended_gcd_random_bezout():
-    rng = random.Random(0)
-    for _ in range(500):
-        a = rng.randrange(-10**9, 10**9)
-        b = rng.randrange(-10**9, 10**9)
-        g, x, y = extended_gcd(a, b)
-        assert g >= 0
-        assert a * x + b * y == g
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def test_factor_one():

@@ -9,7 +9,6 @@ from hslattice.matrix import IntMatrix
 from hslattice.oracles import (
     SparseVec,
     brick_oracle,
-    oracle_descriptor_json,
     rational_oracle,
     shift_pair_oracle,
     sparse_simon_oracle,
@@ -165,7 +164,7 @@ class TestDescriptors:
         L = col_lattice([[7, 1]], 2)
         for oracle in (brick_oracle(L), rational_oracle({3, 5}),
                        sparse_simon_oracle({1, 2}), shift_pair_oracle(L, [1, 0])):
-            d = json.loads(oracle_descriptor_json(oracle))
+            d = json.loads(json.dumps(oracle.descriptor(), sort_keys=True))
             assert "kind" in d
 
     def test_predicate_has_no_descriptor(self):
