@@ -13,6 +13,7 @@ inside H_1.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -28,7 +29,7 @@ from .lattice import (
     lattice_from_generators,
 )
 from .lll import lll_from_coarse
-from .matrix import IntMatrix, RatMatrix, snf_rational
+from .matrix import IntMatrix, RatMatrix, snf, snf_rational
 from .rationals import legendre_reconstruct
 
 
@@ -138,20 +139,64 @@ def sample_fourier_point(secret: Lattice, p: AlgAParams, rng: random.Random,
     return FourierSample(y1, y0 if debug else None)
 
 
+def _rational_view(M: Optional[IntMatrix], denominator: int) -> Optional[RatMatrix]:
+    return None if M is None else M.to_rational(denominator)
+
+
 @dataclass
 class RecoveryTrace:
-    """Intermediate matrices of the classical recovery, kept for inspection."""
+    """Intermediate matrices of the classical recovery, kept for inspection.
 
-    E: RatMatrix
-    lll_basis: Optional[RatMatrix] = None
-    B1: Optional[RatMatrix] = None
+    The recovery works on integers: E, its reduction and B1, B2 are held as
+    integer matrices over the common denominator `scale`, and B3 as the
+    integer matrix B1 adj(B2) over det(B2).  The rational views E, lll_basis,
+    B1, B2 and B3 are built on first read."""
+
+    scale: int
+    E_int: IntMatrix
+    lll_int: Optional[IntMatrix] = None
+    B1_int: Optional[IntMatrix] = None
     ell_guess: Optional[int] = None
-    B2: Optional[RatMatrix] = None
-    B3: Optional[RatMatrix] = None
+    B2_int: Optional[IntMatrix] = None
+    B3_num: Optional[IntMatrix] = None
+    B2_det: int = 1
     A4: Optional[RatMatrix] = None
     A5: Optional[RatMatrix] = None
     A6: Optional[IntMatrix] = None
     failure: Optional[str] = None
+
+    @functools.cached_property
+    def E(self) -> RatMatrix:
+        return self.E_int.to_rational(self.scale)
+
+    @functools.cached_property
+    def lll_basis(self) -> Optional[RatMatrix]:
+        return _rational_view(self.lll_int, self.scale)
+
+    @functools.cached_property
+    def B1(self) -> Optional[RatMatrix]:
+        return _rational_view(self.B1_int, self.scale)
+
+    @functools.cached_property
+    def B2(self) -> Optional[RatMatrix]:
+        return _rational_view(self.B2_int, self.scale)
+
+    @functools.cached_property
+    def B3(self) -> Optional[RatMatrix]:
+        return _rational_view(self.B3_num, self.B2_det)
+
+
+def _flattened(unit: int, last: List[int]) -> IntMatrix:
+    """The columns unit * e_1, ..., unit * e_k and `last` of Z^(k+1)."""
+    k = len(last) - 1
+    return IntMatrix.from_columns([[unit * (i == j) for i in range(k + 1)] for j in range(k)]
+                                  + [last])
+
+
+def _round_half_even(a: int, b: int) -> int:
+    """round(Fraction(a, b)) for b > 0, without building the Fraction."""
+    q, r = divmod(2 * a + b, 2 * b)
+    return q - 1 if r == 0 and q & 1 else q
 
 
 def recover_colattice(y1: TorusVec, p: AlgAParams) -> Tuple[Optional[Lattice], RecoveryTrace]:
@@ -161,12 +206,11 @@ def recover_colattice(y1: TorusVec, p: AlgAParams) -> Tuple[Optional[Lattice], R
     (no short LLL prefix, a singular row selection, or an unverified
     continued-fraction reconstruction), in which case the caller resamples."""
     k = y1.k
-    t = Fraction(1, p.T)
-    r_sq = Fraction(1, p.R * p.R)
     lift = y1.lift()
-    units = [[Fraction(int(i == j)) for i in range(k + 1)] for j in range(k)]
-    E = RatMatrix.from_columns(units + [list(lift) + [t]])
-    trace = RecoveryTrace(E=E)
+    # E = [I_k, lift(y1); 0, 1/T] as integers over the lcm of its denominators.
+    scale = math.lcm(p.T, *(c.denominator for c in lift))
+    E = _flattened(scale, [c.numerator * (scale // c.denominator) for c in lift] + [scale // p.T])
+    trace = RecoveryTrace(scale, E)
 
     # Reduce first with lift(y1) rounded to the grid 1/G, G = T * 2^bits(R).
     # A lattice vector no longer than 1/R has last coordinate c/T with
@@ -174,12 +218,15 @@ def recover_colattice(y1: TorusVec, p: AlgAParams) -> Tuple[Optional[Lattice], R
     # |c|/(2G) < 1/(2R^2): the short vectors keep their shape on a basis of
     # a fraction of Q's bits.  The exact pass on E follows.
     G = p.T << p.R.bit_length()
-    coarse = RatMatrix.from_columns(units + [[Fraction(round(x * G), G) for x in lift] + [t]])
+    coarse = _flattened(G, [_round_half_even(c.numerator * G, c.denominator) for c in lift]
+                        + [G // p.T])
     B = lll_from_coarse(E, coarse)
-    trace.lll_basis = B
+    trace.lll_int = B
+    # A column is short when its norm, over `scale`, is at most r = 1/R.
+    R_sq, scale_sq = p.R * p.R, scale * scale
     kappa = 0
-    for j in range(k + 1):
-        if sum((x * x for x in B.column(j)), Fraction(0)) <= r_sq:
+    for col in B.columns():
+        if sum(x * x for x in col) * R_sq <= scale_sq:
             kappa += 1
         else:
             break
@@ -188,38 +235,39 @@ def recover_colattice(y1: TorusVec, p: AlgAParams) -> Tuple[Optional[Lattice], R
         return None, trace
     ell = k + 1 - kappa
     trace.ell_guess = ell
-    B1 = RatMatrix.from_columns([B.column(j) for j in range(kappa)], rows=k + 1)
-    trace.B1 = B1
+    B1 = IntMatrix.from_columns(B.columns()[:kappa], rows=k + 1)
+    trace.B1_int = B1
 
+    # Every selection's determinant carries the same factor scale^kappa, so
+    # the integer determinants rank the selections as the rational ones do.
     best_sel: Optional[List[int]] = None
-    best_det = Fraction(0)
+    best_det = 0
     for extra in combinations(range(k), kappa - 1):
         sel = list(extra) + [k]
-        sub = RatMatrix.from_rows([B1.data[i] for i in sel])
-        d = sub.det()
+        d = IntMatrix.from_rows([B1.data[i] for i in sel]).det()
         if abs(d) > abs(best_det):
             best_det = d
             best_sel = sel
-    if best_sel is None or best_det == 0:
+    if best_sel is None:
         trace.failure = "every row selection containing the last row is singular"
         return None, trace
     sel = best_sel
     nonsel = [i for i in range(k) if i not in set(sel)]
-    B2 = RatMatrix.from_rows([B1.data[i] for i in sel])
-    trace.B2 = B2
-    B3 = B1 @ B2.inverse()
-    trace.B3 = B3
+    B2 = IntMatrix.from_rows([B1.data[i] for i in sel])
+    trace.B2_int = B2
+    # B3 = B1 B2^-1 = B1 adj(B2) / det(B2); the common scale cancels.
+    det, adj = B2.adjugate()
+    B3 = B1 @ adj
+    trace.B3_num, trace.B2_det = B3, det
 
     # Columns of B3 carry the identity on the selected rows; the one whose
     # pivot sits on the last row is the flattening direction and is dropped.
-    noisy = [[B3[i, c] for c in range(kappa - 1)] for i in nonsel]
     a4_rows: List[List[Fraction]] = []
-    for row in noisy:
+    for i in nonsel:
         out_row = []
-        for x in row:
-            rec = legendre_reconstruct(x, p.R)
+        for c in range(kappa - 1):
+            rec = legendre_reconstruct(Fraction(B3[i, c], det), p.R)
             if not rec.verified:
-                trace.A4 = None
                 trace.failure = "unverified continued-fraction reconstruction"
                 return None, trace
             out_row.append(rec.value)
@@ -247,6 +295,25 @@ def recover_colattice(y1: TorusVec, p: AlgAParams) -> Tuple[Optional[Lattice], R
     return lattice_from_generators(A6), trace
 
 
+def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:
+    """The integer P with h1.basis @ P = secret.basis, by back-substitution
+    on the pivot rows of h1's HNF basis, which form an upper-triangular
+    matrix with nonzero diagonal.  The secret must lie in h1."""
+    N = h1.basis
+    pivots = h1.pivots()
+    cols = []
+    for s in secret.basis.columns():
+        x = [0] * h1.rank
+        for i in range(h1.rank - 1, -1, -1):
+            r, _ = pivots[i]
+            rest = s[r] - sum(N[r, j] * x[j] for j in range(i + 1, h1.rank))
+            x[i], rem = divmod(rest, N[r, i])
+            if rem:
+                raise ValueError("secret is not in H1")
+        cols.append(x)
+    return IntMatrix.from_columns(cols, rows=h1.rank)
+
+
 def finite_stage(secret: Lattice, h1: Lattice, p: AlgAParams,
                  rng: random.Random) -> Optional[Lattice]:
     """Exact finite-group stage: recover the secret inside H_1.
@@ -255,19 +322,21 @@ def finite_stage(secret: Lattice, h1: Lattice, p: AlgAParams,
     Z^ell, draws exact uniform dual samples of the finite dual group, grows
     the generated subgroup until it stabilizes for 2 ceil(log2 index) + 4
     consecutive draws, converts the dual generators to a primal basis via the
-    rational SNF, and maps back.  Returns None if the draw budget runs out."""
+    SNF, and maps back.  Returns None if the draw budget runs out."""
     if secret.rank != h1.rank or not h1.contains_lattice(secret):
         raise ValueError("finite_stage needs secret <= H1 of equal rank")
     ell = h1.rank
     if ell == 0:
         return h1
-    N = h1.basis.to_rational()
-    P_rat = (N.transpose() @ N).inverse() @ N.transpose() @ secret.basis.to_rational()
-    P = P_rat.to_integer()
-    index = abs(P.det())
+    P = _pull_back(h1, secret)
+    det, adj = P.adjugate()
+    index = abs(det)
     if index == 1:
         return h1
-    pinv_t = P.to_rational().inverse().transpose()
+    # A dual sample is P^-T a for a uniform over (Z/index)^ell; the group is
+    # tracked scaled by index, and index P^-T = sign(det P) adj(P)^T.
+    sign = 1 if det > 0 else -1
+    adj_t = adj.transpose()
     window = 2 * (index - 1).bit_length() + 4
     budget = 64 * (index.bit_length() + 2)
     # Track the group <Z^ell, samples> as the integer lattice (index * group).
@@ -280,8 +349,7 @@ def finite_stage(secret: Lattice, h1: Lattice, p: AlgAParams,
             return None
         draws += 1
         a = [rng.randrange(index) for _ in range(ell)]
-        y = pinv_t.mul_vec(a)
-        scaled = [int(index * c) % index for c in y]
+        scaled = [sign * c % index for c in adj_t.mul_vec(a)]
         if group.contains(scaled):
             stable += 1
             continue
@@ -289,12 +357,10 @@ def finite_stage(secret: Lattice, h1: Lattice, p: AlgAParams,
         cols = [group.basis.column(j) for j in range(group.rank)] + [scaled]
         group = lattice_from_generators(IntMatrix.from_columns(cols, rows=ell))
     # Dual generators y_j = column_j / index; primal = W diag(denominators).
-    B_dual = group.basis.to_rational().scale(Fraction(1, index))
-    D, _, W = snf_rational(B_dual.transpose())
-    qs = []
-    for i in range(ell):
-        d = D[i, i] if i < min(D.rows, D.cols) else Fraction(0)
-        qs.append(d.denominator if d != 0 else 1)
+    # The SNF's transforms do not change when its input is scaled, so the
+    # SNF of index * (dual generators) gives W, and D / index the diagonal.
+    D, _, W = snf(group.basis.transpose())
+    qs = [index // math.gcd(D[i, i], index) for i in range(ell)]
     primal = IntMatrix.from_columns(
         [[W[i, j] * qs[j] for i in range(ell)] for j in range(ell)], rows=ell
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .matrix import RatMatrix
+from .matrix import IntMatrix, RatMatrix
 
 try:
     from gmpy2 import mpz
@@ -58,44 +58,35 @@ def lll(B: RatMatrix, delta: Fraction = DELTA) -> RatMatrix:
         raise ValueError("delta must lie in (1/4, 1)")
     if B.cols == 0:
         return B
-    scale, cols = _integer_columns(B)
+    scale, M = B.cleared()
+    cols = [[mpz(x) for x in col] for col in M.columns()]
     _lll_integer(cols, delta.numerator, delta.denominator)
-    return _rational_columns(cols, scale, B.rows)
+    return IntMatrix.from_columns(cols, rows=B.rows).to_rational(scale)
 
 
-def lll_from_coarse(B: RatMatrix, coarse: RatMatrix) -> RatMatrix:
-    """LLL-reduce B (delta = 3/4), starting from the reduction of `coarse`, a
-    basis of the same shape whose entries are B's rounded to a coarser grid.
+def lll_from_coarse(B: IntMatrix, coarse: IntMatrix) -> IntMatrix:
+    """LLL-reduce the integer basis B (delta = 3/4), starting from the
+    reduction of `coarse`, a basis of the same shape whose entries are a
+    multiple of B's rounded to a coarser grid.
 
     The unimodular transform U that reduces `coarse` is recorded and applied
     to B; B*U generates B's lattice and is close to reduced, so the final pass
     of the exact core on it is short.  Nearly all swaps then act on integers
     of the coarse size, not of B's (the gradual-precision idea of van Hoeij
-    and Novocin, and of Novocin, Stehle and Villard).  The output meets the
-    same conditions as lll(B)'s.
+    and Novocin, and of Novocin, Stehle and Villard).  LLL's decisions do not
+    change when a basis is scaled, so `coarse` may have any common factor.
+    The output meets the same conditions as lll(B)'s.
     """
     if (coarse.rows, coarse.cols) != (B.rows, B.cols):
         raise ValueError("coarse basis must have the shape of B")
     n = B.cols
-    _, rough = _integer_columns(coarse)
+    rough = [[mpz(x) for x in col] for col in coarse.columns()]
     u = [[mpz(int(i == j)) for i in range(n)] for j in range(n)]
     _lll_integer(rough, DELTA.numerator, DELTA.denominator, u)
-    scale, cols = _integer_columns(B)
+    cols = [[mpz(x) for x in col] for col in B.columns()]
     moved = [[sum(c * col[r] for c, col in zip(uj, cols)) for r in range(B.rows)] for uj in u]
     _lll_integer(moved, DELTA.numerator, DELTA.denominator)
-    return _rational_columns(moved, scale, B.rows)
-
-
-def _integer_columns(B: RatMatrix) -> Tuple[int, List[List]]:
-    """(s, columns of s*B) with s the lcm of B's denominators."""
-    scale = B.denominator_lcm()
-    return scale, [[mpz(x.numerator * (scale // x.denominator)) for x in B.column(j)]
-                   for j in range(B.cols)]
-
-
-def _rational_columns(cols: List[List], scale: int, rows: int) -> RatMatrix:
-    inv = Fraction(1, scale)
-    return RatMatrix.from_columns([[int(x) * inv for x in c] for c in cols], rows=rows)
+    return IntMatrix.from_columns(moved, rows=B.rows)
 
 
 def _lll_integer(b: List[List], dnum: int, dden: int, u: Optional[List[List]] = None) -> None:

@@ -42,10 +42,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, _freeze([[1 if i == j else 0 for j in range(n)] for i in range(n)]))
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix(r, c, _freeze([[0] * c for _ in range(r)]))
-
     def __getitem__(self, ij: Tuple[int, int]) -> int:
         return self.data[ij[0]][ij[1]]
 
@@ -79,41 +75,65 @@ class IntMatrix:
     def mul_vec(self, v: Sequence[int]) -> Tuple[int, ...]:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.data)
 
-    def to_rational(self) -> "RatMatrix":
+    def to_rational(self, denominator: int = 1) -> "RatMatrix":
+        """The rational matrix self / denominator."""
         return RatMatrix(self.rows, self.cols,
-                         _freeze([[Fraction(x) for x in row] for row in self.data]))
+                         _freeze([[Fraction(x, denominator) for x in row] for row in self.data]))
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
+        return _bareiss([list(row) for row in self.data], self.rows, jordan=False)
+
+    def adjugate(self) -> Tuple[int, "IntMatrix"]:
+        """(det, adj) with self @ adj = det * I, for a nonsingular square matrix."""
+        if self.rows != self.cols:
+            raise ValueError("adjugate of non-square matrix")
         n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for t in range(n - 1):
-            if a[t][t] == 0:
-                for i in range(t + 1, n):
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-                a[i][t] = 0
-            prev = a[t][t]
-        return sign * a[n - 1][n - 1]
+        a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.data)]
+        det = _bareiss(a, n, jordan=True)
+        if det == 0:
+            raise ValueError("singular matrix")
+        # The appended block ends as |det| * self^-1; adj = det * self^-1.
+        sign = 1 if n == 0 or a[0][0] == det else -1
+        return det, IntMatrix(n, n, _freeze([[sign * x for x in row[n:]] for row in a]))
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a unimodular matrix (integer entries)."""
-        inv = self.to_rational().inverse()
-        return IntMatrix(self.rows, self.cols,
-                         _freeze([[_as_int(x) for x in row] for row in inv.data]))
+        det, adj = self.adjugate()
+        if det not in (1, -1):
+            raise ValueError(f"matrix of determinant {det} is not unimodular")
+        return adj if det == 1 else IntMatrix(self.rows, self.cols,
+                                              _freeze([[-x for x in row] for row in adj.data]))
+
+
+def _bareiss(a: List[List[int]], n: int, jordan: bool) -> int:
+    """Fraction-free elimination (Bareiss, Math. Comp. 1968) on the first n
+    columns of the n integer rows a, in place; returns their determinant.
+
+    Step t multiplies every other row by the pivot, subtracts, and divides
+    exactly by the previous pivot: each entry is then a (t+1)-minor of the
+    input, so the integers grow no larger than those minors.  Forward
+    elimination (jordan=False) clears below the pivots only.  Gauss-Jordan
+    clears above them too, so the n columns end as |det| * I and columns
+    appended to the rows end multiplied by |det| times the inverse.
+    Returns 0, leaving a partly reduced, when the columns are singular."""
+    sign, prev = 1, 1
+    for t in range(n):
+        piv = next((i for i in range(t, n) if a[i][t]), None)
+        if piv is None:
+            return 0
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            sign = -sign
+        at = a[t]
+        p = at[t]
+        for i in range(n) if jordan else range(t + 1, n):
+            if i != t:
+                f = a[i][t]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], at)]
+        prev = p
+    return sign * prev
 
 
 def _as_int(x: Fraction) -> int:
@@ -140,10 +160,6 @@ class RatMatrix:
     @staticmethod
     def identity(n: int) -> "RatMatrix":
         return IntMatrix.identity(n).to_rational()
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "RatMatrix":
-        return RatMatrix(r, c, _freeze([[Fraction(0)] * c for _ in range(r)]))
 
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
         return self.data[ij[0]][ij[1]]
@@ -197,45 +213,23 @@ class RatMatrix:
         return IntMatrix(self.rows, self.cols,
                          _freeze([[_as_int(x) for x in row] for row in self.data]))
 
+    def cleared(self) -> Tuple[int, IntMatrix]:
+        """(c, c * self) with c the lcm of the denominators."""
+        c = self.denominator_lcm()
+        return c, IntMatrix(self.rows, self.cols, _freeze(
+            [[x.numerator * (c // x.denominator) for x in row] for row in self.data]))
+
     def inverse(self) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self.data)]
-        for t in range(n):
-            piv = next((i for i in range(t, n) if a[i][t] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[t], a[piv] = a[piv], a[t]
-            inv_p = 1 / a[t][t]
-            a[t] = [x * inv_p for x in a[t]]
-            for i in range(n):
-                if i != t and a[i][t] != 0:
-                    f = a[i][t]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-        return RatMatrix(n, n, _freeze([row[n:] for row in a]))
+        c, M = self.cleared()
+        det, adj = M.adjugate()
+        return RatMatrix(self.rows, self.cols,
+                         _freeze([[Fraction(c * x, det) for x in row] for row in adj.data]))
 
     def det(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        a = [list(row) for row in self.data]
-        det = Fraction(1)
-        for t in range(n):
-            piv = next((i for i in range(t, n) if a[i][t] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != t:
-                a[t], a[piv] = a[piv], a[t]
-                det = -det
-            det *= a[t][t]
-            inv_p = 1 / a[t][t]
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    f = a[i][t] * inv_p
-                    a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-        return det
+        c, M = self.cleared()
+        return Fraction(M.det(), c ** self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +388,9 @@ def snf_rational(A: RatMatrix) -> Tuple[RatMatrix, IntMatrix, IntMatrix]:
 
     Implemented by clearing denominators, running the integer SNF, and
     rescaling D back (the two forms are equivalent under rescaling)."""
-    c = A.denominator_lcm()
-    D_int, V, W = snf(A.scale(c).to_integer())
-    D = D_int.to_rational().scale(Fraction(1, c))
+    c, M = A.cleared()
+    D_int, V, W = snf(M)
+    D = D_int.to_rational(c)
     return D, V, W
 
 

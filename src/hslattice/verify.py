@@ -1,5 +1,6 @@
-"""Exact oracles for checking lattice reductions: the LLL conditions,
-short-vector enumeration and successive minima.
+"""Exact oracles for checking lattice reductions and eliminations: the LLL
+conditions, short-vector enumeration, successive minima, and a textbook
+rational inverse and determinant.
 
 These are slow brute-force references for small test lattices; no pipeline
 calls them.
@@ -8,7 +9,8 @@ calls them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from itertools import permutations
+from math import isqrt, prod
 from typing import List, Tuple
 
 from .lll import gram_schmidt, lll
@@ -115,3 +117,35 @@ def successive_minima(B: RatMatrix) -> List[Fraction]:
         if len(minima) == len(cols):
             return minima
         bound = min(2 * bound, cap) if bound < cap else 2 * bound
+
+
+def reference_inverse(A: RatMatrix) -> RatMatrix:
+    """Gauss-Jordan inverse over Fraction, pivoting on the first nonzero entry."""
+    if A.rows != A.cols:
+        raise ValueError("inverse of non-square matrix")
+    n = A.rows
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(A.data)]
+    for t in range(n):
+        piv = next((i for i in range(t, n) if a[i][t] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        a[t], a[piv] = a[piv], a[t]
+        inv_p = 1 / a[t][t]
+        a[t] = [x * inv_p for x in a[t]]
+        for i in range(n):
+            if i != t and a[i][t] != 0:
+                f = a[i][t]
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return RatMatrix(n, n, tuple(tuple(row[n:]) for row in a))
+
+
+def leibniz_det(A: RatMatrix) -> Fraction:
+    """Determinant as the signed sum over all n! permutations."""
+    n = A.rows
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = prod((A[i, perm[i]] for i in range(n)), start=Fraction(1))
+        total += -term if inversions % 2 else term
+    return total

@@ -162,6 +162,14 @@ class TestReports:
         assert "trace" in report["trials"][0]
         assert report["trials"][0]["trace"]["E"].startswith("3 3")
 
+    def test_cli_huge_basis_entry(self, tmp_path, capsys):
+        """A squared basis norm past the float range still gives a report."""
+        d = tmp_path / "d.json"
+        d.write_text(json.dumps({"k": 1, "secret": {"basis": [[10 ** 200]]}}))
+        assert main(["hsp-recover", str(d), "--trials", "1", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["success_rate"] == 1.0
+
     def test_cli_descriptor_without_k(self, tmp_path, capsys):
         d = tmp_path / "d.json"
         d.write_text(json.dumps({"secret": {"basis": [[4]]}}))

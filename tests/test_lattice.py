@@ -265,3 +265,16 @@ class TestGeometry:
                 assert (reciprocal.transpose() @ M).data == RatMatrix.identity(L.rank).data
             assert g.ortho.cols == k - L.rank
             assert all(x == 0 for row in (M.transpose() @ g.ortho.to_rational()).data for x in row)
+
+    def test_inverse_norms_beyond_float_range(self):
+        """Squared norms past the float range still get their inverse norms."""
+        for L in (col_lattice([[10 ** 200]], 1),
+                  col_lattice([[3 * 10 ** 200, 0], [10 ** 199, 7]], 2)):
+            for vec, inv_norm in L.geometry.frame:
+                norm_sq = sum(x * x for x in vec)
+                assert math.isclose(inv_norm * inv_norm * norm_sq, 1, rel_tol=1e-14)
+            assert L.geometry.scaled_reciprocal is not None
+
+    def test_inverse_norm_underflow_rejected(self):
+        with pytest.raises(ValueError, match="underflows"):
+            col_lattice([[10 ** 400]], 1).geometry

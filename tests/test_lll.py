@@ -136,9 +136,9 @@ class TestLLLProperties:
         """The output is exact whatever the coarse basis: a poor one only
         leaves more work to the final pass."""
         coarse = data.draw(int_bases(k=M.cols))
-        out = lll_from_coarse(M.to_rational(), coarse.to_rational())
-        assert is_size_reduced(out) and satisfies_lovasz(out)
-        assert hnf(out.to_integer())[0].data == hnf(M)[0].data
+        out = lll_from_coarse(M, coarse)
+        assert is_size_reduced(out.to_rational()) and satisfies_lovasz(out.to_rational())
+        assert hnf(out)[0].data == hnf(M)[0].data
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.data())

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from hslattice.matrix import (
     IntMatrix,
     RatMatrix,
@@ -11,6 +14,7 @@ from hslattice.matrix import (
     snf,
     snf_rational,
 )
+from hslattice.verify import leibniz_det, reference_inverse
 
 
 def random_int_matrix(rng, rows, cols, bound=256):
@@ -113,7 +117,7 @@ class TestSNF:
         assert (V @ M @ W).data == D.data
 
     def test_zero(self):
-        M = IntMatrix.zeros(2, 3)
+        M = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
         D, _, _ = snf(M)
         assert D.data == M.data
 
@@ -181,6 +185,76 @@ class TestRationalSNF:
             for a, b in zip(diag, diag[1:]):
                 if a != 0 and b != 0:
                     assert (b / a).denominator == 1
+
+
+@st.composite
+def square_int(draw, bound=30):
+    """A square integer matrix of size 1..5; about a third are made singular
+    by repeating a row, scaled, in place of another."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        rows[j] = [c * x for x in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def square_rat(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    return RatMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                             min_size=n, max_size=n)))
+
+
+class TestBareiss:
+    """The one fraction-free elimination against the Leibniz determinant and
+    a textbook Gauss-Jordan inverse over Fraction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_int())
+    def test_integer_det_and_adjugate(self, A):
+        det = A.det()
+        assert det == leibniz_det(A.to_rational())
+        if det == 0:
+            with pytest.raises(ValueError):
+                A.adjugate()
+            return
+        d, adj = A.adjugate()
+        scalar = IntMatrix.from_rows([[d * (i == j) for j in range(A.rows)]
+                                      for i in range(A.rows)])
+        assert d == det
+        assert (A @ adj).data == scalar.data and (adj @ A).data == scalar.data
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_rat())
+    def test_rational_det_and_inverse(self, A):
+        assert A.det() == leibniz_det(A)
+        if A.det() == 0:
+            for invert in (A.inverse, lambda: reference_inverse(A)):
+                with pytest.raises(ValueError):
+                    invert()
+        else:
+            assert A.inverse().data == reference_inverse(A).data
+
+    def test_inverse_unimodular(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            n = rng.randrange(1, 6)
+            U = random_unimodular(rng, n)
+            assert (U @ U.inverse_unimodular()).data == IntMatrix.identity(n).data
+        for M in ([[2]], [[1, 1], [1, -1]], [[1, 2], [2, 4]], [[0]]):
+            with pytest.raises(ValueError):
+                IntMatrix.from_rows(M).inverse_unimodular()
+
+    def test_empty_and_non_square(self):
+        assert IntMatrix.identity(0).det() == 1
+        assert IntMatrix.identity(0).adjugate()[0] == 1
+        for M in (IntMatrix.from_rows([[1, 2]]), RatMatrix.from_rows([[1, 2]])):
+            with pytest.raises(ValueError):
+                M.det()
 
 
 class TestTextFormat:
