@@ -120,10 +120,10 @@ def _bareiss(a: List[List[int]], n: int, jordan: bool) -> int:
     Returns 0, leaving a partly reduced, when the columns are singular."""
     sign, prev = 1, 1
     for t in range(n):
-        piv = next((i for i in range(t, n) if a[i][t]), None)
-        if piv is None:
-            return 0
-        if piv != t:
+        if not a[t][t]:
+            piv = next((i for i in range(t + 1, n) if a[i][t]), None)
+            if piv is None:
+                return 0
             a[t], a[piv] = a[piv], a[t]
             sign = -sign
         at = a[t]
@@ -226,8 +226,6 @@ class RatMatrix:
                          _freeze([[Fraction(c * x, det) for x in row] for row in adj.data]))
 
     def det(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
         c, M = self.cleared()
         return Fraction(M.det(), c ** self.rows)
 
