@@ -126,24 +126,20 @@ class LatticeGeometry:
     def of(L: Lattice) -> "LatticeGeometry":
         star, _, norms = gram_schmidt(L.basis.to_rational().columns())
         frame = tuple((tuple(v), Fraction(_inverse_sqrt(n))) for v, n in zip(star, norms))
-        scaled = None
-        if L.rank:
-            _, adj = (L.basis.transpose() @ L.basis).adjugate()
-            scaled = L.basis @ adj
+        scaled = _scaled_reciprocal(L) if L.rank else None
         return LatticeGeometry(scaled, integer_orthogonal(L), frame)
 
 
+def _scaled_reciprocal(L: Lattice) -> IntMatrix:
+    """Delta times the reciprocal basis M (M^T M)^-1, i.e. M adj(M^T M)."""
+    _, adj = (L.basis.transpose() @ L.basis).adjugate()
+    return L.basis @ adj
+
+
 def _inverse_sqrt(n: Fraction) -> float:
-    """1 / sqrt(n) as a float for any positive rational n.  Where float(n) is
-    a positive finite number this is 1.0 / math.sqrt(float(n)); otherwise n
-    is split as 4^e * m with m near 1 and 2^-e is put back by ldexp.  Raises
-    ValueError when the result underflows to 0.0."""
-    try:
-        x = float(n)
-    except OverflowError:
-        x = math.inf
-    if 0.0 < x < math.inf:
-        return 1.0 / math.sqrt(x)
+    """1 / sqrt(n) as a float for any positive rational n: n is split as
+    4^e * m with m near 1 and 2^-e is put back by ldexp, so no step leaves
+    the float range.  Raises ValueError when the result underflows to 0.0."""
     e = (n.numerator.bit_length() - n.denominator.bit_length()) // 2
     m = n / (Fraction(4) ** e)
     r = math.ldexp(1.0 / math.sqrt(float(m)), -e)
@@ -177,7 +173,7 @@ def reciprocal_basis(L: Lattice) -> RatMatrix:
     """Generating matrix M (M^T M)^{-1} of the reciprocal lattice H^o."""
     if L.rank == 0:
         raise ValueError("rank-0 lattice has an empty reciprocal")
-    return L.geometry.scaled_reciprocal.to_rational(L.gram_det)
+    return _scaled_reciprocal(L).to_rational(L.gram_det)
 
 
 def saturation(L: Lattice) -> Lattice:

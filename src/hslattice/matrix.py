@@ -94,7 +94,8 @@ class IntMatrix:
         det = _bareiss(a, n, jordan=True)
         if det == 0:
             raise ValueError("singular matrix")
-        # The appended block ends as |det| * self^-1; adj = det * self^-1.
+        # The appended block ends as p * self^-1 for the last pivot p = +-det;
+        # adj = det * self^-1.
         sign = 1 if n == 0 or a[0][0] == det else -1
         return det, IntMatrix(n, n, _freeze([[sign * x for x in row[n:]] for row in a]))
 
@@ -115,8 +116,9 @@ def _bareiss(a: List[List[int]], n: int, jordan: bool) -> int:
     exactly by the previous pivot: each entry is then a (t+1)-minor of the
     input, so the integers grow no larger than those minors.  Forward
     elimination (jordan=False) clears below the pivots only.  Gauss-Jordan
-    clears above them too, so the n columns end as |det| * I and columns
-    appended to the rows end multiplied by |det| times the inverse.
+    clears above them too, so the n columns end as p * I and columns
+    appended to the rows end multiplied by p times the inverse, where p =
+    +-det is the last pivot.
     Returns 0, leaving a partly reduced, when the columns are singular."""
     sign, prev = 1, 1
     for t in range(n):

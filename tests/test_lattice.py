@@ -99,6 +99,12 @@ class TestReciprocal:
         with pytest.raises(ValueError):
             reciprocal_basis(Lattice.trivial(2))
 
+    def test_exact_beyond_float_range(self):
+        """The exact reciprocal needs no float, so a basis whose inverse norm
+        underflows a float still has one."""
+        L = col_lattice([[10 ** 400]], 1)
+        assert reciprocal_basis(L).data == ((Fraction(1, 10 ** 400),),)
+
 
 class TestSaturation:
     def test_zn(self):
