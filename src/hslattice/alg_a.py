@@ -21,13 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .lattice import (
-    Lattice,
-    TorusVec,
-    dual_sample_uniform,
-    gaussian_grid_noise,
-    lattice_from_generators,
-)
+from .lattice import Lattice, dual_sample_uniform, gaussian_grid_noise, lattice_from_generators
 from .lll import lll_from_coarse
 from .matrix import IntMatrix, RatMatrix, snf, snf_rational
 from .rationals import legendre_reconstruct
@@ -118,13 +112,15 @@ def schedule(n: int, k: int, retries: int = 8) -> AlgAParams:
 
 @dataclass(frozen=True)
 class FourierSample:
-    """One measured Fourier mode on the grid (1/Q)Z^k.
+    """One measured Fourier mode on the grid (1/Q)Z^k, as its numerators
+    over Q.
 
-    true_y0 is the noiseless dual point, retained only in debug mode so the
-    recovery path provably never reads the secret in production."""
+    true_y0 is the noiseless dual point, as its numerators over
+    lcm(Delta, Q), retained only in debug mode so the recovery path provably
+    never reads the secret in production."""
 
-    y1: TorusVec
-    true_y0: Optional[TorusVec] = None
+    y1: Tuple[int, ...]
+    true_y0: Optional[Tuple[int, ...]] = None
 
 
 def sample_fourier_point(secret: Lattice, p: AlgAParams, rng: random.Random,
@@ -134,8 +130,8 @@ def sample_fourier_point(secret: Lattice, p: AlgAParams, rng: random.Random,
     exp(-2 pi S^2 ||u||^2), i.e. per-coordinate deviation 1/(2 sqrt(pi) S)."""
     if secret.k != p.k:
         raise ValueError("dimension mismatch")
-    y0 = dual_sample_uniform(secret, p.Q, rng)
-    y1 = gaussian_grid_noise(secret, y0, p.S, p.Q, rng)
+    y0, _, _ = dual_sample_uniform(secret, p.Q, rng)
+    y1 = gaussian_grid_noise(secret, y0, math.lcm(secret.gram_det, p.Q), p.S, p.Q, rng)
     return FourierSample(y1, y0 if debug else None)
 
 
@@ -199,27 +195,31 @@ def _round_half_even(a: int, b: int) -> int:
     return q - 1 if r == 0 and q & 1 else q
 
 
-def recover_colattice(y1: TorusVec, p: AlgAParams) -> Tuple[Optional[Lattice], RecoveryTrace]:
-    """Recover H_1 = H_R intersect Z^k from a single Fourier sample.
+def recover_colattice(y: Tuple[int, ...], modulus: int,
+                      p: AlgAParams) -> Tuple[Optional[Lattice], RecoveryTrace]:
+    """Recover H_1 = H_R intersect Z^k from a single Fourier sample, the
+    point y / modulus of the torus.
 
     Returns (lattice, trace); the lattice is None when the sample is bad
     (no short LLL prefix, a singular row selection, or an unverified
     continued-fraction reconstruction), in which case the caller resamples."""
-    k = y1.k
-    lift = y1.lift()
-    # E = [I_k, lift(y1); 0, 1/T] as integers over the lcm of its denominators.
-    scale = math.lcm(p.T, *(c.denominator for c in lift))
-    E = _flattened(scale, [c.numerator * (scale // c.denominator) for c in lift] + [scale // p.T])
+    k = len(y)
+    # lift(y): the numerators of the representative in (-1/2, 1/2]^k.
+    lift = [c - modulus if 2 * c > modulus else c for c in y]
+    # E = [I_k, lift(y); 0, 1/T] as integers over scale.  Every step below
+    # is invariant under a common scale, so any multiple of T and the
+    # modulus serves.
+    scale = math.lcm(p.T, modulus)
+    E = _flattened(scale, [c * (scale // modulus) for c in lift] + [scale // p.T])
     trace = RecoveryTrace(scale, E)
 
-    # Reduce first with lift(y1) rounded to the grid 1/G, G = T * 2^bits(R).
+    # Reduce first with lift(y) rounded to the grid 1/G, G = T * 2^bits(R).
     # A lattice vector no longer than 1/R has last coordinate c/T with
     # |c| <= T/R, so the rounding moves each of its entries by at most
     # |c|/(2G) < 1/(2R^2): the short vectors keep their shape on a basis of
     # a fraction of Q's bits.  The exact pass on E follows.
     G = p.T << p.R.bit_length()
-    coarse = _flattened(G, [_round_half_even(c.numerator * G, c.denominator) for c in lift]
-                        + [G // p.T])
+    coarse = _flattened(G, [_round_half_even(c * G, modulus) for c in lift] + [G // p.T])
     B = lll_from_coarse(E, coarse)
     trace.lll_int = B
     # A column is short when its norm, over `scale`, is at most r = 1/R.
@@ -300,7 +300,7 @@ def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:
     on the pivot rows of h1's HNF basis, which form an upper-triangular
     matrix with nonzero diagonal.  The secret must lie in h1."""
     N = h1.basis
-    pivots = h1.pivots()
+    pivots = h1.pivots
     cols = []
     for s in secret.basis.columns():
         x = [0] * h1.rank
@@ -385,7 +385,7 @@ def end_to_end(secret: Lattice, p: AlgAParams, rng: random.Random,
         sample = sample_fourier_point(secret, params, rng, debug=debug)
         if stats is not None:
             stats.samples += 1
-        h1, trace = recover_colattice(sample.y1, params)
+        h1, trace = recover_colattice(sample.y1, params.Q, params)
         if (h1 is not None and h1.rank == secret.rank
                 and h1.contains_lattice(secret)):
             rec = finite_stage(secret, h1, params, rng)

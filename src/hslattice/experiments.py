@@ -138,7 +138,7 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
 
             trace_rng = trial_rng(seed ^ 0xDEB06, i)
             sample = sample_fourier_point(secret, params, trace_rng, debug=True)
-            _, trace = recover_colattice(sample.y1, params)
+            _, trace = recover_colattice(sample.y1, params.Q, params)
             record["trace"] = {
                 "E": format_matrix(trace.E),
                 "lll_basis": format_matrix(trace.lll_basis) if trace.lll_basis else None,

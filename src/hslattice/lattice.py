@@ -4,7 +4,9 @@ A lattice H <= Z^k is held as a canonical column-HNF basis.  The torus dual
 H^# = {y : x.y in Z for all x in H} splits into a finite component group
 (reached through the reciprocal lattice H^o) and a connected torus H_1^#
 (reached through the integer points of H_R^perp); the operations here expose
-exactly the pieces the recovery algorithms need.
+exactly the pieces the recovery algorithms need.  A point y of (R/Z)^k is
+always the tuple x of its integer numerators in [0, modulus), with the
+modulus passed beside it: y = x / modulus.
 """
 
 from __future__ import annotations
@@ -22,43 +24,6 @@ from .matrix import IntMatrix, RatMatrix, hnf, hnf_pivots, snf
 # 2*sqrt(pi) to 17 significant digits; fixes the Gaussian width s/(2 sqrt(pi))
 # as an exact rational.
 _TWO_SQRT_PI = Fraction(35449077018110322, 10 ** 16)
-
-
-def _frac_mod1(x: Fraction) -> Fraction:
-    return x - (x.__floor__())
-
-
-@dataclass(frozen=True, order=True)
-class TorusVec:
-    """A point of (R/Z)^k with exact rational coordinates in [0, 1)."""
-
-    coords: Tuple[Fraction, ...]
-
-    @staticmethod
-    def make(values: Sequence) -> "TorusVec":
-        return TorusVec(tuple(_frac_mod1(Fraction(v)) for v in values))
-
-    @property
-    def k(self) -> int:
-        return len(self.coords)
-
-    def lift(self) -> Tuple[Fraction, ...]:
-        """Canonical lift into (-1/2, 1/2]^k; reducing it back is the identity."""
-        return tuple(c if 2 * c <= 1 else c - 1 for c in self.coords)
-
-    def __sub__(self, other: "TorusVec") -> "TorusVec":
-        return TorusVec(tuple(_frac_mod1(a - b) for a, b in zip(self.coords, other.coords)))
-
-    def pairing(self, x: Sequence[int]) -> Fraction:
-        """x . y as an element of R/Z, represented in [0, 1)."""
-        return _frac_mod1(sum((Fraction(a) * c for a, c in zip(x, self.coords)), Fraction(0)))
-
-    def norm_sq(self) -> Fraction:
-        """Squared distance to 0, i.e. the squared norm of the canonical lift."""
-        return sum((c * c for c in self.lift()), Fraction(0))
-
-    def __str__(self) -> str:
-        return " ".join(str(c) for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -102,7 +67,9 @@ class Lattice:
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(other.basis.column(j)) for j in range(other.rank))
 
+    @functools.cached_property
     def pivots(self) -> List[Tuple[int, int]]:
+        """(pivot row, column) of each basis column, found on first use."""
         return hnf_pivots(self.basis)
 
     @functools.cached_property
@@ -160,7 +127,7 @@ def coset_canonical(L: Lattice, x: Sequence[int]) -> Tuple[int, ...]:
     if len(x) != L.k:
         raise ValueError("dimension mismatch")
     v = [int(c) for c in x]
-    for r, j in reversed(L.pivots()):
+    for r, j in reversed(L.pivots):
         col = L.basis.column(j)
         q = v[r] // col[r]
         if q:
@@ -196,31 +163,28 @@ def integer_orthogonal(L: Lattice) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=L.k)
 
 
-def dual_membership(L: Lattice, y: TorusVec) -> bool:
-    """True iff every basis vector pairs integrally with y."""
-    if y.k != L.k:
+def dual_membership(L: Lattice, x: Sequence[int], modulus: int) -> bool:
+    """True iff the point x / modulus pairs integrally with every basis vector."""
+    if len(x) != L.k:
         raise ValueError("dimension mismatch")
-    return all(
-        y.pairing(L.basis.column(j)) == 0 for j in range(L.rank)
-    )
+    return all(sum(a * b for a, b in zip(x, col)) % modulus == 0 for col in zip(*L.basis.data))
 
 
-def dual_sample_numerators(L: Lattice, torus_grid: int, modulus: int,
-                           rng: random.Random) -> Tuple[Tuple[int, ...], List[int], List[int]]:
+def dual_sample_uniform(L: Lattice, torus_grid: int,
+                        rng: random.Random) -> Tuple[Tuple[int, ...], List[int], List[int]]:
     """Exact uniform sample y from H^#, with the connected torus part on the
-    grid (1/torus_grid) Z^k, as numerators over `modulus`: y = x / modulus.
-    The modulus must be a multiple of both Delta and torus_grid.
+    grid (1/torus_grid) Z^k, as numerators over the least modulus
+    lcm(Delta, torus_grid): y = x / modulus.
 
     The finite component group is hit via frac(M_rec a) with a uniform over
     (Z/Delta)^rank (valid because Delta H^o <= H), convolved with
     frac(C u / torus_grid) for u uniform over (Z/torus_grid)^(k - rank), C
-    the integer orthogonal.  Returns (x, a, u)."""
+    the integer orthogonal.  Returns (x, a, u); the raw draws let callers
+    check the genericity of the torus part."""
     if torus_grid < 1:
         raise ValueError("torus grid must be >= 1")
-    if modulus % L.gram_det or modulus % torus_grid:
-        raise ValueError(f"modulus {modulus} is not a multiple of Delta = {L.gram_det} "
-                         f"and the torus grid {torus_grid}")
     g = L.geometry
+    modulus = math.lcm(L.gram_det, torus_grid)
     x = [0] * L.k
     a = [rng.randrange(L.gram_det) for _ in range(L.rank)]
     if a:
@@ -233,31 +197,25 @@ def dual_sample_numerators(L: Lattice, torus_grid: int, modulus: int,
     return tuple(c % modulus for c in x), a, u
 
 
-def dual_sample_uniform(L: Lattice, torus_grid: int, rng: random.Random,
-                        return_parts: bool = False):
-    """`dual_sample_numerators` as a TorusVec, over the least modulus
-    lcm(Delta, torus_grid).  With return_parts the raw draws (a, u / torus_grid)
-    come back too, so callers can check genericity of the torus part."""
-    modulus = math.lcm(L.gram_det, torus_grid)
-    x, a, u = dual_sample_numerators(L, torus_grid, modulus, rng)
-    y = TorusVec(tuple(Fraction(c, modulus) for c in x))
-    if return_parts:
-        return y, a, [Fraction(c, torus_grid) for c in u]
-    return y
-
-
-def gaussian_grid_noise(L: Lattice, y: TorusVec, width: int, grid: int,
-                        rng: random.Random) -> TorusVec:
+def gaussian_grid_noise(L: Lattice, x: Sequence[int], modulus: int, width: int, grid: int,
+                        rng: random.Random) -> Tuple[int, ...]:
     """Add Gaussian noise along H_R with density exp(-2 pi width^2 ||u||^2),
-    i.e. per-coordinate deviation 1/(2 sqrt(pi) width), and round to the
-    (1/grid) Z^k grid.  One standard normal draw per basis vector."""
-    coords = list(y.coords)
+    i.e. per-coordinate deviation 1/(2 sqrt(pi) width), to the point
+    x / modulus and round to the (1/grid) Z^k grid; returns the numerators
+    over grid.  One standard normal draw per basis vector."""
     sigma = 1 / (_TWO_SQRT_PI * width)
+    offset = [Fraction(0)] * len(x)
     for vec, inv_norm in L.geometry.frame:
         z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
         if z:
-            coords = [c + z * g for c, g in zip(coords, vec)]
-    return TorusVec.make([Fraction((c * grid + Fraction(1, 2)).__floor__(), grid) for c in coords])
+            offset = [o + z * g for o, g in zip(offset, vec)]
+    out = []
+    for c, o in zip(x, offset):
+        # floor(grid (c / modulus + o) + 1/2) over the common denominator 2 modulus q
+        q = o.denominator
+        out.append((2 * grid * (c * q + o.numerator * modulus) + modulus * q)
+                   // (2 * modulus * q) % grid)
+    return tuple(out)
 
 
 def basis_bit_complexity(L: Lattice) -> int:

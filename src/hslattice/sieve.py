@@ -38,9 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import (
     Lattice,
-    TorusVec,
     basis_bit_complexity,
-    dual_sample_numerators,
+    dual_membership,
+    dual_sample_uniform,
     gaussian_grid_noise,
     lattice_from_generators,
 )
@@ -118,18 +118,6 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
         noise=noise, shift_bound=shift_bound if shift_bound is not None else 2 ** (t - 1),
         max_retries=max_retries, check=check,
     )
-
-
-def _on_grid(y: TorusVec, N: int) -> Point:
-    """The numerators of y over N (the gaussian sampler's grid-rounded
-    point); a point off the (1/N) grid is an error, never rounded."""
-    out = []
-    for c in y.coords:
-        x, r = divmod(c.numerator * N, c.denominator)
-        if r:
-            raise ValueError(f"{y} is not on the (1/{N}) Z^k grid")
-        out.append(x)
-    return tuple(out)
 
 
 def _lift(d: int, N: int) -> int:
@@ -220,11 +208,11 @@ def create_qubit(L: Lattice, cfg: SieveConfig, rng: random.Random,
         if stats.qubits > QUBIT_BUDGET:
             raise SieveBudgetExceeded("qubit budget exhausted")
     N = cfg.N
-    y, _, _ = dual_sample_numerators(L, cfg.Q, N, rng)
+    y, _, _ = dual_sample_uniform(L, cfg.Q, rng)
     if cfg.noise == "gaussian":
-        noisy = gaussian_grid_noise(L, TorusVec(tuple(Fraction(c, N) for c in y)),
-                                    cfg.G, cfg.Q, rng)
-        y = _on_grid(noisy, N)
+        # The noisy point is on the (1/Q) grid, and Q divides N.
+        step = N // cfg.Q
+        y = tuple(step * c for c in gaussian_grid_noise(L, y, N, cfg.G, cfg.Q, rng))
     elif cfg.noise != "exact":
         raise ValueError(f"unknown noise mode {cfg.noise!r}")
     zero = (0,) * L.k
@@ -363,14 +351,12 @@ def _balanced_split(counts: Counts, rng: random.Random) -> Tuple[Counts, Counts]
 def _check_vector(pv: PhaseVector, cfg: SieveConfig, L: Lattice, j: int,
                   final: bool) -> None:
     radius = cfg.stage_radius(j)
-    basis = L.basis.columns()
     for spot in pv.spots:
         assert spot.window.radius == radius, "radius telescoping violated"
         for y in spot.counts:
             assert spot.window.contains(y), "multiplier escaped its window"
             if cfg.noise == "exact":
-                assert all(sum(a * b for a, b in zip(y, col)) % cfg.N == 0 for col in basis), \
-                    "multiplier left the dual group"
+                assert dual_membership(L, y, cfg.N), "multiplier left the dual group"
         if final:
             assert cfg.min_len <= spot.length < cfg.max_len, "length discipline violated"
 
@@ -474,9 +460,7 @@ def build_target_group(L: Lattice, t: int) -> Tuple[CyclicFactor, ...]:
                 factors.append(CyclicFactor(d, tuple(V[i, j] % d for j in range(L.k)), "finite"))
     for col in L.geometry.ortho.columns():
         factors.append(CyclicFactor(2 ** t, tuple(c % 2 ** t for c in col), "torsion"))
-    for f in factors:  # in H^#: every basis vector pairs to 0 mod the order
-        assert all(sum(g * b for g, b in zip(f.generator, col)) % f.order == 0
-                   for col in L.basis.columns())
+    assert all(dual_membership(L, f.generator, f.order) for f in factors)
     return tuple(factors)
 
 

@@ -13,7 +13,6 @@ from hslattice.alg_a import end_to_end, recover_colattice, sample_fourier_point,
 from hslattice.experiments import random_lattice, trial_rng
 from hslattice.lattice import (
     Lattice,
-    TorusVec,
     basis_bit_complexity,
     coset_canonical,
     dual_membership,
@@ -191,13 +190,19 @@ def test_07_sampler_statistics():
         L = random_lattice(k, rng.randrange(0, k + 1), 16, rng)
         p = schedule(max(1, basis_bit_complexity(L)), k)
         thresh_sq = k * (Fraction(1, p.S) + Fraction(1, 2 * p.Q)) ** 2
+        # y1 is over Q and y0 over lcm(Delta, Q): compare over the latter.
+        modulus = math.lcm(L.gram_det, p.Q)
+        step = modulus // p.Q
         members = 0
         close = 0
         draws = 10000
         for _ in range(draws):
             sam = sample_fourier_point(L, p, rng, debug=True)
-            members += dual_membership(L, sam.true_y0)
-            close += (sam.y1 - sam.true_y0).norm_sq() <= thresh_sq
+            members += dual_membership(L, sam.true_y0, modulus)
+            diff = [(a * step - b) % modulus for a, b in zip(sam.y1, sam.true_y0)]
+            norm_sq = Fraction(sum((d - modulus if 2 * d > modulus else d) ** 2 for d in diff),
+                               modulus ** 2)
+            close += norm_sq <= thresh_sq
         rate = close / draws
         results.append((members == draws, rate))
     ok = all(m for m, _ in results) and all(r >= 0.70 for _, r in results)
@@ -226,11 +231,11 @@ def test_08_alg_a_end_to_end():
         k = rng.randrange(1, 6)
         sec = random_lattice(k, rng.randrange(0, k + 1), 64, rng)
         p = schedule(max(1, basis_bit_complexity(sec)), k)
-        y0, _, u = dual_sample_uniform(sec, p.Q, rng, return_parts=True)
-        if any(c.denominator != p.Q for c in u):
-            continue  # torus part not generic
+        y0, _, u = dual_sample_uniform(sec, p.Q, rng)
+        if any(math.gcd(c, p.Q) != 1 for c in u):
+            continue  # torus part not generic: some u_i / Q has a smaller denominator
         generic_total += 1
-        h1, _ = recover_colattice(y0, p)
+        h1, _ = recover_colattice(y0, math.lcm(sec.gram_det, p.Q), p)
         from hslattice.lattice import saturation
 
         generic_wins += h1 == saturation(sec)
@@ -266,15 +271,23 @@ def test_09_finite_stage():
     sec = lattice_from_generators(P)
     index = abs(P.det())
     pinv_t = P.to_rational().inverse().transpose()
+
+    def mod1(values):
+        return tuple(Fraction(v) % 1 for v in values)
+
+    def member(y):
+        m = math.lcm(*(c.denominator for c in y))
+        return dual_membership(sec, [c.numerator * (m // c.denominator) for c in y], m)
+
     full = {
-        TorusVec.make(pinv_t.mul_vec(a))
+        mod1(pinv_t.mul_vec(a))
         for a in product(range(index), repeat=2)
     }
     sampled = {
-        TorusVec.make(pinv_t.mul_vec([rng.randrange(index) for _ in range(2)]))
+        mod1(pinv_t.mul_vec([rng.randrange(index) for _ in range(2)]))
         for _ in range(2000)
     }
-    support_ok = sampled == full and all(dual_membership(sec, y) for y in full)
+    support_ok = sampled == full and all(member(y) for y in full)
     ok = wins >= 150 and support_ok
     report(9, ok, f"{wins}/200 recovered; dual support match={support_ok}")
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,13 @@ def col_lattice(cols, k):
     if not cols:
         return Lattice.trivial(k)
     return lattice_from_generators(IntMatrix.from_columns(cols, rows=k))
+
+
+def noise_norm_sq(sec, p, s):
+    """||lift(y1 - y0)||^2 for a debug sample: y1 over Q, y0 over lcm(Delta, Q)."""
+    modulus = math.lcm(sec.gram_det, p.Q)
+    diff = [(a * (modulus // p.Q) - b) % modulus for a, b in zip(s.y1, s.true_y0)]
+    return Fraction(sum((d - modulus if 2 * d > modulus else d) ** 2 for d in diff), modulus ** 2)
 
 
 class TestSchedule:
@@ -57,9 +65,9 @@ class TestSampler:
         sec = Lattice.zn(2)
         for _ in range(10):
             s = sample_fourier_point(sec, p, rng, debug=True)
-            assert s.true_y0 == s.true_y0.__class__(tuple(Fraction(0) for _ in range(2)))
-            # y1 = grid-rounded Gaussian noise only
-            assert all(c.denominator <= p.Q for c in s.y1.coords)
+            assert s.true_y0 == (0, 0)
+            # y1 = grid-rounded Gaussian noise only, as numerators over Q
+            assert all(0 <= c < p.Q for c in s.y1)
 
     def test_trivial_exact_grid(self):
         rng = random.Random(1)
@@ -75,8 +83,7 @@ class TestSampler:
         sec = col_lattice([[3, 1]], 2)
         for _ in range(20):
             s = sample_fourier_point(sec, p, rng)
-            for c in s.y1.coords:
-                assert p.Q % c.denominator == 0
+            assert len(s.y1) == 2 and all(0 <= c < p.Q for c in s.y1)
 
     def test_2z_split(self):
         rng = random.Random(3)
@@ -86,7 +93,7 @@ class TestSampler:
         for _ in range(4000):
             s = sample_fourier_point(sec, p, rng)
             # round(2 y1) mod 2 classifies the dual component
-            cls = int((2 * s.y1.coords[0] + Fraction(1, 2)).__floor__()) % 2
+            cls = math.floor(Fraction(2 * s.y1[0], p.Q) + Fraction(1, 2)) % 2
             counts[cls] += 1
         chi2 = sum((c - 2000) ** 2 / 2000 for c in counts.values())
         assert chi2 < 10.83  # 1 dof, p > 0.001
@@ -100,8 +107,8 @@ class TestSampler:
         draws = 400
         for _ in range(draws):
             s = sample_fourier_point(sec, p, rng, debug=True)
-            assert dual_membership(sec, s.true_y0)
-            if (s.y1 - s.true_y0).norm_sq() <= thresh_sq:
+            assert dual_membership(sec, s.true_y0, math.lcm(sec.gram_det, p.Q))
+            if noise_norm_sq(sec, p, s) <= thresh_sq:
                 hits += 1
         assert hits / draws >= 0.70
 
@@ -109,10 +116,7 @@ class TestSampler:
 class TestRecoverColattice:
     def test_zn_noiseless(self):
         p = schedule(2, 2)
-        y = Lattice.zn(2)
-        from hslattice.lattice import TorusVec
-
-        h1, trace = recover_colattice(TorusVec.make([0, 0]), p)
+        h1, trace = recover_colattice((0, 0), p.Q, p)
         assert h1 == Lattice.zn(2)
         assert trace.ell_guess == 2
 
@@ -121,7 +125,7 @@ class TestRecoverColattice:
         sec = Lattice.trivial(1)
         p = schedule(2, 1)
         s = sample_fourier_point(sec, p, rng, debug=True)
-        h1, trace = recover_colattice(s.y1, p)
+        h1, trace = recover_colattice(s.y1, p.Q, p)
         assert h1 == Lattice.trivial(1)
         assert trace.ell_guess == 0
 
@@ -130,7 +134,7 @@ class TestRecoverColattice:
         sec = col_lattice([[3, 1]], 2)
         p = schedule(basis_bit_complexity(sec), 2)
         s = sample_fourier_point(sec, p, rng, debug=True)
-        h1, trace = recover_colattice(s.true_y0, p)
+        h1, trace = recover_colattice(s.true_y0, math.lcm(sec.gram_det, p.Q), p)
         assert h1 == sec  # (3,1) is primitive, so H1 = H
         # A4 is the stripe slope, verified against the kernel: x2 = x1/3
         assert trace.A4.data == ((Fraction(-1, 3),),) or trace.A4.data == ((Fraction(1, 3),),)
@@ -140,7 +144,7 @@ class TestRecoverColattice:
         sec = col_lattice([[2, 0], [1, 3]], 2)
         p = schedule(basis_bit_complexity(sec), 2)
         s = sample_fourier_point(sec, p, rng)
-        h1, trace = recover_colattice(s.y1, p)
+        h1, trace = recover_colattice(s.y1, p.Q, p)
         # E: first k columns standard basis, last column (lift(y1), t)
         k = 2
         for j in range(k):
@@ -160,7 +164,7 @@ class TestRecoverColattice:
         sec = col_lattice([[3, 1]], 2)
         p = schedule(basis_bit_complexity(sec), 2)
         s = sample_fourier_point(sec, p, rng)
-        _, trace = recover_colattice(s.y1, p)
+        _, trace = recover_colattice(s.y1, p.Q, p)
         scale = trace.E.denominator_lcm()
         He, _ = hnf(trace.E.scale(scale).to_integer())
         Hb, _ = hnf(trace.lll_basis.scale(scale).to_integer())
@@ -171,7 +175,7 @@ class TestRecoverColattice:
         sec = col_lattice([[2, 3, 1]], 3)
         p = schedule(basis_bit_complexity(sec), 3)
         s = sample_fourier_point(sec, p, rng, debug=True)
-        h1, trace = recover_colattice(s.true_y0, p)
+        h1, trace = recover_colattice(s.true_y0, math.lcm(sec.gram_det, p.Q), p)
         if h1 is None:
             pytest.skip("non-generic noiseless sample")
         # columns of A5 are orthogonal to B1's first k rows on noiseless input

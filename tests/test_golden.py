@@ -81,14 +81,20 @@ def test_submodule_attributes_are_the_modules():
         assert getattr(hslattice, info.name) is module, info.name
 
 
-def test_trace_layers_resolve():
-    """perfbench/tracing.py wraps each LAYERS function by name, so a rename in
-    the package breaks benchmark runs with `--trace 1`, which nothing else here
-    exercises."""
+def load_tracing():
+    """perfbench/tracing.py, loaded from its file without importing perfbench."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_layers_resolve():
+    """perfbench/tracing.py wraps each LAYERS function by name, so a rename in
+    the package breaks benchmark runs with `--trace 1`, which nothing else here
+    exercises."""
+    tracing = load_tracing()
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -100,3 +106,25 @@ def test_trace_layers_resolve():
             assert hasattr(getattr(owner, attr), "__wrapped__"), f"{module_name}.{attr} is not traced"
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("run,layers", [
+    (lambda ex: ex.run_hsp_experiment(
+        {"k": 1, "secret": {"random_rank": "random", "entry_bound": 16}}, seed=1, trials=1),
+     ["lattice.dual_sample_uniform"]),
+    (lambda ex: ex.run_shift_experiment(
+        {"k": 1, "basis": [[8]], "t": 1, "check": True}, seed=1, trials=1, noise="exact"),
+     ["lattice.dual_sample_uniform", "lattice.dual_membership"]),
+], ids=["hsp-k1", "sieve-exact"])
+def test_trace_layers_count_live_runs(run, layers):
+    """A layer that resolves can still read 0 when the pipelines stop calling
+    it by that name; one traced trial of each pipeline must count its calls."""
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        run(sys.modules["hslattice.experiments"])
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    for name in layers:
+        assert metrics[f"{name}.calls"] > 0, name

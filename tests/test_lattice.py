@@ -6,7 +6,6 @@ import pytest
 
 from hslattice.lattice import (
     Lattice,
-    TorusVec,
     coset_canonical,
     dual_membership,
     dual_sample_uniform,
@@ -23,21 +22,6 @@ def col_lattice(cols, k):
     if not cols:
         return Lattice.trivial(k)
     return lattice_from_generators(IntMatrix.from_columns(cols, rows=k))
-
-
-class TestTorusVec:
-    def test_reduction(self):
-        v = TorusVec.make([Fraction(5, 4), Fraction(-1, 3)])
-        assert v.coords == (Fraction(1, 4), Fraction(2, 3))
-
-    def test_lift_roundtrip(self):
-        rng = random.Random(0)
-        for _ in range(200):
-            v = TorusVec.make([Fraction(rng.randrange(-20, 20), rng.randrange(1, 15))
-                               for _ in range(3)])
-            lifted = v.lift()
-            assert all(-Fraction(1, 2) < c <= Fraction(1, 2) for c in lifted)
-            assert TorusVec.make(lifted) == v
 
 
 class TestConstruction:
@@ -167,12 +151,12 @@ class TestIntegerOrthogonal:
 class TestDualMembership:
     def test_zero_always(self):
         L = col_lattice([[3, 1]], 2)
-        assert dual_membership(L, TorusVec.make([0, 0]))
+        assert dual_membership(L, (0, 0), 1)
 
     def test_1d(self):
         L = col_lattice([[2]], 1)
-        assert dual_membership(L, TorusVec.make([Fraction(1, 2)]))
-        assert not dual_membership(L, TorusVec.make([Fraction(1, 3)]))
+        assert dual_membership(L, (1,), 2)
+        assert not dual_membership(L, (1,), 3)
 
 
 class TestDualSampling:
@@ -180,14 +164,14 @@ class TestDualSampling:
         rng = random.Random(4)
         L = Lattice.zn(2)
         for _ in range(50):
-            assert dual_sample_uniform(L, 8, rng) == TorusVec.make([0, 0])
+            assert dual_sample_uniform(L, 8, rng)[0] == (0, 0)
 
     def test_2z_uniform(self):
         rng = random.Random(5)
         counts = {0: 0, 1: 0}
         for _ in range(10000):
-            y = dual_sample_uniform(col_lattice([[2]], 1), 4, rng)
-            counts[0 if y.coords[0] == 0 else 1] += 1
+            x, _, _ = dual_sample_uniform(col_lattice([[2]], 1), 4, rng)
+            counts[0 if x[0] == 0 else 1] += 1
         # chi-squared, 1 dof, p > 0.001 -> statistic < 10.83
         chi2 = sum((c - 5000) ** 2 / 5000 for c in counts.values())
         assert chi2 < 10.83
@@ -196,9 +180,9 @@ class TestDualSampling:
         rng = random.Random(6)
         seen = set()
         for _ in range(400):
-            y = dual_sample_uniform(Lattice.trivial(1), 4, rng)
-            seen.add(y.coords[0])
-        assert seen == {Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)}
+            x, _, _ = dual_sample_uniform(Lattice.trivial(1), 4, rng)
+            seen.add(x[0])
+        assert seen == {0, 1, 2, 3}  # quarters over the modulus lcm(1, 4)
 
     def test_membership_and_component_uniformity(self):
         from scipy.stats import chi2 as chi2_dist
@@ -208,13 +192,15 @@ class TestDualSampling:
             k = rng.randrange(1, 5)
             L = random_lattice(k, rng.randrange(0, k + 1), 8, rng)
             sat = saturation(L)
+            modulus = math.lcm(L.gram_det, 16)
             counts = {}
             draws = 2000
             for _ in range(draws):
-                y = dual_sample_uniform(L, 16, rng)
-                assert dual_membership(L, y)
+                x, _, _ = dual_sample_uniform(L, 16, rng)
+                assert dual_membership(L, x, modulus)
                 # component = pairing pattern against the saturation basis
-                key = tuple(y.pairing(sat.basis.column(j)) for j in range(sat.rank))
+                key = tuple(sum(a * b for a, b in zip(x, sat.basis.column(j))) % modulus
+                            for j in range(sat.rank))
                 counts[key] = counts.get(key, 0) + 1
             ncomp = math.isqrt(L.gram_det // sat.gram_det)
             assert len(counts) <= ncomp

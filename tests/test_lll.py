@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hslattice.alg_a import recover_colattice, schedule
-from hslattice.lattice import TorusVec
 from hslattice.lll import _lll_integer, babai_nearest_plane, lll, lll_from_coarse
 from hslattice.matrix import IntMatrix, RatMatrix, hnf
 from hslattice.verify import (
@@ -145,9 +144,8 @@ class TestLLLProperties:
     def test_flattened_lattice(self, k, n, data):
         """recover_colattice's two-step reduction of E = [I_k, lift(y1); 0, 1/T]."""
         p = schedule(n, k)
-        y1 = TorusVec.make([Fraction(data.draw(st.integers(0, p.Q - 1)), p.Q)
-                            for _ in range(k)])
-        _, trace = recover_colattice(y1, p)
+        y1 = tuple(data.draw(st.integers(0, p.Q - 1)) for _ in range(k))
+        _, trace = recover_colattice(y1, p.Q, p)
         out = trace.lll_basis
         assert is_size_reduced(out) and satisfies_lovasz(out)
         assert same_lattice(out, trace.E)

@@ -9,12 +9,11 @@ from hypothesis import given, settings, strategies as st
 from hslattice.experiments import random_lattice
 from hslattice.lattice import (
     Lattice,
-    TorusVec,
     basis_bit_complexity,
     coset_canonical,
     dual_membership,
-    dual_sample_numerators,
     dual_sample_uniform,
+    gaussian_grid_noise,
     integer_orthogonal,
     lattice_from_generators,
     reciprocal_basis,
@@ -56,29 +55,35 @@ def L8():
     return col_lattice([[8]], 1)
 
 
-def tv(*coords):
-    return TorusVec.make([Fraction(c) if not isinstance(c, str) else Fraction(c)
-                          for c in coords])
+def mod1(values):
+    """A point of (R/Z)^k as exact Fractions in [0, 1), the reference the
+    integer torus is checked against."""
+    return tuple(Fraction(v) % 1 for v in values)
 
 
 N = 128  # modulus of the hand-built phase vectors: every multiplier below is on (1/128) Z
 
 
 def nv(*coords):
-    """The point tv(*coords) as numerators over N."""
-    scaled = [c * N for c in tv(*coords).coords]
+    """The point mod1(coords) as numerators over N."""
+    scaled = [c * N for c in mod1(coords)]
     assert all(x.denominator == 1 for x in scaled), "point off the (1/N) grid"
     return tuple(x.numerator for x in scaled)
 
 
 def torus(y, modulus):
-    """Numerators over the modulus back to a TorusVec."""
-    return TorusVec.make([Fraction(c, modulus) for c in y])
+    """Numerators over the modulus back to Fractions mod 1."""
+    return mod1(Fraction(c, modulus) for c in y)
 
 
 def add(y, z):
-    """Sum of two TorusVecs, the Fraction reference for the sieve's sums."""
-    return TorusVec.make([a + b for a, b in zip(y.coords, z.coords)])
+    """Sum of two points mod 1, the Fraction reference for the sieve's sums."""
+    return mod1(a + b for a, b in zip(y, z))
+
+
+def lifted_difference(y, z):
+    """y - z mod 1, lifted into (-1/2, 1/2]^k."""
+    return tuple(c if 2 * c <= 1 else c - 1 for c in mod1(a - b for a, b in zip(y, z)))
 
 
 def window(center, radius):
@@ -146,7 +151,7 @@ class TestCreateQubit:
         for _ in range(20):
             q = create_qubit(L, cfg, rng)
             for y in q.spots[0].counts:
-                assert dual_membership(L, torus(y, cfg.N))
+                assert dual_membership(L, y, cfg.N)
 
 
 class TestTensor:
@@ -413,7 +418,7 @@ def torus_windows(draw):
 
 
 def fraction_window(w):
-    """The window as (TorusVec center, Fraction radius), as the sieve held it
+    """The window as (Fraction center, Fraction radius), as the sieve held it
     before multipliers were numerators."""
     return torus(w.center, w.modulus), Fraction(w.radius, w.modulus)
 
@@ -426,7 +431,8 @@ class TestIntegerTorus:
     def test_contains(self, case):
         n, _, w, y = case
         center, radius = fraction_window(w)
-        expect = 2 * radius >= 1 or all(abs(c) <= radius for c in (torus(y, n) - center).lift())
+        expect = 2 * radius >= 1 or all(abs(c) <= radius
+                                        for c in lifted_difference(torus(y, n), center))
         assert w.contains(y) == expect
 
     @settings(max_examples=300, deadline=None)
@@ -439,7 +445,7 @@ class TestIntegerTorus:
         center, radius = fraction_window(w)
         width = 2 * radius / tiles
         expect = tuple(min(max(int((c + radius) / width), 0), tiles - 1)
-                       for c in (torus(y, n) - center).lift())
+                       for c in lifted_difference(torus(y, n), center))
         assert _tile_index(y, w, tiles) == expect
 
     @settings(max_examples=300, deadline=None)
@@ -455,7 +461,7 @@ class TestIntegerTorus:
         center, radius = fraction_window(w)
         width = 2 * radius / tiles
         offset = [-radius + (i + Fraction(1, 2)) * width for i in tile]
-        expect = TorusVec.make([a + b for a, b in zip(center.coords, offset)])
+        expect = add(center, offset)
         sub = _subwindow(w, tile, tiles)
         assert torus(sub.center, n) == expect
         assert Fraction(sub.radius, n) == radius / tiles
@@ -479,12 +485,11 @@ class TestIntegerTorus:
         assert out.window.radius == w1.radius + w2.radius
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 4), st.data(), st.integers(0, 8), st.integers(1, 3),
-           st.integers(0, 2 ** 32))
-    def test_sampling_core(self, k, data, grid_exp, extra, seed):
+    @given(st.integers(1, 4), st.data(), st.integers(0, 8), st.integers(0, 2 ** 32))
+    def test_sampling_core(self, k, data, grid_exp, seed):
         L = random_lattice(k, data.draw(st.integers(0, k)), 8, random.Random(seed))
         grid = 2 ** grid_exp
-        modulus = math.lcm(L.gram_det, grid) * extra
+        modulus = math.lcm(L.gram_det, grid)
         # the Fraction formula the sampler used before the integer core
         rng = random.Random(seed)
         coords = [Fraction(0)] * k
@@ -495,11 +500,32 @@ class TestIntegerTorus:
         if C.cols:
             u = [Fraction(rng.randrange(grid), grid) for _ in range(C.cols)]
             coords = [c + x for c, x in zip(coords, C.mul_vec(u))]
-        expect = TorusVec.make(coords)
-        x, _, _ = dual_sample_numerators(L, grid, modulus, random.Random(seed))
+        x, _, _ = dual_sample_uniform(L, grid, random.Random(seed))
         assert all(0 <= c < modulus for c in x)
-        assert torus(x, modulus) == expect
-        assert dual_sample_uniform(L, grid, random.Random(seed)) == expect
+        assert torus(x, modulus) == mod1(coords)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.data(), st.integers(1, 64), st.integers(1, 12),
+           st.integers(1, 2 ** 40), st.integers(0, 2 ** 32))
+    def test_noise_step(self, k, data, grid, factor, width, seed):
+        """gaussian_grid_noise on numerators gives the grid point the
+        Fraction formula gave, from the same draws, whenever the grid divides
+        the modulus (both the HSP sampler and the sieve's gaussian mode)."""
+        L = random_lattice(k, data.draw(st.integers(0, k)), 8, random.Random(seed))
+        modulus = grid * factor
+        x = data.draw(st.tuples(*[st.integers(0, modulus - 1)] * k))
+        # the Fraction formula the noise step used before numerators
+        rng = random.Random(seed)
+        coords = [Fraction(c, modulus) for c in x]
+        sigma = 1 / (Fraction(35449077018110322, 10 ** 16) * width)
+        for vec, inv_norm in L.geometry.frame:
+            z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
+            if z:
+                coords = [c + z * g for c, g in zip(coords, vec)]
+        expect = [Fraction(math.floor(c * grid + Fraction(1, 2)), grid) for c in coords]
+        out = gaussian_grid_noise(L, x, modulus, width, grid, random.Random(seed))
+        assert all(0 <= c < grid for c in out)
+        assert torus(out, grid) == mod1(expect)
 
 
 class TestSieveRecursion:
@@ -518,14 +544,14 @@ class TestSieveRecursion:
         assert len(out.spots) == 2
         assert out.spots[0].length == cfg.min_len
         assert out.spots[1].length == cfg.min_len
-        assert torus(out.spots[1].window.center, cfg.N) == tv("1/8")
+        assert torus(out.spots[1].window.center, cfg.N) == mod1(["1/8"])
 
     def test_full_run_difference_near_target(self):
         cfg = sieve_config(L8(), 2, check=True)
         km = cfg.k * cfg.m
         for seed in range(5):
             q = sieve(km, 2, (cfg.N // 8,), cfg, L8(), random.Random(seed), SieveStats())
-            diff = (torus(q.delta(), cfg.N) - tv("1/8")).lift()
+            diff = lifted_difference(torus(q.delta(), cfg.N), mod1(["1/8"]))
             bound = Fraction(2, 2 ** (cfg.k * cfg.m * cfg.m + 1))
             assert all(abs(c) <= bound for c in diff)
 
@@ -540,7 +566,7 @@ class TestSieveRecursion:
         cfg = sieve_config(L8(), 2)
         out = sieve(2, 1, (0,), cfg, L8(), random.Random(9))
         for y in out.spots[0].counts:
-            assert dual_membership(L8(), torus(y, cfg.N))
+            assert dual_membership(L8(), y, cfg.N)
 
 
 class TestTargetGroup:
