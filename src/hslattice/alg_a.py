@@ -13,7 +13,6 @@ inside H_1.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -135,51 +134,25 @@ def sample_fourier_point(secret: Lattice, p: AlgAParams, rng: random.Random,
     return FourierSample(y1, y0 if debug else None)
 
 
-def _rational_view(M: Optional[IntMatrix], denominator: int) -> Optional[RatMatrix]:
-    return None if M is None else M.to_rational(denominator)
-
-
 @dataclass
 class RecoveryTrace:
     """Intermediate matrices of the classical recovery, kept for inspection.
 
-    The recovery works on integers: E, its reduction and B1, B2 are held as
-    integer matrices over the common denominator `scale`, and B3 as the
-    integer matrix B1 adj(B2) over det(B2).  The rational views E, lll_basis,
-    B1, B2 and B3 are built on first read."""
+    The recovery works on the integer numerators of E, its reduction, B1 and
+    B2 over one common denominator, and on those of B3 = B1 adj(B2) / det(B2)
+    over |det(B2)|; each is kept here once, as the RatMatrix that wraps those
+    numerators."""
 
-    scale: int
-    E_int: IntMatrix
-    lll_int: Optional[IntMatrix] = None
-    B1_int: Optional[IntMatrix] = None
+    E: RatMatrix
+    lll_basis: Optional[RatMatrix] = None
+    B1: Optional[RatMatrix] = None
     ell_guess: Optional[int] = None
-    B2_int: Optional[IntMatrix] = None
-    B3_num: Optional[IntMatrix] = None
-    B2_det: int = 1
+    B2: Optional[RatMatrix] = None
+    B3: Optional[RatMatrix] = None
     A4: Optional[RatMatrix] = None
     A5: Optional[RatMatrix] = None
     A6: Optional[IntMatrix] = None
     failure: Optional[str] = None
-
-    @functools.cached_property
-    def E(self) -> RatMatrix:
-        return self.E_int.to_rational(self.scale)
-
-    @functools.cached_property
-    def lll_basis(self) -> Optional[RatMatrix]:
-        return _rational_view(self.lll_int, self.scale)
-
-    @functools.cached_property
-    def B1(self) -> Optional[RatMatrix]:
-        return _rational_view(self.B1_int, self.scale)
-
-    @functools.cached_property
-    def B2(self) -> Optional[RatMatrix]:
-        return _rational_view(self.B2_int, self.scale)
-
-    @functools.cached_property
-    def B3(self) -> Optional[RatMatrix]:
-        return _rational_view(self.B3_num, self.B2_det)
 
 
 def _flattened(unit: int, last: List[int]) -> IntMatrix:
@@ -211,7 +184,7 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     # modulus serves.
     scale = math.lcm(p.T, modulus)
     E = _flattened(scale, [c * (scale // modulus) for c in lift] + [scale // p.T])
-    trace = RecoveryTrace(scale, E)
+    trace = RecoveryTrace(E.to_rational(scale))
 
     # Reduce first with lift(y) rounded to the grid 1/G, G = T * 2^bits(R).
     # A lattice vector no longer than 1/R has last coordinate c/T with
@@ -221,7 +194,7 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     G = p.T << p.R.bit_length()
     coarse = _flattened(G, [_round_half_even(c * G, modulus) for c in lift] + [G // p.T])
     B = lll_from_coarse(E, coarse)
-    trace.lll_int = B
+    trace.lll_basis = B.to_rational(scale)
     # A column is short when its norm, over `scale`, is at most r = 1/R.
     R_sq, scale_sq = p.R * p.R, scale * scale
     kappa = 0
@@ -236,7 +209,7 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     ell = k + 1 - kappa
     trace.ell_guess = ell
     B1 = IntMatrix.from_columns(B.columns()[:kappa], rows=k + 1)
-    trace.B1_int = B1
+    trace.B1 = B1.to_rational(scale)
 
     # Every selection's determinant carries the same factor scale^kappa, so
     # the integer determinants rank the selections as the rational ones do.
@@ -254,11 +227,11 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     sel = best_sel
     nonsel = [i for i in range(k) if i not in set(sel)]
     B2 = IntMatrix.from_rows([B1.data[i] for i in sel])
-    trace.B2_int = B2
+    trace.B2 = B2.to_rational(scale)
     # B3 = B1 B2^-1 = B1 adj(B2) / det(B2); the common scale cancels.
     det, adj = B2.adjugate()
-    B3 = B1 @ adj
-    trace.B3_num, trace.B2_det = B3, det
+    B3 = (B1 @ adj.scale(1 if det > 0 else -1)).to_rational(abs(det))
+    trace.B3 = B3
 
     # Columns of B3 carry the identity on the selected rows; the one whose
     # pivot sits on the last row is the flattening direction and is dropped.
@@ -266,22 +239,22 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     for i in nonsel:
         out_row = []
         for c in range(kappa - 1):
-            rec = legendre_reconstruct(Fraction(B3[i, c], det), p.R)
+            rec = legendre_reconstruct(B3[i, c], p.R)
             if not rec.verified:
                 trace.failure = "unverified continued-fraction reconstruction"
                 return None, trace
             out_row.append(rec.value)
         a4_rows.append(out_row)
-    A4 = RatMatrix.from_rows(a4_rows) if ell and kappa > 1 else RatMatrix(ell, kappa - 1, tuple(() for _ in range(ell)))
+    A4 = RatMatrix.from_rows(a4_rows, cols=kappa - 1)
     trace.A4 = A4
 
-    a5 = [[Fraction(0)] * ell for _ in range(k)]
+    a5 = [[0] * ell for _ in range(k)]
     for i, r in enumerate(nonsel):
-        a5[r][i] = Fraction(1)
+        a5[r][i] = 1
     for c in range(kappa - 1):
         for i in range(ell):
             a5[sel[c]][i] = -A4[i, c]
-    A5 = RatMatrix(k, ell, tuple(tuple(row) for row in a5))
+    A5 = RatMatrix.from_rows(a5)
     trace.A5 = A5
 
     if ell == 0:

@@ -38,7 +38,7 @@ class Lattice:
     @staticmethod
     def from_generators(G: IntMatrix) -> "Lattice":
         H, _ = hnf(G)
-        cols = [H.column(j) for j in range(H.cols) if any(H.column(j))]
+        cols = [col for col in H.columns() if any(col)]
         basis = IntMatrix.from_columns(cols, rows=G.rows)
         gram = basis.transpose() @ basis
         delta = gram.det() if basis.cols else 1
@@ -91,7 +91,7 @@ class LatticeGeometry:
 
     @staticmethod
     def of(L: Lattice) -> "LatticeGeometry":
-        star, _, norms = gram_schmidt(L.basis.to_rational().columns())
+        star, _, norms = gram_schmidt(L.basis.columns())
         frame = tuple((tuple(v), Fraction(_inverse_sqrt(n))) for v, n in zip(star, norms))
         scaled = _scaled_reciprocal(L) if L.rank else None
         return LatticeGeometry(scaled, integer_orthogonal(L), frame)

@@ -22,12 +22,11 @@ try:
 except ImportError:  # pragma: no cover
     mpz = int
 
-DELTA = Fraction(3, 4)
 
-
-def gram_schmidt(cols: List[Tuple[Fraction, ...]]):
-    """Exact GS data: orthogonal vectors, mu coefficients and squared norms.
-    Raises ValueError when the columns are dependent (a zero norm)."""
+def gram_schmidt(cols: Sequence[Sequence]):
+    """Exact GS data of integer or rational columns: orthogonal vectors, mu
+    coefficients and squared norms (Fractions).  Raises ValueError when the
+    columns are dependent (a zero norm)."""
     star: List[List[Fraction]] = []
     mu: List[List[Fraction]] = []
     norms: List[Fraction] = []
@@ -47,20 +46,17 @@ def gram_schmidt(cols: List[Tuple[Fraction, ...]]):
     return star, mu, norms
 
 
-def lll(B: RatMatrix, delta: Fraction = DELTA) -> RatMatrix:
+def lll(B: RatMatrix) -> RatMatrix:
     """LLL-reduce the columns of B with exact rational arithmetic.
 
     The output generates the same lattice, is size-reduced (|mu_ij| <= 1/2),
-    and satisfies the Lovasz condition with parameter delta.
+    and satisfies the Lovasz condition with parameter delta = 3/4.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
     if B.cols == 0:
         return B
     scale, M = B.cleared()
     cols = [[mpz(x) for x in col] for col in M.columns()]
-    _lll_integer(cols, delta.numerator, delta.denominator)
+    _lll_integer(cols)
     return IntMatrix.from_columns(cols, rows=B.rows).to_rational(scale)
 
 
@@ -82,15 +78,16 @@ def lll_from_coarse(B: IntMatrix, coarse: IntMatrix) -> IntMatrix:
     n = B.cols
     rough = [[mpz(x) for x in col] for col in coarse.columns()]
     u = [[mpz(int(i == j)) for i in range(n)] for j in range(n)]
-    _lll_integer(rough, DELTA.numerator, DELTA.denominator, u)
+    _lll_integer(rough, u)
     cols = [[mpz(x) for x in col] for col in B.columns()]
     moved = [[sum(c * col[r] for c, col in zip(uj, cols)) for r in range(B.rows)] for uj in u]
-    _lll_integer(moved, DELTA.numerator, DELTA.denominator)
+    _lll_integer(moved)
     return IntMatrix.from_columns(moved, rows=B.rows)
 
 
-def _lll_integer(b: List[List], dnum: int, dden: int, u: Optional[List[List]] = None) -> None:
-    """In-place integer LLL on column vectors b (de Weger formulation).
+def _lll_integer(b: List[List], u: Optional[List[List]] = None) -> None:
+    """In-place integer LLL on column vectors b (de Weger formulation), with
+    Lovasz parameter delta = 3/4.
 
     When u is given (one coefficient column per column of b), every
     size-reduction and swap is applied to it as well, so a u that starts as
@@ -140,8 +137,8 @@ def _lll_integer(b: List[List], dnum: int, dden: int, u: Optional[List[List]] = 
     k = 1
     while k < n:
         reduce(k, k - 1)
-        # Lovasz: d[k+1] * d[k-1] >= (delta * d[k]^2 - lam^2) scaled to integers.
-        if dden * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < dnum * d[k] * d[k]:
+        # Lovasz: d[k+1] * d[k-1] >= (3/4 * d[k]^2 - lam^2) scaled to integers.
+        if 4 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 3 * d[k] * d[k]:
             swap(k)
             k = max(k - 1, 1)
         else:

@@ -13,9 +13,10 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -45,11 +46,15 @@ class IntMatrix:
     def __getitem__(self, ij: Tuple[int, int]) -> int:
         return self.data[ij[0]][ij[1]]
 
+    @functools.cached_property
+    def _columns(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(zip(*self.data)) if self.rows else tuple(() for _ in range(self.cols))
+
     def column(self, j: int) -> Tuple[int, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return self._columns[j]
 
     def columns(self) -> List[Tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(self._columns)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
@@ -59,26 +64,24 @@ class IntMatrix:
         return IntMatrix(r, len(cols), _freeze([[int(col[i]) for col in cols] for i in range(r)]))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, _freeze(zip(*self.data)) if self.rows else
-                         _freeze([[] for _ in range(self.cols)]))
+        return IntMatrix(self.cols, self.rows, self._columns)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        od = other.data
-        out = [
-            [sum(a * od[t][j] for t, a in enumerate(row)) for j in range(other.cols)]
-            for row in self.data
-        ]
+        od = other._columns
+        out = [[sum(a * b for a, b in zip(row, col)) for col in od] for row in self.data]
         return IntMatrix(self.rows, other.cols, _freeze(out))
 
     def mul_vec(self, v: Sequence[int]) -> Tuple[int, ...]:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.data)
 
+    def scale(self, c: int) -> "IntMatrix":
+        return IntMatrix(self.rows, self.cols, _freeze([[c * x for x in row] for row in self.data]))
+
     def to_rational(self, denominator: int = 1) -> "RatMatrix":
-        """The rational matrix self / denominator."""
-        return RatMatrix(self.rows, self.cols,
-                         _freeze([[Fraction(x, denominator) for x in row] for row in self.data]))
+        """The rational matrix self / denominator, for denominator > 0."""
+        return RatMatrix(self, denominator)
 
     def det(self) -> int:
         if self.rows != self.cols:
@@ -104,8 +107,7 @@ class IntMatrix:
         det, adj = self.adjugate()
         if det not in (1, -1):
             raise ValueError(f"matrix of determinant {det} is not unimodular")
-        return adj if det == 1 else IntMatrix(self.rows, self.cols,
-                                              _freeze([[-x for x in row] for row in adj.data]))
+        return adj.scale(det)
 
 
 def _bareiss(a: List[List[int]], n: int, jordan: bool) -> int:
@@ -138,98 +140,99 @@ def _bareiss(a: List[List[int]], n: int, jordan: bool) -> int:
     return sign * prev
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
-    return x.numerator
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatMatrix:
-    rows: int
-    cols: int
-    data: Tuple[Tuple[Fraction, ...], ...]
+    """The rational matrix num / den: integer numerators over one positive
+    common denominator, not necessarily the least.  Every operation runs on
+    num; the Fraction entries are built only when `data` is first read.  Two
+    matrices are equal when their entries are, whatever their denominators."""
+
+    num: IntMatrix
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        if self.den <= 0:
+            raise ValueError("denominator must be positive")
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "RatMatrix":
-        data = _freeze([[Fraction(x) for x in row] for row in rows])
-        r = len(data)
-        c = len(data[0]) if r else 0
-        if any(len(row) != c for row in data):
-            raise ValueError("ragged rows")
-        return RatMatrix(r, c, data)
+    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "RatMatrix":
+        entries = [[Fraction(x) for x in row] for row in rows]
+        den = lcm(*(x.denominator for row in entries for x in row))
+        return IntMatrix.from_rows([[x.numerator * (den // x.denominator) for x in row]
+                                    for row in entries], cols).to_rational(den)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
         return IntMatrix.identity(n).to_rational()
 
+    @property
+    def rows(self) -> int:
+        return self.num.rows
+
+    @property
+    def cols(self) -> int:
+        return self.num.cols
+
+    @functools.cached_property
+    def data(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return _freeze([[Fraction(x, self.den) for x in row] for row in self.num.data])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
+        return self.num.scale(other.den) == other.num.scale(self.den)
+
+    def __hash__(self) -> int:
+        return hash(self.data)
+
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
-        return self.data[ij[0]][ij[1]]
+        return Fraction(self.num[ij], self.den)
 
     def column(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(Fraction(x, self.den) for x in self.num.column(j))
 
     def columns(self) -> List[Tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        if not cols:
-            return RatMatrix(rows or 0, 0, _freeze([[] for _ in range(rows or 0)]))
-        r = len(cols[0])
-        return RatMatrix(r, len(cols),
-                         _freeze([[Fraction(col[i]) for col in cols] for i in range(r)]))
+        return RatMatrix.from_rows(cols, cols=rows).transpose()
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, _freeze(zip(*self.data)) if self.rows else
-                         _freeze([[] for _ in range(self.cols)]))
+        return RatMatrix(self.num.transpose(), self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        od = other.data
-        out = [
-            [sum((a * od[t][j] for t, a in enumerate(row)), Fraction(0))
-             for j in range(other.cols)]
-            for row in self.data
-        ]
-        return RatMatrix(self.rows, other.cols, _freeze(out))
+        return RatMatrix(self.num @ other.num, self.den * other.den)
 
     def mul_vec(self, v: Sequence) -> Tuple[Fraction, ...]:
-        return tuple(sum((a * Fraction(x) for a, x in zip(row, v)), Fraction(0))
-                     for row in self.data)
+        return tuple(Fraction(x, self.den) for x in self.num.mul_vec(v))
 
     def scale(self, c) -> "RatMatrix":
         c = Fraction(c)
-        return RatMatrix(self.rows, self.cols,
-                         _freeze([[c * x for x in row] for row in self.data]))
+        return RatMatrix(self.num.scale(c.numerator), self.den * c.denominator)
 
     def denominator_lcm(self) -> int:
-        d = 1
-        for row in self.data:
-            for x in row:
-                d = lcm(d, x.denominator)
-        return d
+        return self.den // gcd(self.den, *(x for row in self.num.data for x in row))
 
     def to_integer(self) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols,
-                         _freeze([[_as_int(x) for x in row] for row in self.data]))
+        c, M = self.cleared()
+        if c != 1:
+            raise ValueError("matrix has non-integer entries")
+        return M
 
     def cleared(self) -> Tuple[int, IntMatrix]:
-        """(c, c * self) with c the lcm of the denominators."""
+        """(c, c * self) with c the least common denominator."""
         c = self.denominator_lcm()
-        return c, IntMatrix(self.rows, self.cols, _freeze(
-            [[x.numerator * (c // x.denominator) for x in row] for row in self.data]))
+        g = self.den // c
+        return c, self.num if g == 1 else IntMatrix(self.rows, self.cols, _freeze(
+            [[x // g for x in row] for row in self.num.data]))
 
     def inverse(self) -> "RatMatrix":
-        c, M = self.cleared()
-        det, adj = M.adjugate()
-        return RatMatrix(self.rows, self.cols,
-                         _freeze([[Fraction(c * x, det) for x in row] for row in adj.data]))
+        det, adj = self.num.adjugate()
+        return adj.scale(self.den if det > 0 else -self.den).to_rational(abs(det))
 
     def det(self) -> Fraction:
-        c, M = self.cleared()
-        return Fraction(M.det(), c ** self.rows)
+        return Fraction(self.num.det(), self.den ** self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +389,10 @@ def snf_rational(A: RatMatrix) -> Tuple[RatMatrix, IntMatrix, IntMatrix]:
     """SNF of a rational matrix: D = V @ A @ W with integer unimodular V, W
     and diagonal D whose successive quotients are integers.
 
-    Implemented by clearing denominators, running the integer SNF, and
-    rescaling D back (the two forms are equivalent under rescaling)."""
-    c, M = A.cleared()
-    D_int, V, W = snf(M)
-    D = D_int.to_rational(c)
-    return D, V, W
+    Runs the integer SNF on the numerators and puts D back over the
+    denominator; the SNF's transforms do not change when its input is scaled."""
+    D, V, W = snf(A.num)
+    return D.to_rational(A.den), V, W
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +419,13 @@ def parse_matrix(text: str) -> RatMatrix:
     if len(tokens) < 2:
         raise ValueError("matrix text must start with 'rows cols'")
     r, c = int(tokens[0]), int(tokens[1])
+    if r < 0 or c < 0:
+        raise ValueError(f"matrix dimensions must be nonnegative, got {r} x {c}")
     entries = tokens[2:]
     if len(entries) != r * c:
         raise ValueError(f"expected {r * c} entries, got {len(entries)}")
     data = [[parse_rational(entries[i * c + j]) for j in range(c)] for i in range(r)]
-    return RatMatrix.from_rows(data) if r else RatMatrix(0, c, ())
+    return RatMatrix.from_rows(data, cols=c)
 
 
 def parse_int_matrix(text: str) -> IntMatrix:

@@ -22,10 +22,11 @@ def is_size_reduced(B: RatMatrix) -> bool:
     return all(2 * abs(m) <= 1 for row in mu for m in row)
 
 
-def satisfies_lovasz(B: RatMatrix, delta: Fraction = Fraction(3, 4)) -> bool:
+def satisfies_lovasz(B: RatMatrix) -> bool:
+    """The Lovasz condition with delta = 3/4, the parameter lll uses."""
     _, mu, norms = gram_schmidt(B.columns())
     return all(
-        norms[k] >= (Fraction(delta) - mu[k][k - 1] ** 2) * norms[k - 1]
+        norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
         for k in range(1, B.cols)
     )
 
@@ -137,7 +138,7 @@ def reference_inverse(A: RatMatrix) -> RatMatrix:
             if i != t and a[i][t] != 0:
                 f = a[i][t]
                 a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-    return RatMatrix(n, n, tuple(tuple(row[n:]) for row in a))
+    return RatMatrix.from_rows([row[n:] for row in a])
 
 
 def leibniz_det(A: RatMatrix) -> Fraction:

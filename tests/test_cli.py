@@ -47,10 +47,16 @@ def test_lattice_reciprocal_and_saturate(matrix_file, capsys):
     assert capsys.readouterr().out == "1 1\n1\n"
 
 
-def test_lattice_parse_failure(matrix_file, capsys):
-    f = matrix_file("bad.txt", "2 2\n1 2\n")
-    assert main(["lattice", "hnf", f]) == 1
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("argv,text", [
+    (["lattice", "hnf"], "2 2\n1 2\n"),
+    (["lattice", "snf"], "0 -1\n"),
+    (["lattice", "snf"], "1 -1\n"),
+], ids=["short", "negative-cols", "negative-entries"])
+def test_lattice_parse_failure(matrix_file, capsys, argv, text):
+    assert main(argv + [matrix_file("bad.txt", text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_pf_example(capsys):

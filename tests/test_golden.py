@@ -114,7 +114,7 @@ def test_trace_layers_resolve():
      ["lattice.dual_sample_uniform"]),
     (lambda ex: ex.run_shift_experiment(
         {"k": 1, "basis": [[8]], "t": 1, "check": True}, seed=1, trials=1, noise="exact"),
-     ["lattice.dual_sample_uniform", "lattice.dual_membership"]),
+     ["lattice.dual_sample_uniform", "lattice.dual_membership", "lll.lll"]),
 ], ids=["hsp-k1", "sieve-exact"])
 def test_trace_layers_count_live_runs(run, layers):
     """A layer that resolves can still read 0 when the pipelines stop calling
@@ -128,3 +128,7 @@ def test_trace_layers_count_live_runs(run, layers):
     metrics = tracer.layer_metrics()
     for name in layers:
         assert metrics[f"{name}.calls"] > 0, name
+    if "lll.lll" in layers:
+        # the input-size hook reads lll's RatMatrix argument: its least
+        # denominator and its entries
+        assert metrics["lll.lll.input_bits_p50"] > 0

@@ -92,10 +92,6 @@ class TestLLL:
         assert is_size_reduced(out) and satisfies_lovasz(out)
         assert same_lattice(B, out)
 
-    def test_delta_range(self):
-        with pytest.raises(ValueError):
-            lll(RatMatrix.identity(2), delta=Fraction(1, 8))
-
 
 @st.composite
 def int_bases(draw, k=None, bound=20):
@@ -124,7 +120,7 @@ class TestLLLProperties:
         k = M.cols
         cols = [list(M.column(j)) for j in range(k)]
         u = [[int(i == j) for i in range(k)] for j in range(k)]
-        _lll_integer(cols, 3, 4, u)
+        _lll_integer(cols, u)
         U = IntMatrix.from_columns(u, rows=k)
         assert abs(U.det()) == 1
         assert (M @ U).data == IntMatrix.from_columns(cols, rows=k).data

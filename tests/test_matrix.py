@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,11 +203,21 @@ def square_int(draw, bound=30):
 
 
 @st.composite
-def square_rat(draw):
-    n = draw(st.integers(1, 4))
+def rat_rows(draw, n=None):
+    """The Fraction rows of an n x n matrix, n in 1..4 unless given."""
+    n = n or draw(st.integers(1, 4))
     entry = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
-    return RatMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                                             min_size=n, max_size=n)))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def square_rat(draw, n=None):
+    return RatMatrix.from_rows(draw(rat_rows(n)))
+
+
+def over(A, factor):
+    """A held over `factor` times its denominator: the same entries."""
+    return RatMatrix(A.num.scale(factor), A.den * factor)
 
 
 class TestBareiss:
@@ -255,6 +266,102 @@ class TestBareiss:
         for M in (IntMatrix.from_rows([[1, 2]]), RatMatrix.from_rows([[1, 2]])):
             with pytest.raises(ValueError):
                 M.det()
+
+
+class TestRatMatrixProperties:
+    """RatMatrix holds integer numerators over one denominator; each operation
+    is checked against the same computation on its Fraction entries."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rat_rows())
+    def test_from_rows_round_trip(self, rows):
+        A = RatMatrix.from_rows(rows)
+        assert A.data == tuple(tuple(row) for row in rows)
+        assert (A.rows, A.cols) == (len(rows), len(rows[0]))
+        assert all(A[i, j] == x for i, row in enumerate(rows) for j, x in enumerate(row))
+        assert A.columns() == list(zip(*rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_rat(), st.integers(1, 6))
+    def test_equal_over_other_denominators(self, A, factor):
+        B = over(A, factor)
+        assert B == A and hash(B) == hash(A) and B.data == A.data
+        assert (A.scale(2) == A) == all(x == 0 for row in A.data for x in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_rat(), st.integers(1, 6))
+    def test_cleared_least_denominator(self, A, factor):
+        least = lcm(*(x.denominator for row in A.data for x in row))
+        c, M = over(A, factor).cleared()
+        assert c == least == over(A, factor).denominator_lcm()
+        assert M.data == tuple(tuple(int(x * c) for x in row) for row in A.data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_rat(), st.data())
+    def test_operations_against_fractions(self, A, data):
+        B = over(data.draw(square_rat(n=A.rows)), data.draw(st.integers(1, 4)))
+        c = data.draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)))
+        n = A.rows
+        assert (A @ B).data == tuple(
+            tuple(sum((A.data[i][t] * B.data[t][j] for t in range(n)), Fraction(0))
+                  for j in range(n)) for i in range(n))
+        assert A.transpose().data == tuple(zip(*A.data))
+        assert A.scale(c).data == tuple(tuple(c * x for x in row) for row in A.data)
+        if all(x.denominator == 1 for row in B.data for x in row):
+            assert B.to_integer().data == tuple(tuple(int(x) for x in row) for row in B.data)
+        else:
+            with pytest.raises(ValueError):
+                B.to_integer()
+        assert B.scale(B.denominator_lcm()).to_integer().to_rational() == B.scale(
+            B.denominator_lcm())
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_rat(), st.integers(1, 6))
+    def test_inverse_and_det_over_any_denominator(self, A, factor):
+        B = over(A, factor)
+        assert B.det() == leibniz_det(A)
+        if B.det() == 0:
+            with pytest.raises(ValueError):
+                B.inverse()
+        else:
+            assert B.inverse() == reference_inverse(A)
+            assert B.inverse().data == reference_inverse(A).data
+            assert B @ B.inverse() == RatMatrix.identity(A.rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_rat(), st.integers(1, 6))
+    def test_snf_rational(self, A, factor):
+        D, V, W = snf_rational(over(A, factor))
+        assert V.to_rational() @ A @ W.to_rational() == D
+        assert abs(V.det()) == 1 and abs(W.det()) == 1
+        n = A.rows
+        assert all(D[i, j] == 0 for i in range(n) for j in range(n) if i != j)
+        diag = [D[i, i] for i in range(n)]
+        for a, b in zip(diag, diag[1:]):
+            assert b == 0 if a == 0 else (b / a).denominator == 1
+
+
+class TestCanonicalFormProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(square_int(), st.randoms(use_true_random=False))
+    def test_hnf_transform_and_canonicity(self, M, rng):
+        H, U = hnf(M)
+        assert M @ U == H and abs(U.det()) == 1
+        assert hnf(M @ random_unimodular(rng, M.cols))[0] == H
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_int())
+    def test_snf_transforms_and_divisibility(self, M):
+        D, V, W = snf(M)
+        assert V @ M @ W == D
+        assert abs(V.det()) == 1 and abs(W.det()) == 1
+        n = M.rows
+        assert all(D[i, j] == 0 for i in range(n) for j in range(n) if i != j)
+        diag = [D[i, i] for i in range(n)]
+        assert all(d >= 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert b == 0 if a == 0 else b % a == 0
+        assert prod(diag) == abs(M.det())
 
 
 class TestTextFormat:
