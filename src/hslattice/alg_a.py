@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .lattice import Lattice, dual_sample_uniform, gaussian_grid_noise, lattice_from_generators
+from .lattice import Lattice, dual_sample_uniform, gaussian_grid_noise
 from .lll import lll_from_coarse
 from .matrix import IntMatrix, RatMatrix, snf, snf_rational
 from .rationals import legendre_reconstruct
@@ -265,7 +265,7 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     v_inv = V.inverse_unimodular()
     A6 = IntMatrix.from_columns([v_inv.column(j) for j in range(ell)], rows=k)
     trace.A6 = A6
-    return lattice_from_generators(A6), trace
+    return Lattice.from_generators(A6), trace
 
 
 def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:
@@ -314,7 +314,7 @@ def finite_stage(secret: Lattice, h1: Lattice, p: AlgAParams,
     budget = 64 * (index.bit_length() + 2)
     # Track the group <Z^ell, samples> as the integer lattice (index * group).
     gens = [[index if i == j else 0 for i in range(ell)] for j in range(ell)]
-    group = lattice_from_generators(IntMatrix.from_columns(gens, rows=ell))
+    group = Lattice.from_generators(IntMatrix.from_columns(gens, rows=ell))
     stable = 0
     draws = 0
     while stable < window:
@@ -328,7 +328,7 @@ def finite_stage(secret: Lattice, h1: Lattice, p: AlgAParams,
             continue
         stable = 0
         cols = [group.basis.column(j) for j in range(group.rank)] + [scaled]
-        group = lattice_from_generators(IntMatrix.from_columns(cols, rows=ell))
+        group = Lattice.from_generators(IntMatrix.from_columns(cols, rows=ell))
     # Dual generators y_j = column_j / index; primal = W diag(denominators).
     # The SNF's transforms do not change when its input is scaled, so the
     # SNF of index * (dual generators) gives W, and D / index the diagonal.
@@ -338,7 +338,7 @@ def finite_stage(secret: Lattice, h1: Lattice, p: AlgAParams,
         [[W[i, j] * qs[j] for i in range(ell)] for j in range(ell)], rows=ell
     )
     rec_cols = [h1.basis.mul_vec(primal.column(j)) for j in range(ell)]
-    return lattice_from_generators(IntMatrix.from_columns(rec_cols, rows=secret.k))
+    return Lattice.from_generators(IntMatrix.from_columns(rec_cols, rows=secret.k))
 
 
 @dataclass
@@ -349,13 +349,12 @@ class AlgAStats:
 
 
 def end_to_end(secret: Lattice, p: AlgAParams, rng: random.Random,
-               debug: bool = False,
                stats: Optional[AlgAStats] = None) -> Optional[Lattice]:
     """Full pipeline: sample + recover H_1 (with retries and doubling-on-
     failure escalation), then the finite stage.  None when retries run out."""
     params = p
     for _ in range(p.retries):
-        sample = sample_fourier_point(secret, params, rng, debug=debug)
+        sample = sample_fourier_point(secret, params, rng)
         if stats is not None:
             stats.samples += 1
         h1, trace = recover_colattice(sample.y1, params.Q, params)

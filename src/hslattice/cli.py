@@ -12,10 +12,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .lattice import lattice_from_generators, reciprocal_basis, saturation
+from .lattice import Lattice, reciprocal_basis, saturation
 from .lll import lll
 from .matrix import format_matrix, parse_int_matrix, parse_matrix, parse_rational, hnf, snf
-from .oracles import SparseVec, brick_oracle, rational_oracle, shift_pair_oracle, sparse_simon_oracle
+from .oracles import BrickOracle, RationalOracle, ShiftPairOracle, SparseSimonOracle, SparseVec
 from .rationals import partial_fractions
 from .experiments import run_hsp_experiment, run_shift_experiment
 
@@ -36,9 +36,9 @@ def cmd_lattice(args) -> int:
     elif sub == "lll":
         out = format_matrix(lll(M))
     elif sub == "reciprocal":
-        out = format_matrix(reciprocal_basis(lattice_from_generators(M.to_integer())))
+        out = format_matrix(reciprocal_basis(Lattice.from_generators(M.to_integer())))
     elif sub == "saturate":
-        out = format_matrix(saturation(lattice_from_generators(M.to_integer())).basis)
+        out = format_matrix(saturation(Lattice.from_generators(M.to_integer())).basis)
     else:  # pragma: no cover
         raise ValueError(sub)
     sys.stdout.write(out)
@@ -74,27 +74,28 @@ def cmd_oracle(args) -> int:
     if kind in ("brick", "shift-pair") and not args.basis:
         raise ValueError(f"{kind} oracle needs --basis")
     if kind == "brick":
-        oracle = brick_oracle(lattice_from_generators(parse_int_matrix(Path(args.basis).read_text())))
+        lattice = Lattice.from_generators(parse_int_matrix(Path(args.basis).read_text()))
+        oracle = BrickOracle(lattice)
         token = oracle.token(_parse_vector(args.element)).decode()
         if args.check:
             _check_brick(oracle)
     elif kind == "rational":
-        oracle = rational_oracle([int(p) for p in args.accepted.split(",") if p])
+        oracle = RationalOracle([int(p) for p in args.accepted.split(",") if p])
         token = oracle.token(parse_rational(args.element)).decode()
         if args.check:
             _check_rational(oracle)
     elif kind == "sparse-simon":
         accepted = [int(p) for p in args.accepted.split(",") if p]
-        oracle = sparse_simon_oracle(accepted)
+        oracle = SparseSimonOracle(accepted)
         token = oracle.token(SparseVec.parse(args.element)).decode()
         if args.check:
             _check_sparse(oracle, accepted)
     elif kind == "shift-pair":
         if not args.shift:
             raise ValueError("shift-pair oracle needs --shift")
-        lattice = lattice_from_generators(parse_int_matrix(Path(args.basis).read_text()))
+        lattice = Lattice.from_generators(parse_int_matrix(Path(args.basis).read_text()))
         shift = _parse_vector(args.shift)
-        oracle = shift_pair_oracle(lattice, shift)
+        oracle = ShiftPairOracle(lattice, shift)
         parts = _parse_vector(args.element)
         token = oracle.token(parts[:-1], parts[-1]).decode()
         if args.check:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict
+from typing import Dict, Tuple
 
 from .alg_a import AlgAStats, end_to_end, schedule
 from .lattice import Lattice, basis_bit_complexity, coset_canonical
@@ -63,6 +63,17 @@ def _descriptor_int(descriptor: Dict, key: str) -> int:
     return _json_int(descriptor[key], repr(key))
 
 
+def _check_keys(spec, allowed: Tuple[str, ...], name: str) -> None:
+    """A JSON object whose keys are all in `allowed`; anything else is a
+    descriptor error."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{name} must be an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ValueError(f"{name} has unknown key(s) {', '.join(map(repr, unknown))}; "
+                         f"allowed: {', '.join(allowed)}")
+
+
 def _check_trials(trials: int) -> None:
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -83,8 +94,7 @@ def _lattice_from_rows(rows, k: int) -> Lattice:
 def _secret_for_trial(descriptor: Dict, rng: random.Random) -> Lattice:
     k = _descriptor_int(descriptor, "k")
     spec = descriptor.get("secret", {"random_rank": "random"})
-    if not isinstance(spec, dict):
-        raise ValueError(f"descriptor 'secret' must be an object, got {spec!r}")
+    _check_keys(spec, ("basis", "random_rank", "entry_bound"), "descriptor 'secret'")
     if "basis" in spec:
         return _lattice_from_rows(spec["basis"], k)
     rank = spec.get("random_rank", "random")
@@ -102,9 +112,10 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
                        debug_trace: bool = False, timing: bool = False) -> Dict:
     """Plant secrets and run the full recovery per trial; emit a v1 report."""
     _check_trials(trials)
-    k = _descriptor_int(descriptor, "k")
-    if "basis" in descriptor:
+    if isinstance(descriptor, dict) and "basis" in descriptor:
         raise ValueError("hsp-recover takes the secret basis as 'secret': {'basis': ...}")
+    _check_keys(descriptor, ("k", "secret", "n", "retries"), "descriptor")
+    k = _descriptor_int(descriptor, "k")
     stated_n = _json_int(descriptor.get("n", 0), "'n'")  # 0: the secret's bit size
     retries = _json_int(descriptor.get("retries", 8), "'retries'")
     if retries < 1:
@@ -164,6 +175,8 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
                          noise: str = "exact", timing: bool = False) -> Dict:
     """Plant hidden shifts and run the collimation sieve per trial."""
     _check_trials(trials)
+    _check_keys(descriptor, ("k", "basis", "shift", "t", "m", "shift_bound", "check"),
+                "descriptor")
     rows = descriptor.get("basis") or []
     k = _descriptor_int(descriptor, "k") if "k" in descriptor or not rows else len(rows)
     lattice = _lattice_from_rows(rows, k)
@@ -175,7 +188,7 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
         spec_shift = [_json_int(c, "'shift' entry") for c in spec_shift]
     t = _descriptor_int(descriptor, "t")
     options = {key: _descriptor_int(descriptor, key)
-               for key in ("m", "shift_bound", "max_retries") if key in descriptor}
+               for key in ("m", "shift_bound") if key in descriptor}
     check = descriptor.get("check", False)
     if not isinstance(check, bool):
         raise ValueError(f"descriptor 'check' must be true or false, got {check!r}")

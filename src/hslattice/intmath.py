@@ -16,7 +16,7 @@ class FactorBoundExceeded(ValueError):
     """Input is beyond the configured desk-scale factoring bound."""
 
 
-def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with small-prime prefilter."""
     if n < 2:
         return False
@@ -29,9 +29,10 @@ def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None
     while d % 2 == 0:
         d //= 2
         s += 1
-    rng = rng or random.Random(0xC0FFEE ^ n)
-    # Fixed witnesses cover everything below 3.3e24; random ones back them up.
-    witnesses = list(small_primes) + [rng.randrange(2, n - 1) for _ in range(rounds)]
+    rng = random.Random(0xC0FFEE ^ n)
+    # Fixed witnesses cover everything below 3.3e24; 24 seeded random ones
+    # back them up.
+    witnesses = list(small_primes) + [rng.randrange(2, n - 1) for _ in range(24)]
     for a in witnesses:
         a %= n
         if a in (0, 1, n - 1):

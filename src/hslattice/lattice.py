@@ -37,6 +37,7 @@ class Lattice:
 
     @staticmethod
     def from_generators(G: IntMatrix) -> "Lattice":
+        """Canonicalize an arbitrary generating set (any rank, any shape)."""
         H, _ = hnf(G)
         cols = [col for col in H.columns() if any(col)]
         basis = IntMatrix.from_columns(cols, rows=G.rows)
@@ -53,13 +54,6 @@ class Lattice:
     @staticmethod
     def trivial(k: int) -> "Lattice":
         return Lattice(k, 0, IntMatrix(k, 0, tuple(() for _ in range(k))), 1)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Lattice) and self.k == other.k
-                and self.basis.data == other.basis.data)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.basis.data))
 
     def contains(self, x: Sequence[int]) -> bool:
         return all(c == 0 for c in coset_canonical(self, x))
@@ -114,11 +108,6 @@ def _inverse_sqrt(n: Fraction) -> float:
         raise ValueError(f"the inverse norm of a basis vector of squared length "
                          f"about 2^{2 * e} underflows a float")
     return r
-
-
-def lattice_from_generators(G: IntMatrix) -> Lattice:
-    """Canonicalize an arbitrary generating set (any rank, any shape)."""
-    return Lattice.from_generators(G)
 
 
 def coset_canonical(L: Lattice, x: Sequence[int]) -> Tuple[int, ...]:

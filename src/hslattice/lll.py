@@ -5,9 +5,7 @@ subdeterminants d_i and scaled Gram-Schmidt coefficients lambda_ij), so a
 rational input is cleared to the lcm of its denominators first and rescaled
 at the end.  The core can also record its unimodular transform, which
 lll_from_coarse uses to do most of the work on a low-precision copy of the
-basis before one exact pass at full precision.  gmpy2 integers are used
-inside the core when available; they are a drop-in replacement for int and
-considerably faster at the operand sizes the recovery schedule produces.
+basis before one exact pass at full precision.
 """
 
 from __future__ import annotations
@@ -16,11 +14,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .matrix import IntMatrix, RatMatrix
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover
-    mpz = int
 
 
 def gram_schmidt(cols: Sequence[Sequence]):
@@ -55,7 +48,7 @@ def lll(B: RatMatrix) -> RatMatrix:
     if B.cols == 0:
         return B
     scale, M = B.cleared()
-    cols = [[mpz(x) for x in col] for col in M.columns()]
+    cols = M.columns()
     _lll_integer(cols)
     return IntMatrix.from_columns(cols, rows=B.rows).to_rational(scale)
 
@@ -76,16 +69,16 @@ def lll_from_coarse(B: IntMatrix, coarse: IntMatrix) -> IntMatrix:
     if (coarse.rows, coarse.cols) != (B.rows, B.cols):
         raise ValueError("coarse basis must have the shape of B")
     n = B.cols
-    rough = [[mpz(x) for x in col] for col in coarse.columns()]
-    u = [[mpz(int(i == j)) for i in range(n)] for j in range(n)]
+    rough = coarse.columns()
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
     _lll_integer(rough, u)
-    cols = [[mpz(x) for x in col] for col in B.columns()]
+    cols = B.columns()
     moved = [[sum(c * col[r] for c, col in zip(uj, cols)) for r in range(B.rows)] for uj in u]
     _lll_integer(moved)
     return IntMatrix.from_columns(moved, rows=B.rows)
 
 
-def _lll_integer(b: List[List], u: Optional[List[List]] = None) -> None:
+def _lll_integer(b: List[Sequence[int]], u: Optional[List[List[int]]] = None) -> None:
     """In-place integer LLL on column vectors b (de Weger formulation), with
     Lovasz parameter delta = 3/4.
 
@@ -93,8 +86,8 @@ def _lll_integer(b: List[List], u: Optional[List[List]] = None) -> None:
     size-reduction and swap is applied to it as well, so a u that starts as
     the identity ends as the transform U with input * U = output."""
     n = len(b)
-    d = [mpz(1)] * (n + 1)
-    lam = [[mpz(0)] * n for _ in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
 
     def init_column(i: int) -> None:
         for j in range(i + 1):
@@ -151,7 +144,8 @@ def babai_nearest_plane(B: RatMatrix, target: Sequence[Fraction]) -> Tuple[Fract
     """Nearest-plane rounding of target against the (ideally reduced) basis B.
 
     Returns the lattice point; the residual target - point has Gram-Schmidt
-    coordinates in (-1/2, 1/2]."""
+    coordinates in [-1/2, 1/2), since each coefficient m is rounded to
+    floor(m + 1/2)."""
     cols = B.columns()
     star, _, norms = gram_schmidt(cols)
     resid = [Fraction(x) for x in target]

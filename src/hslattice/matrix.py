@@ -246,8 +246,8 @@ def hnf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     in each pivot row, which keeps intermediate entries small (Kannan-Bachem
     style reduction each sweep)."""
     k, n = M.rows, M.cols
-    cols = [list(M.column(j)) for j in range(n)]
-    u_cols = [list(IntMatrix.identity(n).column(j)) for j in range(n)]
+    cols = [list(col) for col in zip(*M.data)] if k else [[] for _ in range(n)]
+    u_cols = [[int(i == j) for i in range(n)] for j in range(n)]
     assigned: List[Tuple[int, int]] = []  # (pivot_row, column index into cols)
     free = list(range(n))
     for r in range(k - 1, -1, -1):
@@ -315,8 +315,8 @@ def snf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     entries reduced (the Kannan-Bachem precaution against blow-up)."""
     k, n = M.rows, M.cols
     a = [list(row) for row in M.data]
-    v = [list(row) for row in IntMatrix.identity(k).data]
-    w = [list(row) for row in IntMatrix.identity(n).data]
+    v = [[int(i == j) for j in range(k)] for i in range(k)]
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_rows(i1: int, i2: int) -> None:
         a[i1], a[i2] = a[i2], a[i1]
@@ -359,7 +359,7 @@ def snf(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
             for j in range(t + 1, n):
                 q = a[t][j] // p
                 if q:
-                    for m, width in ((a, k), (w, n)):
+                    for m in (a, w):
                         for row in m:
                             row[j] -= q * row[t]
                 if a[t][j]:

@@ -1,8 +1,4 @@
-"""Exact rational tools: continued fractions, Legendre denoising, partial fractions.
-
-``Rat`` is an alias for :class:`fractions.Fraction`, which already keeps
-numerator/denominator in lowest terms with a positive denominator.
-"""
+"""Exact rational tools: continued fractions, Legendre denoising, partial fractions."""
 
 from __future__ import annotations
 
@@ -12,10 +8,8 @@ from typing import List, NamedTuple, Tuple
 
 from .intmath import factor
 
-Rat = Fraction
 
-
-def continued_fraction_convergents(x: Rat) -> List[Rat]:
+def continued_fraction_convergents(x: Fraction) -> List[Fraction]:
     """All convergents of the simple continued fraction of x, ending with x."""
     x = Fraction(x)
     a, b = x.numerator, x.denominator
@@ -33,11 +27,11 @@ def continued_fraction_convergents(x: Rat) -> List[Rat]:
 
 
 class LegendreResult(NamedTuple):
-    value: Rat
+    value: Fraction
     verified: bool
 
 
-def legendre_reconstruct(x: Rat, R: int) -> LegendreResult:
+def legendre_reconstruct(x: Fraction, R: int) -> LegendreResult:
     """Denoise x to a nearby fraction with denominator at most R.
 
     Returns the largest-denominator convergent p/q with q <= R that satisfies
@@ -75,7 +69,7 @@ class PartialFractionForm:
     integer_part: int
     terms: Tuple[Tuple[int, int, int], ...]
 
-    def value(self) -> Rat:
+    def value(self) -> Fraction:
         return self.integer_part + sum(
             (Fraction(r, p ** k) for p, k, r in self.terms), Fraction(0)
         )
@@ -99,7 +93,7 @@ class PartialFractionForm:
         return " + ".join(parts)
 
 
-def partial_fractions(x: Rat) -> PartialFractionForm:
+def partial_fractions(x: Fraction) -> PartialFractionForm:
     """Decompose x as n + sum r/p^k with 1 <= r < p and distinct pairs (p, k).
 
     The denominator is factored internally (desk scale); the decomposition is

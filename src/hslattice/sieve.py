@@ -42,7 +42,6 @@ from .lattice import (
     dual_membership,
     dual_sample_uniform,
     gaussian_grid_noise,
-    lattice_from_generators,
 )
 from .lll import babai_nearest_plane, lll
 from .matrix import IntMatrix, snf
@@ -52,6 +51,7 @@ Point = Tuple[int, ...]  # numerators over the modulus N: the point x / N of the
 QUBIT_BUDGET = 1 << 22      # qubits one SieveStats may count
 STAGE_CEILING = 12          # largest km sieve_config accepts
 POSTSELECT_ATTEMPTS = 64    # post-selection rounds per cyclic factor
+NODE_RETRIES = 64           # collimation attempts per recursion node
 
 
 class SieveBudgetExceeded(RuntimeError):
@@ -68,7 +68,6 @@ class SieveConfig:
     N: int              # multiplier modulus, lcm(Delta, Q)
     noise: str = "exact"            # "exact" | "gaussian"
     shift_bound: int = 0            # infinity-norm box for the lifted shift
-    max_retries: int = 64           # per recursion node
     check: bool = False             # assert window/length invariants as we go
 
     def stage_radius(self, j: int) -> int:
@@ -86,7 +85,7 @@ class SieveConfig:
 
 def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
                  noise: str = "exact", shift_bound: Optional[int] = None,
-                 max_retries: int = 64, check: bool = False) -> SieveConfig:
+                 check: bool = False) -> SieveConfig:
     """Choose the stage exponent m and grids for a shift recovery over L.
 
     m is minimal (>= 2) with 2^(k m^2) > k (n + 2h) 2^t, which makes the
@@ -96,6 +95,8 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     stage is a whole number of 1/N steps."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    if noise not in ("exact", "gaussian"):
+        raise ValueError(f"unknown noise mode {noise!r}")
     if m is not None and m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if shift_bound is not None and shift_bound < 0:
@@ -116,7 +117,7 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     return SieveConfig(
         k=k, t=t, m=m, G=2 ** g_exp, Q=Q, N=math.lcm(L.gram_det, Q),
         noise=noise, shift_bound=shift_bound if shift_bound is not None else 2 ** (t - 1),
-        max_retries=max_retries, check=check,
+        check=check,
     )
 
 
@@ -213,8 +214,6 @@ def create_qubit(L: Lattice, cfg: SieveConfig, rng: random.Random,
         # The noisy point is on the (1/Q) grid, and Q divides N.
         step = N // cfg.Q
         y = tuple(step * c for c in gaussian_grid_noise(L, y, N, cfg.G, cfg.Q, rng))
-    elif cfg.noise != "exact":
-        raise ValueError(f"unknown noise mode {cfg.noise!r}")
     zero = (0,) * L.k
     counts: Counts = {zero: 1}
     counts[y] = counts.get(y, 0) + 1
@@ -224,19 +223,14 @@ def create_qubit(L: Lattice, cfg: SieveConfig, rng: random.Random,
 def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:
     """Tensor product: pairwise multiplier sums mod N, windows add in tandem.
 
-    Two-spot x one-spot keeps the two-spot structure; two-spot x two-spot is
-    never needed by the sieve and is rejected."""
-    if len(b.spots) == 1 and len(a.spots) in (1, 2):
-        left, right = a, b
-    elif len(a.spots) == 1 and len(b.spots) == 2:
-        left, right = b, a
-    else:
-        raise ValueError("tensor of two two-spot phase vectors is not supported")
-    rspot = right.spots[0]
+    b must be one-spot; a two-spot a keeps its two-spot structure."""
+    if len(b.spots) != 1:
+        raise ValueError("the second factor of a tensor must be a one-spot phase vector")
+    rspot = b.spots[0]
     rwin = rspot.window
     N = rwin.modulus
     new_spots = []
-    for spot in left.spots:
+    for spot in a.spots:
         counts: Counts = {}
         for u, cu in spot.counts.items():
             for v, cv in rspot.counts.items():
@@ -391,7 +385,7 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
             _check_vector(out, cfg, L, 0, final=True)
         return out
 
-    for _ in range(cfg.max_retries):
+    for _ in range(NODE_RETRIES):
         if p == 1:
             u = sieve(j - 1, 1, target, cfg, L, rng, stats)
             v = sieve(j - 1, 1, target, cfg, L, rng, stats)
@@ -548,7 +542,7 @@ def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice,
     x = W.mul_vec(y)
     s0 = list(x[:k])
     kernel_cols = [W.column(j)[:k] for j in range(rank, k + m)]
-    sol_lattice = lattice_from_generators(IntMatrix.from_columns(kernel_cols, rows=k))
+    sol_lattice = Lattice.from_generators(IntMatrix.from_columns(kernel_cols, rows=k))
     assert sol_lattice.rank == k, "solution lattice must have full rank"
     reduced = lll(sol_lattice.basis.to_rational())
     point = babai_nearest_plane(reduced, [Fraction(c) for c in s0])

@@ -17,11 +17,16 @@ from hslattice.lattice import (
     coset_canonical,
     dual_membership,
     dual_sample_uniform,
-    lattice_from_generators,
 )
 from hslattice.lll import lll
 from hslattice.matrix import IntMatrix, RatMatrix, hnf, snf, snf_rational
-from hslattice.oracles import SparseVec, brick_oracle, rational_oracle, shift_pair_oracle, sparse_simon_oracle
+from hslattice.oracles import (
+    BrickOracle,
+    RationalOracle,
+    ShiftPairOracle,
+    SparseSimonOracle,
+    SparseVec,
+)
 from hslattice.rationals import legendre_reconstruct, partial_fractions
 from hslattice.sieve import SieveStats, collimation_tally, recover_shift, sieve, sieve_config
 from hslattice.verify import is_size_reduced, satisfies_lovasz, successive_minima
@@ -30,7 +35,7 @@ from hslattice.verify import is_size_reduced, satisfies_lovasz, successive_minim
 def col_lattice(cols, k):
     if not cols:
         return Lattice.trivial(k)
-    return lattice_from_generators(IntMatrix.from_columns(cols, rows=k))
+    return Lattice.from_generators(IntMatrix.from_columns(cols, rows=k))
 
 
 def report(n, ok, detail):
@@ -149,7 +154,7 @@ def test_05_legendre():
 def test_06_hiding_properties():
     # brick
     L = col_lattice([[7, 1]], 2)
-    f = brick_oracle(L)
+    f = BrickOracle(L)
     pts = list(product(range(-5, 6), repeat=2))
     tokens = {p: f.token(p) for p in pts}
     brick_ok = all(
@@ -157,7 +162,7 @@ def test_06_hiding_properties():
         for x in pts for y in pts
     )
     # rational, accepted = {5}
-    g = rational_oracle({5})
+    g = RationalOracle({5})
     probes = [Fraction(n, 20) for n in range(-30, 31)]
     rational_ok = all(
         (g.token(x) == g.token(y)) == (((x - y) * 5).denominator == 1)
@@ -166,7 +171,7 @@ def test_06_hiding_properties():
     rational_ok = rational_ok and g.evaluate(Fraction(1, 360)) == g.evaluate(
         Fraction(1, 360) + Fraction(1, 5))
     # sparse Simon, accepted = {0, 2, 4}
-    h = sparse_simon_oracle({0, 2, 4})
+    h = SparseSimonOracle({0, 2, 4})
     universe = [SparseVec.make([i for i in range(6) if mask >> i & 1]) for mask in range(64)]
     simon_ok = all(
         (h.token(x) == h.token(y)) == all(i in {0, 2, 4} for i in (x + y).indices)
@@ -175,7 +180,7 @@ def test_06_hiding_properties():
     # shift pair on a 9x9 box
     L2 = col_lattice([[3, 0], [0, 3]], 2)
     s = [1, 2]
-    sp = shift_pair_oracle(L2, s)
+    sp = ShiftPairOracle(L2, s)
     box = list(product(range(-4, 5), repeat=2))
     shift_ok = all(sp.token(x, 1) == sp.token([a - b for a, b in zip(x, s)], 0) for x in box)
     ok = brick_ok and rational_ok and simon_ok and shift_ok
@@ -261,14 +266,14 @@ def test_09_finite_stage():
             d = abs(P.det())
             if 1 <= d <= 24:
                 break
-        sec = lattice_from_generators(P)
+        sec = Lattice.from_generators(P)
         h1 = Lattice.zn(ell)
         p = schedule(max(1, basis_bit_complexity(sec)), ell)
         out = finite_stage(sec, h1, p, trng)
         wins += out == sec
     # brute-force dual-group enumeration agrees with the sampler's support
     P = IntMatrix.from_rows([[2, 1], [0, 3]])
-    sec = lattice_from_generators(P)
+    sec = Lattice.from_generators(P)
     index = abs(P.det())
     pinv_t = P.to_rational().inverse().transpose()
 

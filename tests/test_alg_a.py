@@ -14,14 +14,14 @@ from hslattice.alg_a import (
     schedule,
 )
 from hslattice.experiments import random_lattice
-from hslattice.lattice import Lattice, basis_bit_complexity, dual_membership, lattice_from_generators
+from hslattice.lattice import Lattice, basis_bit_complexity, dual_membership
 from hslattice.matrix import IntMatrix, hnf
 
 
 def col_lattice(cols, k):
     if not cols:
         return Lattice.trivial(k)
-    return lattice_from_generators(IntMatrix.from_columns(cols, rows=k))
+    return Lattice.from_generators(IntMatrix.from_columns(cols, rows=k))
 
 
 def noise_norm_sq(sec, p, s):

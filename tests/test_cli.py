@@ -202,9 +202,15 @@ class TestReports:
         ("hsp-recover", {"k": 1, "secret": {"random_rank": -1}}, "random_rank"),
         ("hsp-recover", {"k": 1, "secret": {"random_rank": 1, "entry_bound": 0}}, "entry_bound"),
         ("hsp-recover", {"k": 1, "retries": 0}, "retries"),
+        ("hsp-recover", {"k": 1, "retries": 2, "t": 1}, "'t'"),
+        ("hsp-recover", {"k": 1, "secret": {"basis": [[4]], "rank": 1}}, "'rank'"),
+        ("shift-recover", {"k": 1, "basis": [[8]], "t": 2, "max_retries": 3}, "'max_retries'"),
+        ("hsp-recover", [1], "object"),
+        ("shift-recover", 5, "object"),
     ], ids=["secret-not-object", "hsp-top-level-basis", "shift-length-vs-k",
             "shift-rows-vs-k", "m-zero", "shift-bound-negative", "random-rank-above-k",
-            "random-rank-negative", "entry-bound-zero", "retries-zero"])
+            "random-rank-negative", "entry-bound-zero", "retries-zero", "hsp-unknown-key",
+            "secret-unknown-key", "shift-unknown-key", "hsp-not-object", "shift-not-object"])
     def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
         d = tmp_path / "d.json"
         d.write_text(json.dumps(descriptor))
@@ -218,13 +224,12 @@ class TestReports:
         ("shift", [[1]]),
         ("m", "2"),
         ("shift_bound", "3"),
-        ("max_retries", 2.5),
         ("check", 1),
         ("t", True),
         ("basis", [["8"]]),
         ("basis", [[True]]),
         ("basis", [[8.5]]),
-    ], ids=["shift-entry-list", "m-string", "shift-bound-string", "max-retries-float",
+    ], ids=["shift-entry-list", "m-string", "shift-bound-string",
             "check-int", "t-bool", "basis-string", "basis-bool", "basis-float"])
     def test_cli_wrong_type_descriptor(self, tmp_path, capsys, field, value):
         d = tmp_path / "d.json"

@@ -10,7 +10,6 @@ from hslattice.lattice import (
     dual_membership,
     dual_sample_uniform,
     integer_orthogonal,
-    lattice_from_generators,
     reciprocal_basis,
     saturation,
 )
@@ -21,7 +20,7 @@ from hslattice.experiments import random_lattice
 def col_lattice(cols, k):
     if not cols:
         return Lattice.trivial(k)
-    return lattice_from_generators(IntMatrix.from_columns(cols, rows=k))
+    return Lattice.from_generators(IntMatrix.from_columns(cols, rows=k))
 
 
 class TestConstruction:

@@ -171,6 +171,32 @@ class TestBabai:
                 c = sum((x * y for x, y in zip(resid, star[i])), Fraction(0)) / norms[i]
                 assert abs(c) <= Fraction(1, 2)
 
+    def test_tie_rounds_up(self):
+        """A coordinate of exactly 1/2 rounds up, leaving a residual of -1/2."""
+        B = RatMatrix.from_rows([[2]])
+        assert babai_nearest_plane(B, [Fraction(1)]) == (Fraction(2),)
+        assert babai_nearest_plane(B, [Fraction(-1)]) == (Fraction(0),)
+        assert babai_nearest_plane(B, [Fraction(3)]) == (Fraction(4),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_bases(bound=6), st.data())
+    def test_residual_interval(self, M, data):
+        """The point is in the lattice, and the residual's Gram-Schmidt
+        coordinates lie in [-1/2, 1/2); small denominators make ties common."""
+        from hslattice.lll import gram_schmidt
+
+        k = M.cols
+        den = data.draw(st.integers(1, 4))
+        target = [Fraction(data.draw(st.integers(-40, 40)), den) for _ in range(k)]
+        point = babai_nearest_plane(M.to_rational(), target)
+        coeffs = M.to_rational().inverse().mul_vec(point)
+        assert all(c.denominator == 1 for c in coeffs)
+        resid = [t - p for t, p in zip(target, point)]
+        star, _, norms = gram_schmidt(M.columns())
+        for i in range(k):
+            c = sum((x * y for x, y in zip(resid, star[i])), Fraction(0)) / norms[i]
+            assert -Fraction(1, 2) <= c < Fraction(1, 2)
+
 
 class TestEnumeration:
     def test_minima_z2(self):

@@ -15,7 +15,6 @@ from hslattice.lattice import (
     dual_sample_uniform,
     gaussian_grid_noise,
     integer_orthogonal,
-    lattice_from_generators,
     reciprocal_basis,
 )
 from hslattice.matrix import IntMatrix
@@ -48,7 +47,7 @@ from hslattice.sieve import (
 def col_lattice(cols, k):
     if not cols:
         return Lattice.trivial(k)
-    return lattice_from_generators(IntMatrix.from_columns(cols, rows=k))
+    return Lattice.from_generators(IntMatrix.from_columns(cols, rows=k))
 
 
 def L8():
@@ -120,6 +119,12 @@ class TestConfig:
     def test_ceiling(self):
         with pytest.raises(ValueError):
             sieve_config(Lattice.zn(5), 20)
+
+    def test_unknown_noise_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            sieve_config(L8(), 1, noise="bogus")
+        for noise in ("exact", "gaussian"):
+            assert sieve_config(L8(), 1, noise=noise).noise == noise
 
 
 class TestCreateQubit:
