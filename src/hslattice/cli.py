@@ -97,6 +97,8 @@ def cmd_oracle(args) -> int:
         shift = _parse_vector(args.shift)
         oracle = ShiftPairOracle(lattice, shift)
         parts = _parse_vector(args.element)
+        if not parts:
+            raise ValueError("shift-pair element needs the point x followed by the register value")
         token = oracle.token(parts[:-1], parts[-1]).decode()
         if args.check:
             _check_shift_pair(oracle)

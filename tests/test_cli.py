@@ -119,6 +119,15 @@ def test_oracle_shift_pair(matrix_file, capsys):
     assert tok1 == tok0  # f(x, 1) = f(x - s, 0)
 
 
+@pytest.mark.parametrize("element", ["", "   "], ids=["empty", "blank"])
+def test_oracle_shift_pair_empty_element(matrix_file, capsys, element):
+    f = matrix_file("b.txt", "2 2\n3 0\n0 3\n")
+    assert main(["oracle", "shift-pair", element, "--basis", f, "--shift", "0 0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 class TestReports:
     def test_hsp_schema_and_determinism(self):
         descriptor = {"k": 2, "secret": {"random_rank": "random", "entry_bound": 16}}
