@@ -46,15 +46,11 @@ class IntMatrix:
     def __getitem__(self, ij: Tuple[int, int]) -> int:
         return self.data[ij[0]][ij[1]]
 
-    @functools.cached_property
-    def _columns(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(zip(*self.data)) if self.rows else tuple(() for _ in range(self.cols))
-
     def column(self, j: int) -> Tuple[int, ...]:
-        return self._columns[j]
+        return tuple(row[j] for row in self.data)
 
     def columns(self) -> List[Tuple[int, ...]]:
-        return list(self._columns)
+        return list(zip(*self.data)) if self.rows else [() for _ in range(self.cols)]
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
@@ -64,12 +60,12 @@ class IntMatrix:
         return IntMatrix(r, len(cols), _freeze([[int(col[i]) for col in cols] for i in range(r)]))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, self._columns)
+        return IntMatrix(self.cols, self.rows, tuple(self.columns()))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        od = other._columns
+        od = other.columns()
         out = [[sum(a * b for a, b in zip(row, col)) for col in od] for row in self.data]
         return IntMatrix(self.rows, other.cols, _freeze(out))
 
