@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .lattice import Lattice, dual_sample_uniform, gaussian_grid_noise
-from .lll import lll_from_coarse
+from .lll import lll, lll_from_coarse
 from .matrix import IntMatrix, RatMatrix, snf, snf_rational
 from .rationals import legendre_reconstruct
 
@@ -31,6 +31,9 @@ class ScheduleOverflow(ValueError):
 
 
 PARAM_BIT_CEILING = 1 << 20
+# The coarse reduction of recover_colattice takes one stage per STAGE_BITS
+# bits of log2 T.
+STAGE_BITS = 512
 
 
 def _next_pow2(n: int) -> int:
@@ -168,6 +171,24 @@ def _round_half_even(a: int, b: int) -> int:
     return q - 1 if r == 0 and q & 1 else q
 
 
+def _coarse_stages(lift: List[int], modulus: int, p: AlgAParams) -> List[IntMatrix]:
+    """The coarse copies of E that lll_from_coarse reduces, finest last.
+
+    With b = log2 T and s = ceil(b / STAGE_BITS) stages, stage j flattens
+    with T_j = 2^(j b / s) (rounded down; T_s = T) and rounds lift(y) to the
+    grid 1/G_j, G_j = T_j * 2^bits(R): its columns are G_j e_1, ...,
+    G_j e_k and (round(G_j lift(y)), G_j / T_j)."""
+    b = p.T.bit_length() - 1
+    s = -(-b // STAGE_BITS)
+    R_bits = p.R.bit_length()
+    stages = []
+    for j in range(1, s + 1):
+        G = (p.T >> (b - j * b // s)) << R_bits
+        stages.append(_flattened(G, [_round_half_even(c * G, modulus) for c in lift]
+                                 + [1 << R_bits]))
+    return stages
+
+
 def recover_colattice(y: Tuple[int, ...], modulus: int,
                       p: AlgAParams) -> Tuple[Optional[Lattice], RecoveryTrace]:
     """Recover H_1 = H_R intersect Z^k from a single Fourier sample, the
@@ -175,7 +196,30 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
 
     Returns (lattice, trace); the lattice is None when the sample is bad
     (no short LLL prefix, a singular row selection, or an unverified
-    continued-fraction reconstruction), in which case the caller resamples."""
+    continued-fraction reconstruction), in which case the caller resamples.
+
+    The short vectors (norm <= 1/R) of E = [I_k, lift(y); 0, 1/T] are found
+    on coarse copies of E (_coarse_stages), and their span is certified
+    there, after the perturbation argument of Chang, Stehle and Villard
+    (Math. Comp. 2012) and Villard (ISSAC 2007).  Let U reduce the last
+    stage C, on the grid 1/G with G = T * 2^bits(R), and let x be an integer
+    vector with |E x| <= 1/R.  The last entry of E x is c/T with |c| <= T/R,
+    and C / G differs from E only in the rounded entries of the last
+    column, each by at most 1/(2G); so |C x| / G <= 1/R + sqrt(k) T / (2 G R),
+    and in C's integer units |C x| <= (2G + T (isqrt(k) + 1)) / (2R).  If
+    every Gram-Schmidt norm of C U from index kappa on exceeds that bound,
+    C x, as a combination of C U's columns, uses only the first kappa of
+    them; the same coefficients on E U give E x.  So every short vector of
+    E lies in the span of the first kappa columns of E U.  When those
+    columns are themselves short they are B1: they span exactly the span of
+    E's short vectors, and no pass over E's own (much longer) integers is
+    needed.  An exact LLL basis of E whose short prefix also has kappa
+    columns spans the same space, and everything downstream reads only the
+    rational span of B1: the max-|det| row selection ranks every selection
+    by the same factor under B1 -> B1 V, and B3 = B1 adj(B2) / det(B2) does
+    not change.  So the result is the one the exact reduction gives.  When a
+    certified column is not short, the exact lll runs on E U and its leading
+    short columns are B1, as without the certificate."""
     k = len(y)
     # lift(y): the numerators of the representative in (-1/2, 1/2]^k.
     lift = [c - modulus if 2 * c > modulus else c for c in y]
@@ -186,30 +230,41 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     E = _flattened(scale, [c * (scale // modulus) for c in lift] + [scale // p.T])
     trace = RecoveryTrace(E.to_rational(scale))
 
-    # Reduce first with lift(y) rounded to the grid 1/G, G = T * 2^bits(R).
-    # A lattice vector no longer than 1/R has last coordinate c/T with
-    # |c| <= T/R, so the rounding moves each of its entries by at most
-    # |c|/(2G) < 1/(2R^2): the short vectors keep their shape on a basis of
-    # a fraction of Q's bits.  The exact pass on E follows.
-    G = p.T << p.R.bit_length()
-    coarse = _flattened(G, [_round_half_even(c * G, modulus) for c in lift] + [G // p.T])
-    B = lll_from_coarse(E, coarse)
-    trace.lll_basis = B.to_rational(scale)
+    stages = _coarse_stages(lift, modulus, p)
+    B, d = lll_from_coarse(E, stages)
+    G = stages[-1][0, 0]
+    bound_sq = (2 * G + p.T * (math.isqrt(k) + 1)) ** 2
+    R_sq = p.R * p.R
+    kappa = k + 1
+    while kappa and d[kappa] * 4 * R_sq > bound_sq * d[kappa - 1]:
+        kappa -= 1
     # A column is short when its norm, over `scale`, is at most r = 1/R.
-    R_sq, scale_sq = p.R * p.R, scale * scale
-    kappa = 0
-    for col in B.columns():
-        if sum(x * x for x in col) * R_sq <= scale_sq:
+    scale_sq = scale * scale
+    cols = B.columns()
+    if not all(sum(x * x for x in col) * R_sq <= scale_sq for col in cols[:kappa]):
+        B = lll(B.to_rational()).to_integer()
+        cols = B.columns()
+        kappa = 0
+        while kappa <= k and sum(x * x for x in cols[kappa]) * R_sq <= scale_sq:
             kappa += 1
-        else:
-            break
+    trace.lll_basis = B.to_rational(scale)
     if kappa == 0:
         trace.failure = "no short vectors in the LLL prefix"
         return None, trace
+    return _colattice_from_prefix(IntMatrix.from_columns(cols[:kappa]).to_rational(scale),
+                                  p, trace), trace
+
+
+def _colattice_from_prefix(B1: RatMatrix, p: AlgAParams,
+                           trace: RecoveryTrace) -> Optional[Lattice]:
+    """H_1 from B1, a basis of the span of E's short vectors (kappa >= 1
+    columns), filling in the rest of trace; None on a bad sample."""
+    kappa = B1.cols
+    k = B1.rows - 1
     ell = k + 1 - kappa
     trace.ell_guess = ell
-    B1 = IntMatrix.from_columns(B.columns()[:kappa], rows=k + 1)
-    trace.B1 = B1.to_rational(scale)
+    trace.B1 = B1
+    B1, scale = B1.num, B1.den
 
     # Every selection's determinant carries the same factor scale^kappa, so
     # the integer determinants rank the selections as the rational ones do.
@@ -223,7 +278,7 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
             best_sel = sel
     if best_sel is None:
         trace.failure = "every row selection containing the last row is singular"
-        return None, trace
+        return None
     sel = best_sel
     nonsel = [i for i in range(k) if i not in set(sel)]
     B2 = IntMatrix.from_rows([B1.data[i] for i in sel])
@@ -242,7 +297,7 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
             rec = legendre_reconstruct(B3[i, c], p.R)
             if not rec.verified:
                 trace.failure = "unverified continued-fraction reconstruction"
-                return None, trace
+                return None
             out_row.append(rec.value)
         a4_rows.append(out_row)
     A4 = RatMatrix.from_rows(a4_rows, cols=kappa - 1)
@@ -260,12 +315,12 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     if ell == 0:
         h1 = Lattice.trivial(k)
         trace.A6 = h1.basis
-        return h1, trace
+        return h1
     _, V, _ = snf_rational(A5)
     v_inv = V.inverse_unimodular()
     A6 = IntMatrix.from_columns([v_inv.column(j) for j in range(ell)], rows=k)
     trace.A6 = A6
-    return Lattice.from_generators(A6), trace
+    return Lattice.from_generators(A6)
 
 
 def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:

@@ -4,8 +4,8 @@ The LLL core is the all-integer variant (de Weger bookkeeping: Gram
 subdeterminants d_i and scaled Gram-Schmidt coefficients lambda_ij), so a
 rational input is cleared to the lcm of its denominators first and rescaled
 at the end.  The core can also record its unimodular transform, which
-lll_from_coarse uses to do most of the work on a low-precision copy of the
-basis before one exact pass at full precision.
+lll_from_coarse uses to reduce low-precision copies of a basis in stages and
+carry the transform over to the full-precision one.
 """
 
 from __future__ import annotations
@@ -53,38 +53,40 @@ def lll(B: RatMatrix) -> RatMatrix:
     return IntMatrix.from_columns(cols, rows=B.rows).to_rational(scale)
 
 
-def lll_from_coarse(B: IntMatrix, coarse: IntMatrix) -> IntMatrix:
-    """LLL-reduce the integer basis B (delta = 3/4), starting from the
-    reduction of `coarse`, a basis of the same shape whose entries are a
-    multiple of B's rounded to a coarser grid.
+def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix]) -> Tuple[IntMatrix, List[int]]:
+    """Reduce the coarse bases `stages` in turn, finest last, and return
+    (B * U, d): U is the unimodular transform that LLL-reduces (delta = 3/4)
+    the last stage, and d that stage's Gram subdeterminants after reduction.
 
-    The unimodular transform U that reduces `coarse` is recorded and applied
-    to B; B*U generates B's lattice and is close to reduced, so the final pass
-    of the exact core on it is short.  Nearly all swaps then act on integers
-    of the coarse size, not of B's (the gradual-precision idea of van Hoeij
-    and Novocin, and of Novocin, Stehle and Villard).  LLL's decisions do not
-    change when a basis is scaled, so `coarse` may have any common factor.
-    The output meets the same conditions as lll(B)'s.
+    Every stage has B's shape.  Stage j starts from the transform of stage
+    j - 1, so each stage mostly refines a basis that the previous, coarser
+    one has already reduced, and nearly all swaps act on integers of the
+    coarse size, not of B's (gradual feeding: van Hoeij and Novocin, LATIN
+    2010; Novocin, Stehle and Villard, STOC 2011).  B * U generates B's
+    lattice but need not be LLL-reduced itself; a caller that needs that
+    runs lll on it.
     """
-    if (coarse.rows, coarse.cols) != (B.rows, B.cols):
-        raise ValueError("coarse basis must have the shape of B")
+    if not stages or any((C.rows, C.cols) != (B.rows, B.cols) for C in stages):
+        raise ValueError("each coarse basis must have the shape of B")
     n = B.cols
-    rough = coarse.columns()
     u = [[int(i == j) for i in range(n)] for j in range(n)]
-    _lll_integer(rough, u)
-    cols = B.columns()
-    moved = [[sum(c * col[r] for c, col in zip(uj, cols)) for r in range(B.rows)] for uj in u]
-    _lll_integer(moved)
-    return IntMatrix.from_columns(moved, rows=B.rows)
+
+    def times_u(M: IntMatrix) -> List[List[int]]:
+        return [[sum(a * c for a, c in zip(row, uj)) for row in M.data] for uj in u]
+
+    for C in stages:
+        d = _lll_integer(times_u(C), u)
+    return IntMatrix.from_columns(times_u(B), rows=B.rows), d
 
 
-def _lll_integer(b: List[Sequence[int]], u: Optional[List[List[int]]] = None) -> None:
+def _lll_integer(b: List[Sequence[int]], u: Optional[List[List[int]]] = None) -> List[int]:
     """In-place integer LLL on column vectors b (de Weger formulation), with
-    Lovasz parameter delta = 3/4.
+    Lovasz parameter delta = 3/4.  Returns the Gram subdeterminants d of the
+    output: d[0] = 1 and d[i + 1] = d[i] * |b*_i|^2.
 
     When u is given (one coefficient column per column of b), every
-    size-reduction and swap is applied to it as well, so a u that starts as
-    the identity ends as the transform U with input * U = output."""
+    size-reduction and swap is applied to it as well: a u that starts as U0
+    ends as U0 * U, where input * U = output."""
     n = len(b)
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
@@ -138,6 +140,7 @@ def _lll_integer(b: List[Sequence[int]], u: Optional[List[List[int]]] = None) ->
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
+    return d
 
 
 def babai_nearest_plane(B: RatMatrix, target: Sequence[Fraction]) -> Tuple[Fraction, ...]:

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings, strategies as st, given
 
+from hslattice import alg_a
 from hslattice.alg_a import (
     AlgAStats,
+    RecoveryTrace,
     ScheduleOverflow,
+    _colattice_from_prefix,
     end_to_end,
     finite_stage,
     recover_colattice,
@@ -15,7 +19,9 @@ from hslattice.alg_a import (
 )
 from hslattice.experiments import random_lattice
 from hslattice.lattice import Lattice, basis_bit_complexity, dual_membership
-from hslattice.matrix import IntMatrix, hnf
+from hslattice.lll import lll
+from hslattice.matrix import IntMatrix, RatMatrix, hnf
+from hslattice.verify import is_size_reduced, satisfies_lovasz
 
 
 def col_lattice(cols, k):
@@ -184,6 +190,86 @@ class TestRecoverColattice:
             for c1 in range(trace.B1.cols):
                 dot = sum(trace.A5[i, c5] * trace.B1[i, c1] for i in range(k))
                 assert dot == 0
+
+
+def reference_colattice(y, modulus, p):
+    """recover_colattice without the certificate: the exact lll on E, whose
+    leading columns of norm <= 1/R are B1.  Returns (lattice, ell_guess,
+    failure)."""
+    k = len(y)
+    last = [Fraction(c, modulus) - (2 * c > modulus) for c in y] + [Fraction(1, p.T)]
+    E = RatMatrix.from_columns([[int(i == j) for i in range(k + 1)] for j in range(k)] + [last],
+                               rows=k + 1)
+    cols = lll(E).columns()
+    kappa = 0
+    while kappa <= k and sum(x * x for x in cols[kappa]) * p.R ** 2 <= 1:
+        kappa += 1
+    if kappa == 0:
+        return None, None, "no short vectors in the LLL prefix"
+    trace = RecoveryTrace(E)
+    h1 = _colattice_from_prefix(RatMatrix.from_columns(cols[:kappa], rows=k + 1), p, trace)
+    return h1, trace.ell_guess, trace.failure
+
+
+def counting_lll(monkeypatch):
+    """Count the exact passes recover_colattice runs, in a list local to the
+    test."""
+    calls = []
+
+    def counted(B):
+        calls.append(B)
+        return lll(B)
+
+    monkeypatch.setattr(alg_a, "lll", counted)
+    return calls
+
+
+class TestCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.sampled_from(["noisy", "noiseless", "uniform"]),
+           st.data())
+    def test_matches_exact_reduction(self, k, n, mode, data):
+        """The certified prefix yields the lattice, ell_guess and failure of
+        the exact reduction of E, for samples of random secrets (with and
+        without the Gaussian noise) and for uniform torus points."""
+        p = schedule(n, k)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        sec = random_lattice(k, data.draw(st.integers(0, k)), data.draw(st.integers(1, 8)), rng)
+        s = sample_fourier_point(sec, p, rng, debug=True)
+        if mode == "noisy":
+            y, modulus = s.y1, p.Q
+        elif mode == "noiseless":
+            y, modulus = s.true_y0, math.lcm(sec.gram_det, p.Q)
+        else:
+            y, modulus = tuple(rng.randrange(p.Q) for _ in range(k)), p.Q
+        h1, trace = recover_colattice(y, modulus, p)
+        assert (h1, trace.ell_guess, trace.failure) == reference_colattice(y, modulus, p)
+
+    def test_fallback_matches_exact_reduction(self, monkeypatch):
+        """A noisy k = 1 sample whose certified prefix holds a column a little
+        longer than 1/R: the exact pass runs once, its output is
+        LLL-reduced, and the result is the reference's."""
+        p = schedule(2, 1)
+        y = (67625147617218824059856741211166,)
+        assert p.Q == 324518553658426726783156020576256
+        calls = counting_lll(monkeypatch)
+        h1, trace = recover_colattice(y, p.Q, p)
+        assert len(calls) == 1
+        assert is_size_reduced(trace.lll_basis) and satisfies_lovasz(trace.lll_basis)
+        assert (h1, trace.ell_guess, trace.failure) == reference_colattice(y, p.Q, p)
+        assert h1 == Lattice.zn(1)
+
+    def test_certified_sample_skips_exact_pass(self, monkeypatch):
+        """An hsp-k5-sized sample (4 coarse stages) is certified without the
+        exact pass over E's integers."""
+        rng = random.Random(11)
+        sec = random_lattice(5, 5, 16, rng)
+        p = schedule(160, 5)
+        s = sample_fourier_point(sec, p, rng)
+        calls = counting_lll(monkeypatch)
+        h1, trace = recover_colattice(s.y1, p.Q, p)
+        assert calls == []
+        assert h1 == Lattice.zn(5) and trace.ell_guess == 5
 
 
 class TestFiniteStage:

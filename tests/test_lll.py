@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hslattice.alg_a import recover_colattice, schedule
-from hslattice.lll import _lll_integer, babai_nearest_plane, lll, lll_from_coarse
+from hslattice.alg_a import _coarse_stages, recover_colattice, schedule
+from hslattice.lll import _lll_integer, babai_nearest_plane, gram_schmidt, lll, lll_from_coarse
 from hslattice.matrix import IntMatrix, RatMatrix, hnf
 from hslattice.verify import (
     enumerate_short_vectors,
@@ -128,23 +129,50 @@ class TestLLLProperties:
     @settings(max_examples=100, deadline=None)
     @given(int_bases(), st.data())
     def test_any_coarse_basis(self, M, data):
-        """The output is exact whatever the coarse basis: a poor one only
-        leaves more work to the final pass."""
-        coarse = data.draw(int_bases(k=M.cols))
-        out = lll_from_coarse(M, coarse)
-        assert is_size_reduced(out.to_rational()) and satisfies_lovasz(out.to_rational())
+        """Whatever the coarse bases, M * U generates M's lattice, the last
+        stage ends LLL-reduced under U, and d holds that stage's Gram
+        subdeterminants: a poor stage only leaves more work to the next."""
+        stages = data.draw(st.lists(int_bases(k=M.cols), min_size=1, max_size=3))
+        out, d = lll_from_coarse(M, stages)
         assert hnf(out)[0].data == hnf(M)[0].data
+        assert_last_stage_reduced(M, out, stages[-1], d)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
     def test_flattened_lattice(self, k, n, data):
-        """recover_colattice's two-step reduction of E = [I_k, lift(y1); 0, 1/T]."""
+        """recover_colattice's staged reduction of E = [I_k, lift(y1); 0, 1/T]:
+        E * U and the recovery's lll_basis generate E's lattice, and the last
+        coarse stage ends LLL-reduced."""
         p = schedule(n, k)
         y1 = tuple(data.draw(st.integers(0, p.Q - 1)) for _ in range(k))
         _, trace = recover_colattice(y1, p.Q, p)
-        out = trace.lll_basis
-        assert is_size_reduced(out) and satisfies_lovasz(out)
-        assert same_lattice(out, trace.E)
+        assert same_lattice(trace.lll_basis, trace.E)
+        lift = [c - p.Q if 2 * c > p.Q else c for c in y1]
+        stages = _coarse_stages(lift, p.Q, p)
+        E = trace.E.cleared()[1]
+        out, d = lll_from_coarse(E, stages)
+        assert hnf(out)[0].data == hnf(E)[0].data
+        assert_last_stage_reduced(E, out, stages[-1], d)
+
+    def test_stage_count(self):
+        """One coarse stage per 512 bits of log2 T, rounded up; the last
+        stage is the grid 1/(T * 2^bits(R))."""
+        for n, k, count in ((2, 1, 1), (14, 2, 1), (70, 3, 2), (160, 5, 4)):
+            p = schedule(n, k)
+            stages = _coarse_stages([0] * k, p.Q, p)
+            assert len(stages) == count
+            assert stages[-1][0, 0] == p.T << p.R.bit_length()
+            assert all(C[k, k] == 1 << p.R.bit_length() for C in stages)
+
+
+def assert_last_stage_reduced(B, out, last, d):
+    """out = B * U for an integer U, last * U is LLL-reduced, and d is its
+    list of Gram subdeterminants."""
+    U = (B.to_rational().inverse() @ out.to_rational()).to_integer()
+    reduced = (last @ U).to_rational()
+    assert is_size_reduced(reduced) and satisfies_lovasz(reduced)
+    _, _, norms = gram_schmidt(reduced.columns())
+    assert d == [math.prod(norms[:i]) for i in range(len(norms) + 1)]
 
 
 class TestBabai:
@@ -164,8 +192,6 @@ class TestBabai:
             point = babai_nearest_plane(B, target)
             resid = [t - p for t, p in zip(target, point)]
             # residual lies in the fundamental Gram-Schmidt box
-            from hslattice.lll import gram_schmidt
-
             star, _, norms = gram_schmidt(B.columns())
             for i in range(k):
                 c = sum((x * y for x, y in zip(resid, star[i])), Fraction(0)) / norms[i]
@@ -183,8 +209,6 @@ class TestBabai:
     def test_residual_interval(self, M, data):
         """The point is in the lattice, and the residual's Gram-Schmidt
         coordinates lie in [-1/2, 1/2); small denominators make ties common."""
-        from hslattice.lll import gram_schmidt
-
         k = M.cols
         den = data.draw(st.integers(1, 4))
         target = [Fraction(data.draw(st.integers(-40, 40)), den) for _ in range(k)]
