@@ -21,12 +21,12 @@ HSP_DIGESTS = {
     (1, 2): "b304e7152463cb888ecdd70059c4d5f0681624e5ee5f6976a0986057b29d548c",
     (2, 1): "30751a36c0e6162e75b5bb5e2329cb45cde2f6acfb6c47314436ede53e4e4f5a",
     (2, 2): "4302cc159beae3cad6cf798e5056bd2103e66e33ea1a720f0497722cc6239c59",
-    (3, 1): "6053505eacc2ef80432f118ad5cd94614f22e998e4b53bc9b7559a8f9c60e005",
-    (3, 2): "f598c1519a951b227d3686915112519fbb9a1f4fbacc3169823d9da10e5c65de",
-    (4, 1): "c6aa16733544bcc23b4ce9f61f27d9a9d09b9a173f9abf5cb4146dad89c7f376",
-    (4, 2): "4eba30b75734016ad33cf5e1e20c654c4dac085919f0c285c40bbe370a036e27",
-    (5, 1): "6dd6adc7fa7b9bf27295e381f16a74011a69395a1ec05d37bf1306d6f43b7e8d",
-    (5, 2): "73abf36e4ac2eac29aa01cb440bd2854caba85f1c6bb175b5ef7e088408379fe",
+    (3, 1): "2dc389725c9ce4704ac8ab94624662dc1da779ee3d24c0456b95e8b072dfc39e",
+    (3, 2): "8f2d98da8c8e93486063745b147e823424ac35e8d5f5aab5e7c3315d95e87506",
+    (4, 1): "365dce5cf33bc7935e9b64156ab5bbf00044ac819d810b14cca1217510d16430",
+    (4, 2): "017a34d305d3faf57516830c89b105185b8825c1d2e28c324b840b463d1e1007",
+    (5, 1): "95ac2b8f0139ddfbcd70eaadd3be10e3f21534731529c94defad953ce46b80e7",
+    (5, 2): "84a82dc7c70447b6e6073e969c2f5d816ab182e38506106a6e3bee4c8b9dfb5e",
 }
 
 SHIFT_CASES = [
