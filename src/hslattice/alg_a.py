@@ -238,15 +238,16 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     kappa = k + 1
     while kappa and d[kappa] * 4 * R_sq > bound_sq * d[kappa - 1]:
         kappa -= 1
-    # A column is short when its norm, over `scale`, is at most r = 1/R.
     scale_sq = scale * scale
+
+    def short(col) -> bool:  # its norm, over `scale`, is at most r = 1/R
+        return sum(x * x for x in col) * R_sq <= scale_sq
+
     cols = B.columns()
-    if not all(sum(x * x for x in col) * R_sq <= scale_sq for col in cols[:kappa]):
+    if not all(map(short, cols[:kappa])):
         B = lll(B.to_rational()).to_integer()
         cols = B.columns()
-        kappa = 0
-        while kappa <= k and sum(x * x for x in cols[kappa]) * R_sq <= scale_sq:
-            kappa += 1
+        kappa = next((i for i, col in enumerate(cols) if not short(col)), k + 1)
     trace.lll_basis = B.to_rational(scale)
     if kappa == 0:
         trace.failure = "no short vectors in the LLL prefix"

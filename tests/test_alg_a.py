@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings, strategies as st, given
+from hypothesis import given, settings, strategies as st
 
 from hslattice import alg_a
 from hslattice.alg_a import (
