@@ -235,6 +235,8 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     G = stages[-1][0, 0]
     bound_sq = (2 * G + p.T * (math.isqrt(k) + 1)) ** 2
     R_sq = p.R * p.R
+    # The certified prefix: every coarse Gram-Schmidt norm from kappa on
+    # exceeds the coarse image bound of a vector of norm <= 1/R.
     kappa = k + 1
     while kappa and d[kappa] * 4 * R_sq > bound_sq * d[kappa - 1]:
         kappa -= 1
