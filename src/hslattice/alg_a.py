@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .lattice import Lattice, dual_sample_uniform, gaussian_grid_noise
+from .lattice import Lattice, dual_sample_uniform, gaussian_grid_noise, saturation_from_snf
 from .lll import lll, lll_from_coarse
 from .matrix import IntMatrix, RatMatrix, snf, snf_rational
 from .rationals import legendre_reconstruct
@@ -142,19 +142,16 @@ class RecoveryTrace:
     """Intermediate matrices of the classical recovery, kept for inspection.
 
     The recovery works on the integer numerators of E, its reduction, B1 and
-    B2 over one common denominator, and on those of B3 = B1 adj(B2) / det(B2)
-    over |det(B2)|; each is kept here once, as the RatMatrix that wraps those
-    numerators."""
+    B2 over one common denominator; each is kept here once, as the RatMatrix
+    that wraps those numerators."""
 
     E: RatMatrix
     lll_basis: Optional[RatMatrix] = None
     B1: Optional[RatMatrix] = None
     ell_guess: Optional[int] = None
     B2: Optional[RatMatrix] = None
-    B3: Optional[RatMatrix] = None
     A4: Optional[RatMatrix] = None
     A5: Optional[RatMatrix] = None
-    A6: Optional[IntMatrix] = None
     failure: Optional[str] = None
 
 
@@ -289,7 +286,6 @@ def _colattice_from_prefix(B1: RatMatrix, p: AlgAParams,
     # B3 = B1 B2^-1 = B1 adj(B2) / det(B2); the common scale cancels.
     det, adj = B2.adjugate()
     B3 = (B1 @ adj.scale(1 if det > 0 else -1)).to_rational(abs(det))
-    trace.B3 = B3
 
     # Columns of B3 carry the identity on the selected rows; the one whose
     # pivot sits on the last row is the flattening direction and is dropped.
@@ -316,14 +312,9 @@ def _colattice_from_prefix(B1: RatMatrix, p: AlgAParams,
     trace.A5 = A5
 
     if ell == 0:
-        h1 = Lattice.trivial(k)
-        trace.A6 = h1.basis
-        return h1
+        return Lattice.trivial(k)
     _, V, _ = snf_rational(A5)
-    v_inv = V.inverse_unimodular()
-    A6 = IntMatrix.from_columns([v_inv.column(j) for j in range(ell)], rows=k)
-    trace.A6 = A6
-    return Lattice.from_generators(A6)
+    return saturation_from_snf(V, ell)
 
 
 def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:
@@ -345,8 +336,7 @@ def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=h1.rank)
 
 
-def finite_stage(secret: Lattice, h1: Lattice, p: AlgAParams,
-                 rng: random.Random) -> Optional[Lattice]:
+def finite_stage(secret: Lattice, h1: Lattice, rng: random.Random) -> Optional[Lattice]:
     """Exact finite-group stage: recover the secret inside H_1.
 
     Pulls the secret back through the H_1 basis to a full-rank sublattice of
@@ -410,22 +400,20 @@ def end_to_end(secret: Lattice, p: AlgAParams, rng: random.Random,
                stats: Optional[AlgAStats] = None) -> Optional[Lattice]:
     """Full pipeline: sample + recover H_1 (with retries and doubling-on-
     failure escalation), then the finite stage.  None when retries run out."""
+    stats = stats if stats is not None else AlgAStats()
     params = p
     for _ in range(p.retries):
         sample = sample_fourier_point(secret, params, rng)
-        if stats is not None:
-            stats.samples += 1
+        stats.samples += 1
         h1, trace = recover_colattice(sample.y1, params.Q, params)
         if (h1 is not None and h1.rank == secret.rank
                 and h1.contains_lattice(secret)):
-            rec = finite_stage(secret, h1, params, rng)
+            rec = finite_stage(secret, h1, rng)
             if rec is not None:
                 return rec
-            if stats is not None:
-                stats.last_failure = "finite stage draw budget"
-        elif stats is not None:
+            stats.last_failure = "finite stage draw budget"
+        else:
             stats.last_failure = trace.failure or "wrong colattice candidate"
         params = params.escalated()
-        if stats is not None:
-            stats.escalations += 1
+        stats.escalations += 1
     return None

@@ -10,13 +10,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from .lattice import Lattice, reciprocal_basis, saturation
 from .lll import lll
 from .matrix import format_matrix, parse_int_matrix, parse_matrix, parse_rational, hnf, snf
 from .oracles import BrickOracle, RationalOracle, ShiftPairOracle, SparseSimonOracle, SparseVec
-from .rationals import partial_fractions
+from .rationals import PartialFractionForm, partial_fractions
 from .experiments import run_hsp_experiment, run_shift_experiment
 
 
@@ -56,10 +57,7 @@ def cmd_pf(args) -> int:
         }, sort_keys=True))
         return 0
     if args.abbrev:
-        n, terms = form.abbreviated()
-        parts = [str(n)] if (n or not terms) else []
-        parts += [str(Fraction(r, p ** k)) for p, k, r in terms]
-        print(" + ".join(parts))
+        print(PartialFractionForm(*form.abbreviated()))
     else:
         print(str(form))
     return 0
@@ -110,8 +108,6 @@ def cmd_oracle(args) -> int:
 
 def _check_brick(oracle) -> None:
     """Exhaustive hiding-property check on a small box; raises on failure."""
-    from itertools import product
-
     k = oracle.lattice.k
     pts = list(product(range(-4, 5), repeat=k))
     tokens = {x: oracle.token(x) for x in pts}
@@ -145,8 +141,6 @@ def _check_sparse(oracle, accepted) -> None:
 
 
 def _check_shift_pair(oracle) -> None:
-    from itertools import product
-
     k = oracle.lattice.k
     for x in product(range(-4, 5), repeat=k):
         shifted = [a - b for a, b in zip(x, oracle.shift)]

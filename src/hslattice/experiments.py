@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from .alg_a import AlgAStats, end_to_end, schedule
+from .alg_a import AlgAStats, end_to_end, recover_colattice, sample_fourier_point, schedule
 from .lattice import Lattice, basis_bit_complexity, coset_canonical
 from .matrix import IntMatrix, format_matrix
 from .sieve import SieveStats, recover_shift, sieve_config
@@ -74,9 +74,10 @@ def _check_keys(spec, allowed: Tuple[str, ...], name: str) -> None:
                          f"allowed: {', '.join(allowed)}")
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+def _at_least(value: int, low: int, name: str) -> int:
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def _lattice_from_rows(rows, k: int) -> Lattice:
@@ -102,24 +103,22 @@ def _secret_for_trial(descriptor: Dict, rng: random.Random) -> Lattice:
         rank = rng.randrange(0, k + 1)
     elif not 0 <= _json_int(rank, "secret 'random_rank'") <= k:
         raise ValueError(f"secret 'random_rank' must be in [0, k = {k}], got {rank}")
-    bound = _json_int(spec.get("entry_bound", 64), "secret 'entry_bound'")
-    if bound < 1:
-        raise ValueError(f"secret 'entry_bound' must be >= 1, got {bound}")
+    bound = _at_least(_json_int(spec.get("entry_bound", 64), "secret 'entry_bound'"), 1,
+                      "secret 'entry_bound'")
     return random_lattice(k, rank, bound, rng)
 
 
 def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
                        debug_trace: bool = False, timing: bool = False) -> Dict:
     """Plant secrets and run the full recovery per trial; emit a v1 report."""
-    _check_trials(trials)
+    _at_least(trials, 0, "trials")
     if isinstance(descriptor, dict) and "basis" in descriptor:
         raise ValueError("hsp-recover takes the secret basis as 'secret': {'basis': ...}")
     _check_keys(descriptor, ("k", "secret", "n", "retries"), "descriptor")
-    k = _descriptor_int(descriptor, "k")
+    k = _at_least(_descriptor_int(descriptor, "k"), 1, "descriptor 'k'")
     stated_n = _json_int(descriptor.get("n", 0), "'n'")  # 0: the secret's bit size
-    retries = _json_int(descriptor.get("retries", 8), "'retries'")
-    if retries < 1:
-        raise ValueError(f"descriptor 'retries' must be >= 1, got {retries}")
+    retries = _at_least(_json_int(descriptor.get("retries", 8), "'retries'"), 1,
+                        "descriptor 'retries'")
 
     def one_trial(i: int) -> Dict:
         rng = trial_rng(seed, i)
@@ -145,10 +144,8 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
         if timing:
             record["wall_time_s"] = elapsed
         if debug_trace and i == 0:
-            from .alg_a import recover_colattice, sample_fourier_point
-
             trace_rng = trial_rng(seed ^ 0xDEB06, i)
-            sample = sample_fourier_point(secret, params, trace_rng, debug=True)
+            sample = sample_fourier_point(secret, params, trace_rng)
             _, trace = recover_colattice(sample.y1, params.Q, params)
             record["trace"] = {
                 "E": format_matrix(trace.E),
@@ -158,28 +155,19 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
             }
         return record
 
-    records = [one_trial(i) for i in range(trials)]
-    wins = sum(r["success"] for r in records)
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": "hsp-recover",
-        "parameters": {"descriptor": descriptor, "trials": trials},
-        "seed": seed,
-        "trials": records,
-        "success_rate": wins / trials if trials else 0.0,
-        "timing": None,
-    }
+    return _report("hsp-recover", {"descriptor": descriptor, "trials": trials}, seed,
+                   [one_trial(i) for i in range(trials)])
 
 
 def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
                          noise: str = "exact", timing: bool = False) -> Dict:
     """Plant hidden shifts and run the collimation sieve per trial."""
-    _check_trials(trials)
+    _at_least(trials, 0, "trials")
     _check_keys(descriptor, ("k", "basis", "shift", "t", "m", "shift_bound", "check"),
                 "descriptor")
     rows = descriptor.get("basis") or []
     k = _descriptor_int(descriptor, "k") if "k" in descriptor or not rows else len(rows)
-    lattice = _lattice_from_rows(rows, k)
+    lattice = _lattice_from_rows(rows, _at_least(k, 1, "descriptor 'k'"))
     spec_shift = descriptor.get("shift", "random")
     if spec_shift != "random":
         if not isinstance(spec_shift, list) or len(spec_shift) != k:
@@ -222,16 +210,20 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
             record["wall_time_s"] = elapsed
         return record
 
-    records = [one_trial(i) for i in range(trials)]
+    return _report("shift-recover", {"descriptor": descriptor, "trials": trials, "noise": noise,
+                                     "m": cfg.m, "shift_bound": cfg.shift_bound},
+                   seed, [one_trial(i) for i in range(trials)])
+
+
+def _report(command: str, parameters: Dict, seed: int, records: List[Dict]) -> Dict:
     wins = sum(r["success"] for r in records)
     return {
         "schema": SCHEMA_VERSION,
-        "command": "shift-recover",
-        "parameters": {"descriptor": descriptor, "trials": trials, "noise": noise,
-                       "m": cfg.m, "shift_bound": cfg.shift_bound},
+        "command": command,
+        "parameters": parameters,
         "seed": seed,
         "trials": records,
-        "success_rate": wins / trials if trials else 0.0,
+        "success_rate": wins / len(records) if records else 0.0,
         "timing": None,
     }
 

@@ -137,9 +137,14 @@ def saturation(L: Lattice) -> Lattice:
     if L.rank == 0:
         return L
     _, V, _ = snf(L.basis)
-    v_inv = V.inverse_unimodular()
-    cols = [v_inv.column(j) for j in range(L.rank)]
-    return Lattice.from_generators(IntMatrix.from_columns(cols, rows=L.k))
+    return saturation_from_snf(V, L.rank)
+
+
+def saturation_from_snf(V: IntMatrix, rank: int) -> Lattice:
+    """The saturation of a rank-`rank` matrix M, from the left transform V of
+    its SNF D = V M W: the lattice of the first `rank` columns of V^-1."""
+    cols = V.inverse_unimodular().columns()[:rank]
+    return Lattice.from_generators(IntMatrix.from_columns(cols, rows=V.rows))
 
 
 def integer_orthogonal(L: Lattice) -> IntMatrix:

@@ -157,10 +157,6 @@ class RatMatrix:
         return IntMatrix.from_rows([[x.numerator * (den // x.denominator) for x in row]
                                     for row in entries], cols).to_rational(den)
 
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return IntMatrix.identity(n).to_rational()
-
     @property
     def rows(self) -> int:
         return self.num.rows
@@ -190,22 +186,11 @@ class RatMatrix:
     def columns(self) -> List[Tuple[Fraction, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        return RatMatrix.from_rows(cols, cols=rows).transpose()
-
     def transpose(self) -> "RatMatrix":
         return RatMatrix(self.num.transpose(), self.den)
 
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(self.num @ other.num, self.den * other.den)
-
     def mul_vec(self, v: Sequence) -> Tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num.mul_vec(v))
-
-    def scale(self, c) -> "RatMatrix":
-        c = Fraction(c)
-        return RatMatrix(self.num.scale(c.numerator), self.den * c.denominator)
 
     def denominator_lcm(self) -> int:
         return self.den // gcd(self.den, *(x for row in self.num.data for x in row))

@@ -33,7 +33,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -50,6 +50,7 @@ Point = Tuple[int, ...]  # numerators over the modulus N: the point x / N of the
 
 QUBIT_BUDGET = 1 << 22      # qubits one SieveStats may count
 STAGE_CEILING = 12          # largest km sieve_config accepts
+ORDER_CEILING = 1 << 10     # largest cyclic order of the target group sieve_config accepts
 POSTSELECT_ATTEMPTS = 64    # post-selection rounds per cyclic factor
 NODE_RETRIES = 64           # collimation attempts per recursion node
 
@@ -102,6 +103,11 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     if shift_bound is not None and shift_bound < 0:
         raise ValueError(f"shift_bound must be >= 0, got {shift_bound}")
     k = L.k
+    # The largest cyclic order of the target group: assemble_cyclic is O(order^2).
+    D, _, _ = snf(L.basis)
+    order = max([D[i, i] for i in range(L.rank)] + [2 ** t] * (L.rank < k), default=1)
+    if order > ORDER_CEILING:
+        raise ValueError(f"target group order {order} exceeds the ceiling {ORDER_CEILING}")
     n = k * t
     h = basis_bit_complexity(L)
     need = k * (n + 2 * h) * (2 ** t)
@@ -170,19 +176,6 @@ class PhaseVector:
     spots: Tuple[Spot, ...]
 
 
-@dataclass(frozen=True)
-class PhaseQubit:
-    """Length-2 phase vector: multipliers for the |0> and |1> branches, as
-    numerators over the modulus."""
-
-    zero_mult: Point
-    one_mult: Point
-    modulus: int
-
-    def delta(self) -> Point:
-        return tuple((b - a) % self.modulus for a, b in zip(self.zero_mult, self.one_mult))
-
-
 @dataclass
 class SieveStats:
     qubits: int = 0
@@ -204,10 +197,10 @@ def create_qubit(L: Lattice, cfg: SieveConfig, rng: random.Random,
                  stats: Optional[SieveStats] = None) -> PhaseVector:
     """Sample one phase qubit: multipliers {0, y} with y uniform over H^#.
     Phases are implied, not stored, so the hidden shift is not needed."""
-    if stats is not None:
-        stats.qubits += 1
-        if stats.qubits > QUBIT_BUDGET:
-            raise SieveBudgetExceeded("qubit budget exhausted")
+    stats = stats if stats is not None else SieveStats()
+    stats.qubits += 1
+    if stats.qubits > QUBIT_BUDGET:
+        raise SieveBudgetExceeded("qubit budget exhausted")
     N = cfg.N
     y, _, _ = dual_sample_uniform(L, cfg.Q, rng)
     if cfg.noise == "gaussian":
@@ -294,9 +287,9 @@ def collimate(pv: PhaseVector, m: int, rng: random.Random,
     rule for this measurement."""
     tiles_per_axis = 2 ** (m + 1)
     per_spot_idx, tally = collimation_tally(pv, m)
-    if stats is not None:
-        stats.collimations += 1
-        stats.note_live(sum(len(s.counts) for s in pv.spots))
+    stats = stats if stats is not None else SieveStats()
+    stats.collimations += 1
+    stats.note_live(sum(len(s.counts) for s in pv.spots))
     tiles, ends = _cumulative(tally)
     chosen = tiles[bisect_right(ends, rng.randrange(ends[-1]))]
     new_spots = []
@@ -342,8 +335,7 @@ def _balanced_split(counts: Counts, rng: random.Random) -> Tuple[Counts, Counts]
     return rest, half
 
 
-def _check_vector(pv: PhaseVector, cfg: SieveConfig, L: Lattice, j: int,
-                  final: bool) -> None:
+def _check_vector(pv: PhaseVector, cfg: SieveConfig, L: Lattice, j: int) -> None:
     radius = cfg.stage_radius(j)
     for spot in pv.spots:
         assert spot.window.radius == radius, "radius telescoping violated"
@@ -351,8 +343,7 @@ def _check_vector(pv: PhaseVector, cfg: SieveConfig, L: Lattice, j: int,
             assert spot.window.contains(y), "multiplier escaped its window"
             if cfg.noise == "exact":
                 assert dual_membership(L, y, cfg.N), "multiplier left the dual group"
-        if final:
-            assert cfg.min_len <= spot.length < cfg.max_len, "length discipline violated"
+        assert cfg.min_len <= spot.length < cfg.max_len, "length discipline violated"
 
 
 def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
@@ -361,11 +352,12 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
 
     p=1 returns a single-spot vector at stage j; p=2 below the last stage
     returns a two-spot vector whose windows differ by the target; at the last
-    stage j = km, p=2 performs the pairing measurement and returns a
-    PhaseQubit whose multiplier difference is within 2^(1-km^2-1)-windows of
-    the target."""
+    stage j = km, p=2 performs the pairing measurement and returns the
+    multiplier difference of the measured pair, a point within
+    2^(1-km^2-1)-windows of the target."""
     if not (0 <= j <= cfg.k * cfg.m):
         raise ValueError("stage out of range")
+    stats = stats if stats is not None else SieveStats()
     km = cfg.k * cfg.m
     if j == 0:
         # 2km qubits give one spot of length 4^km; p = 2 takes one more qubit
@@ -382,7 +374,7 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
             spots = (Spot(a, whole), Spot(b, Window(target, cfg.N // 2, cfg.N)))
         out = PhaseVector(spots)
         if cfg.check:
-            _check_vector(out, cfg, L, 0, final=True)
+            _check_vector(out, cfg, L, 0)
         return out
 
     for _ in range(NODE_RETRIES):
@@ -396,26 +388,25 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
             joined = tensor(uv, w)
         out = collimate(joined, cfg.m, rng, stats)
         if any(s.length < cfg.min_len for s in out.spots):
-            if stats is not None:
-                stats.reject(j)
+            stats.reject(j)
             continue
         out = shorten(out, cfg, rng)
         if p == 2 and j == km:
             result = _pairing_measurement(out, rng)
             if result is None:
-                if stats is not None:
-                    stats.reject(j)
+                stats.reject(j)
                 continue
             return result
         if cfg.check:
-            _check_vector(out, cfg, L, j, final=True)
+            _check_vector(out, cfg, L, j)
         return out
     raise SieveBudgetExceeded(f"stage {j} retry budget exhausted")
 
 
-def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[PhaseQubit]:
+def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[Point]:
     """Pair up basis states across the two spots and measure the partition;
-    a sampled pair becomes the output qubit, unpaired outcomes retry."""
+    a sampled pair becomes the output qubit, returned as the difference of
+    its multipliers; unpaired outcomes retry."""
     y_len = pv.spots[0].length
     z_len = pv.spots[1].length
     npairs = min(y_len, z_len)
@@ -427,7 +418,8 @@ def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[PhaseQ
     for spot in pv.spots:
         keys, ends = _cumulative(spot.counts)
         pair.append(keys[bisect_right(ends, i)])
-    return PhaseQubit(pair[0], pair[1], pv.spots[0].window.modulus)
+    N = pv.spots[0].window.modulus
+    return tuple((b - a) % N for a, b in zip(pair[0], pair[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +462,17 @@ def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, L: Lattice,
     e = max(1, (d - 1).bit_length())
     km = cfg.k * cfg.m
     step = cfg.N // d  # d divides N: finite orders divide Delta, 2^t divides Q
+    stats = stats if stats is not None else SieveStats()
     for _ in range(POSTSELECT_ATTEMPTS):
         deltas = []
         for level in range(e):
             target = tuple(g * 2 ** level * step % cfg.N for g in factor.generator)
-            qubit = sieve(km, 2, target, cfg, L, rng, stats)
-            deltas.append(qubit.delta())
+            deltas.append(sieve(km, 2, target, cfg, L, rng, stats))
         # Boolean post-selection onto b < d succeeds with probability d/2^e.
-        if stats is not None:
-            stats.postselect_attempts += 1
+        stats.postselect_attempts += 1
         if rng.randrange(2 ** e) >= d:
             continue
-        if stats is not None:
-            stats.postselect_successes += 1
+        stats.postselect_successes += 1
         # delta . s per level; the phase of index b sums the levels of its bits.
         pairings = [sum(a * x for a, x in zip(shift, delta)) for delta in deltas]
         phases = []
@@ -561,7 +551,7 @@ def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice,
 
     consider(base)
     if best is None and k <= 4:
-        for coeffs in _small_boxes(k, span):
+        for coeffs in product(span, repeat=k):
             cand = list(base)
             for j, a in enumerate(coeffs):
                 if a:
@@ -572,18 +562,14 @@ def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice,
     return tuple(best[1])
 
 
-def _small_boxes(k: int, span) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = [()]
-    for _ in range(k):
-        out = [c + (a,) for c in out for a in span]
-    return out
-
-
 def recover_shift(shift: Sequence[int], L: Lattice, t: int, rng: random.Random,
                   cfg: SieveConfig,
                   stats: Optional[SieveStats] = None) -> Optional[Tuple[int, ...]]:
     """Full shift recovery; returns a vector congruent to the planted shift
-    mod L with probability >= 1/2 in exact mode, or None on failure."""
+    mod L, or None on failure.  Exact mode succeeds with probability >= 1/2
+    for full-rank L only: below full rank the torsion factors measure C^T s
+    mod 2^t (C the integer orthogonal of L), which need not fix the coset of
+    s in the box ||s||_inf <= shift_bound, so the lift may land in another."""
     stats = stats if stats is not None else SieveStats()
     residues: List[Tuple[CyclicFactor, int]] = []
     try:

@@ -268,8 +268,7 @@ def test_09_finite_stage():
                 break
         sec = Lattice.from_generators(P)
         h1 = Lattice.zn(ell)
-        p = schedule(max(1, basis_bit_complexity(sec)), ell)
-        out = finite_stage(sec, h1, p, trng)
+        out = finite_stage(sec, h1, trng)
         wins += out == sec
     # brute-force dual-group enumeration agrees with the sampler's support
     P = IntMatrix.from_rows([[2, 1], [0, 3]])

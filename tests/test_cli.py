@@ -66,6 +66,10 @@ def test_pf_example(capsys):
     assert capsys.readouterr().out.strip() == "-2 + 5/8 + 7/9 + 3/5"
     assert main(["pf", "7"]) == 0
     assert capsys.readouterr().out.strip() == "7"
+    assert main(["pf", "1/2", "--abbrev"]) == 0
+    assert capsys.readouterr().out.strip() == "1/2"
+    assert main(["pf", "7", "--abbrev"]) == 0
+    assert capsys.readouterr().out.strip() == "7"
 
 
 @pytest.mark.parametrize("argv", [["pf", "1/0"], ["oracle", "rational", "3/0", "--accepted", "5"],
@@ -216,10 +220,17 @@ class TestReports:
         ("shift-recover", {"k": 1, "basis": [[8]], "t": 2, "max_retries": 3}, "'max_retries'"),
         ("hsp-recover", [1], "object"),
         ("shift-recover", 5, "object"),
+        ("hsp-recover", {"k": -2}, "'k'"),
+        ("shift-recover", {"k": -1, "t": 1}, "'k'"),
+        ("shift-recover", {"k": 0, "t": 1}, "'k'"),
+        ("shift-recover", {"k": 1, "basis": [[10 ** 200]], "t": 1}, "ceiling"),
+        ("shift-recover", {"k": 2, "basis": [[1], [0]], "t": 11}, "ceiling"),
     ], ids=["secret-not-object", "hsp-top-level-basis", "shift-length-vs-k",
             "shift-rows-vs-k", "m-zero", "shift-bound-negative", "random-rank-above-k",
             "random-rank-negative", "entry-bound-zero", "retries-zero", "hsp-unknown-key",
-            "secret-unknown-key", "shift-unknown-key", "hsp-not-object", "shift-not-object"])
+            "secret-unknown-key", "shift-unknown-key", "hsp-not-object", "shift-not-object",
+            "hsp-k-negative", "shift-k-negative", "shift-k-zero", "shift-order-above-ceiling",
+            "shift-torsion-above-ceiling"])
     def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
         d = tmp_path / "d.json"
         d.write_text(json.dumps(descriptor))

@@ -115,7 +115,10 @@ def test_trace_layers_resolve():
     (lambda ex: ex.run_shift_experiment(
         {"k": 1, "basis": [[8]], "t": 1, "check": True}, seed=1, trials=1, noise="exact"),
      ["lattice.dual_sample_uniform", "lattice.dual_membership", "lll.lll"]),
-], ids=["hsp-k1", "sieve-exact"])
+    (lambda ex: ex.run_hsp_experiment(
+        {"k": 2, "secret": {"random_rank": 1, "entry_bound": 16}}, seed=1, trials=1),
+     ["alg_a.finite_stage", "matrix.snf_rational", "lattice.Lattice.from_generators"]),
+], ids=["hsp-k1", "sieve-exact", "hsp-rank1"])
 def test_trace_layers_count_live_runs(run, layers):
     """A layer that resolves can still read 0 when the pipelines stop calling
     it by that name; one traced trial of each pipeline must count its calls."""

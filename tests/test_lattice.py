@@ -13,7 +13,7 @@ from hslattice.lattice import (
     reciprocal_basis,
     saturation,
 )
-from hslattice.matrix import IntMatrix, RatMatrix
+from hslattice.matrix import IntMatrix
 from hslattice.experiments import random_lattice
 
 
@@ -55,7 +55,7 @@ class TestConstruction:
 
 class TestReciprocal:
     def test_zn_self_reciprocal(self):
-        assert reciprocal_basis(Lattice.zn(3)).data == RatMatrix.identity(3).data
+        assert reciprocal_basis(Lattice.zn(3)).data == IntMatrix.identity(3).to_rational().data
 
     def test_scaling_1d(self):
         L = col_lattice([[2]], 1)
@@ -71,8 +71,8 @@ class TestReciprocal:
             k = rng.randrange(1, 6)
             L = random_lattice(k, rng.randrange(1, k + 1), 64, rng)
             rec = reciprocal_basis(L)
-            prod = L.basis.to_rational().transpose() @ rec
-            assert prod.data == RatMatrix.identity(L.rank).data
+            prod = (L.basis.transpose() @ rec.num).to_rational(rec.den)
+            assert prod.data == IntMatrix.identity(L.rank).to_rational().data
             # H^o <= (1/Delta) Z^k
             for j in range(rec.cols):
                 for x in rec.column(j):
@@ -250,12 +250,11 @@ class TestGeometry:
             L = random_lattice(k, rng.randrange(0, k + 1), 32, rng)
             g = L.geometry
             assert L.geometry is g  # built once per lattice
-            M = L.basis.to_rational()
             if g.scaled_reciprocal is not None:
-                reciprocal = g.scaled_reciprocal.to_rational().scale(Fraction(1, L.gram_det))
-                assert (reciprocal.transpose() @ M).data == RatMatrix.identity(L.rank).data
+                reciprocal = (g.scaled_reciprocal.transpose() @ L.basis).to_rational(L.gram_det)
+                assert reciprocal.data == IntMatrix.identity(L.rank).to_rational().data
             assert g.ortho.cols == k - L.rank
-            assert all(x == 0 for row in (M.transpose() @ g.ortho.to_rational()).data for x in row)
+            assert all(x == 0 for row in (L.basis.transpose() @ g.ortho).data for x in row)
 
     def test_inverse_norms_beyond_float_range(self):
         """Squared norms past the float range still get their inverse norms."""

@@ -18,10 +18,13 @@ from hslattice.lattice import (
     reciprocal_basis,
 )
 from hslattice.matrix import IntMatrix
+from hslattice import sieve as sieve_module
 from hslattice.sieve import (
+    ORDER_CEILING,
     InfeasibleShift,
     CyclicFactor,
     PhaseVector,
+    SieveBudgetExceeded,
     SieveConfig,
     SieveStats,
     Spot,
@@ -119,6 +122,16 @@ class TestConfig:
     def test_ceiling(self):
         with pytest.raises(ValueError):
             sieve_config(Lattice.zn(5), 20)
+
+    def test_order_ceiling(self):
+        """The largest cyclic order of the target group is bounded: an
+        invariant factor of the basis, or 2^t when the rank is below k."""
+        sieve_config(col_lattice([[ORDER_CEILING]], 1), 1)
+        sieve_config(Lattice.trivial(1), ORDER_CEILING.bit_length() - 1)
+        for L, t in ((col_lattice([[ORDER_CEILING + 1]], 1), 1),
+                     (col_lattice([[1, 0]], 2), ORDER_CEILING.bit_length())):
+            with pytest.raises(ValueError, match="ceiling"):
+                sieve_config(L, t)
 
     def test_unknown_noise_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -556,7 +569,7 @@ class TestSieveRecursion:
         km = cfg.k * cfg.m
         for seed in range(5):
             q = sieve(km, 2, (cfg.N // 8,), cfg, L8(), random.Random(seed), SieveStats())
-            diff = lifted_difference(torus(q.delta(), cfg.N), mod1(["1/8"]))
+            diff = lifted_difference(torus(q, cfg.N), mod1(["1/8"]))
             bound = Fraction(2, 2 ** (cfg.k * cfg.m * cfg.m + 1))
             assert all(abs(c) <= bound for c in diff)
 
@@ -566,6 +579,14 @@ class TestSieveRecursion:
         stats = SieveStats()
         sieve(cfg.k * cfg.m, 1, (0,), cfg, L8(), random.Random(8), stats)
         assert stats.qubits > 0
+
+    def test_qubit_budget_without_stats(self, monkeypatch):
+        """A sieve called without a SieveStats still counts its qubits
+        against the budget."""
+        monkeypatch.setattr(sieve_module, "QUBIT_BUDGET", 3)
+        cfg = sieve_config(L8(), 2)
+        with pytest.raises(SieveBudgetExceeded):
+            sieve(cfg.k * cfg.m, 1, (0,), cfg, L8(), random.Random(8))
 
     def test_exact_mode_closure(self):
         cfg = sieve_config(L8(), 2)
