@@ -113,7 +113,7 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     need = k * (n + 2 * h) * (2 ** t)
     if m is None:
         m = 2
-        while 2 ** (k * m * m) <= need:
+        while k * m <= STAGE_CEILING and 2 ** (k * m * m) <= need:
             m += 1
     if k * m > STAGE_CEILING:
         raise ValueError(f"km = {k * m} exceeds the desk-scale ceiling {STAGE_CEILING}")

@@ -225,12 +225,13 @@ class TestReports:
         ("shift-recover", {"k": 0, "t": 1}, "'k'"),
         ("shift-recover", {"k": 1, "basis": [[10 ** 200]], "t": 1}, "ceiling"),
         ("shift-recover", {"k": 2, "basis": [[1], [0]], "t": 11}, "ceiling"),
+        ("shift-recover", {"k": 1, "basis": [[1]], "t": 10 ** 7}, "ceiling"),
     ], ids=["secret-not-object", "hsp-top-level-basis", "shift-length-vs-k",
             "shift-rows-vs-k", "m-zero", "shift-bound-negative", "random-rank-above-k",
             "random-rank-negative", "entry-bound-zero", "retries-zero", "hsp-unknown-key",
             "secret-unknown-key", "shift-unknown-key", "hsp-not-object", "shift-not-object",
             "hsp-k-negative", "shift-k-negative", "shift-k-zero", "shift-order-above-ceiling",
-            "shift-torsion-above-ceiling"])
+            "shift-torsion-above-ceiling", "shift-huge-t"])
     def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
         d = tmp_path / "d.json"
         d.write_text(json.dumps(descriptor))
