@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 from .lattice import Lattice, dual_sample_uniform, gaussian_grid_noise, saturation_from_snf
 from .lll import lll, lll_from_coarse
-from .matrix import IntMatrix, RatMatrix, snf, snf_rational
+from .matrix import IntMatrix, RatMatrix, snf_rational
 from .rationals import legendre_reconstruct
 
 
@@ -30,7 +30,9 @@ class ScheduleOverflow(ValueError):
     """Requested parameters exceed the configured bit-length ceiling."""
 
 
-PARAM_BIT_CEILING = 1 << 20
+# The largest (k+1) * bits(Q) schedule accepts: the size of the flattened
+# (k+1)-dimensional lattice that recover_colattice reduces.
+PARAM_BIT_CEILING = 1 << 19
 # The coarse reduction of recover_colattice takes one stage per STAGE_BITS
 # bits of log2 T.
 STAGE_BITS = 512
@@ -103,9 +105,10 @@ def schedule(n: int, k: int, retries: int = 8) -> AlgAParams:
         4 * R * R * T ** 3,
     ))
     Q = S * S
-    if Q.bit_length() > PARAM_BIT_CEILING:
+    if (k + 1) * Q.bit_length() > PARAM_BIT_CEILING:
         raise ScheduleOverflow(
-            f"Q needs {Q.bit_length()} bits, ceiling is {PARAM_BIT_CEILING}"
+            f"the flattened lattice needs (k+1) bits(Q) = {(k + 1) * Q.bit_length()} bits, "
+            f"ceiling is {PARAM_BIT_CEILING}"
         )
     p = AlgAParams(n=n, k=k, Q=Q, R=R, R1=R1, Lambda=Lam, T=T, S=S, retries=retries)
     p.validate()
@@ -342,8 +345,8 @@ def finite_stage(secret: Lattice, h1: Lattice, rng: random.Random) -> Optional[L
     Pulls the secret back through the H_1 basis to a full-rank sublattice of
     Z^ell, draws exact uniform dual samples of the finite dual group, grows
     the generated subgroup until it stabilizes for 2 ceil(log2 index) + 4
-    consecutive draws, converts the dual generators to a primal basis via the
-    SNF, and maps back.  Returns None if the draw budget runs out."""
+    consecutive draws, takes the annihilator of the dual generators as the
+    primal basis, and maps back.  Returns None if the draw budget runs out."""
     if secret.rank != h1.rank or not h1.contains_lattice(secret):
         raise ValueError("finite_stage needs secret <= H1 of equal rank")
     ell = h1.rank
@@ -377,15 +380,12 @@ def finite_stage(secret: Lattice, h1: Lattice, rng: random.Random) -> Optional[L
         stable = 0
         cols = [group.basis.column(j) for j in range(group.rank)] + [scaled]
         group = Lattice.from_generators(IntMatrix.from_columns(cols, rows=ell))
-    # Dual generators y_j = column_j / index; primal = W diag(denominators).
-    # The SNF's transforms do not change when its input is scaled, so the
-    # SNF of index * (dual generators) gives W, and D / index the diagonal.
-    D, _, W = snf(group.basis.transpose())
-    qs = [index // math.gcd(D[i, i], index) for i in range(ell)]
-    primal = IntMatrix.from_columns(
-        [[W[i, j] * qs[j] for i in range(ell)] for j in range(ell)], rows=ell
-    )
-    rec_cols = [h1.basis.mul_vec(primal.column(j)) for j in range(ell)]
+    # The dual generators are the columns of G / index, G = group.basis; their
+    # annihilator {x : G^T x in index Z^ell} is spanned by the columns of
+    # (index G^-1)^T, the rows of index adj(G) / det G.  G contains
+    # index Z^ell, so index G^-1 is integral and the division exact.
+    det_g, adj_g = group.basis.adjugate()
+    rec_cols = [h1.basis.mul_vec([index * x // det_g for x in row]) for row in adj_g.data]
     return Lattice.from_generators(IntMatrix.from_columns(rec_cols, rows=secret.k))
 
 

@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attach wall times (sacrifices byte-reproducibility)")
         if name == "hsp-recover":
             p.add_argument("--debug-trace", action="store_true",
-                           help="dump the recovery trace of trial 0")
+                           help="dump the recovery trace of one extra Fourier sample "
+                                "of trial 0's secret, drawn on its own random stream")
         else:
             p.add_argument("--noise", choices=["exact", "gaussian"], default="exact")
         p.set_defaults(func=fn)

@@ -67,6 +67,13 @@ class Lattice:
         return hnf_pivots(self.basis)
 
     @functools.cached_property
+    def smith(self) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+        """The Smith form (D, V, W) of the basis, D = V basis W, found on
+        first use: the one SNF the saturation, the integer orthogonal and the
+        sieve's target group read."""
+        return snf(self.basis)
+
+    @functools.cached_property
     def geometry(self) -> "LatticeGeometry":
         """The geometry of H^#, built on first use and kept with the lattice."""
         return LatticeGeometry.of(self)
@@ -133,11 +140,10 @@ def reciprocal_basis(L: Lattice) -> RatMatrix:
 
 
 def saturation(L: Lattice) -> Lattice:
-    """H_1 = H_R intersect Z^k, computed from the SNF of the basis."""
+    """H_1 = H_R intersect Z^k, computed from the Smith form of the basis."""
     if L.rank == 0:
         return L
-    _, V, _ = snf(L.basis)
-    return saturation_from_snf(V, L.rank)
+    return saturation_from_snf(L.smith[1], L.rank)
 
 
 def saturation_from_snf(V: IntMatrix, rank: int) -> Lattice:
@@ -148,13 +154,11 @@ def saturation_from_snf(V: IntMatrix, rank: int) -> Lattice:
 
 
 def integer_orthogonal(L: Lattice) -> IntMatrix:
-    """Basis of {x in Z^k : M^T x = 0}, the integer points of H_R^perp."""
-    if L.rank == 0:
-        return IntMatrix.identity(L.k)
-    _, _, W = snf(L.basis.transpose())
-    rank = L.rank
-    cols = [W.column(j) for j in range(rank, L.k)]
-    return IntMatrix.from_columns(cols, rows=L.k)
+    """Basis of {x in Z^k : M^T x = 0}, the integer points of H_R^perp: the
+    rows rank.. of V in the Smith form D = V M W, as columns.  For
+    x = V^T y, x^T M = y^T D W^-1 vanishes exactly when y does on the first
+    rank coordinates."""
+    return IntMatrix.from_columns(L.smith[1].data[L.rank:], rows=L.k)
 
 
 def dual_membership(L: Lattice, x: Sequence[int], modulus: int) -> bool:

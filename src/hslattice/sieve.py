@@ -21,8 +21,8 @@ The three stages mirror the qubit-creation / recursive-collimation / final-
 measurement split: create_qubit draws a dual point per qubit, sieve() runs
 the depth-first recursion with tandem two-spot collimation windows, and
 recover_shift assembles one cyclic factor of the target group at a time
-before lifting the measured residues to an integer shift by solving the
-congruence system (approximate CVP on the solution lattice).
+before lifting the measured residues to an integer shift through the Smith
+form of the lattice's basis (approximate CVP on the solution lattice).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .lattice import (
     gaussian_grid_noise,
 )
 from .lll import babai_nearest_plane, lll
-from .matrix import IntMatrix, snf
+from .matrix import IntMatrix
 
 Point = Tuple[int, ...]  # numerators over the modulus N: the point x / N of the torus
 
@@ -96,6 +96,10 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     stage is a whole number of 1/N steps."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    if t >= STAGE_CEILING ** 2:
+        # 2^(k m^2) > 2^t needs k m^2 > t, and k m^2 <= (km)^2 <= STAGE_CEILING^2.
+        raise ValueError(f"t = {t} reaches the ceiling {STAGE_CEILING ** 2}: no km <= "
+                         f"{STAGE_CEILING} collimates finely enough for 2^-t")
     if noise not in ("exact", "gaussian"):
         raise ValueError(f"unknown noise mode {noise!r}")
     if m is not None and m < 1:
@@ -104,8 +108,7 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
         raise ValueError(f"shift_bound must be >= 0, got {shift_bound}")
     k = L.k
     # The largest cyclic order of the target group: assemble_cyclic is O(order^2).
-    D, _, _ = snf(L.basis)
-    order = max([D[i, i] for i in range(L.rank)] + [2 ** t] * (L.rank < k), default=1)
+    order = max(_row_orders(L, t), default=1)
     if order > ORDER_CEILING:
         raise ValueError(f"target group order {order} exceeds the ceiling {ORDER_CEILING}")
     n = k * t
@@ -433,21 +436,25 @@ class CyclicFactor:
     kind: str  # "finite" (complement of H_1^# in H^#) or "torsion" (2^t part)
 
 
+def _row_orders(L: Lattice, t: int) -> List[int]:
+    """The order of the target-group factor on each row i of V in the Smith
+    form D = V M W of L's basis: D_ii below the rank, 2^t from it on.  A
+    factor of order 1 is trivial."""
+    D = L.smith[0]
+    return [D[i, i] for i in range(L.rank)] + [2 ** t] * (L.k - L.rank)
+
+
 def build_target_group(L: Lattice, t: int) -> Tuple[CyclicFactor, ...]:
-    """A = A1 + A2: a complement of H_1^# in H^# (one cyclic factor per
-    nontrivial invariant factor of the basis) plus the 2^t-torsion of H_1^#
-    (integer-orthogonal columns over 2^t)."""
-    factors: List[CyclicFactor] = []
-    if L.rank:
-        D, V, _ = snf(L.basis)
-        for i in range(L.rank):
-            d = D[i, i]
-            if d > 1:
-                factors.append(CyclicFactor(d, tuple(V[i, j] % d for j in range(L.k)), "finite"))
-    for col in L.geometry.ortho.columns():
-        factors.append(CyclicFactor(2 ** t, tuple(c % 2 ** t for c in col), "torsion"))
+    """A = A1 + A2, one cyclic factor per row of V (D = V M W) of order
+    above 1: rows i < rank over D_ii are a complement of H_1^# in H^#, and
+    rows i >= rank, which span the integer orthogonal, over 2^t are the
+    2^t-torsion of H_1^#."""
+    V = L.smith[1]
+    factors = tuple(CyclicFactor(d, tuple(x % d for x in V.data[i]),
+                                 "finite" if i < L.rank else "torsion")
+                    for i, d in enumerate(_row_orders(L, t)) if d > 1)
     assert all(dual_membership(L, f.generator, f.order) for f in factors)
-    return tuple(factors)
+    return factors
 
 
 def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, L: Lattice,
@@ -499,67 +506,40 @@ class InfeasibleShift(ValueError):
     """No shift inside the norm box satisfies the measured congruences."""
 
 
-def lift_shift(residues: Sequence[Tuple[CyclicFactor, int]], L: Lattice,
-               bound: int) -> Tuple[int, ...]:
-    """Solve gen.s = c (mod d) for all measured factors with ||s||_inf <= bound,
-    via a particular solution of the congruence system plus Babai
-    nearest-plane on the solution lattice A^#."""
+def lift_shift(residues: Sequence[int], L: Lattice, t: int, bound: int) -> Tuple[int, ...]:
+    """An s with ||s||_inf <= bound whose pairings with the factors of
+    build_target_group(L, t), in order, are the measured residues.
+
+    Factor i measures (V s)_i mod its order o_i (D = V M W), and a row of
+    order 1 measures nothing, so the solutions are s0 + V^-1 diag(o) Z^k with
+    s0 = V^-1 z, z the residues on their rows.  Babai nearest-plane on the
+    LLL-reduced solution lattice moves s0 towards the box."""
     k = L.k
-    if not residues:
-        return tuple([0] * k)
-    rows = [list(fac.generator) for fac, _ in residues]
-    mods = [fac.order for fac, _ in residues]
-    targets = [int(c) % fac.order for fac, c in residues]
-    m = len(rows)
-    sys_rows = [rows[i] + [mods[i] if j == i else 0 for j in range(m)] for i in range(m)]
-    Asys = IntMatrix.from_rows(sys_rows)
-    D, V, W = snf(Asys)
-    vc = V.mul_vec(targets)
-    y = [0] * (k + m)
-    rank = 0
-    for i in range(min(m, k + m)):
-        if D[i, i] != 0:
-            rank = i + 1
-    for i in range(m):
-        di = D[i, i] if i < rank else 0
-        if di:
-            q, r = divmod(vc[i], di)
-            if r:
-                raise InfeasibleShift("congruence system has no integer solution")
-            y[i] = q
-        elif vc[i]:
-            raise InfeasibleShift("congruence system has no integer solution")
-    x = W.mul_vec(y)
-    s0 = list(x[:k])
-    kernel_cols = [W.column(j)[:k] for j in range(rank, k + m)]
-    sol_lattice = Lattice.from_generators(IntMatrix.from_columns(kernel_cols, rows=k))
-    assert sol_lattice.rank == k, "solution lattice must have full rank"
+    orders = _row_orders(L, t)
+    rows = [i for i, d in enumerate(orders) if d > 1]
+    if len(residues) != len(rows):
+        raise ValueError(f"{len(residues)} residues for {len(rows)} target-group factors")
+    z = [0] * k
+    for i, c in zip(rows, residues):
+        z[i] = c % orders[i]
+    V_inv = L.smith[1].inverse_unimodular()
+    s0 = V_inv.mul_vec(z)
+    sol_lattice = Lattice.from_generators(IntMatrix.from_columns(
+        [[d * x for x in col] for col, d in zip(V_inv.columns(), orders)], rows=k))
     reduced = lll(sol_lattice.basis.to_rational())
     point = babai_nearest_plane(reduced, [Fraction(c) for c in s0])
-    best = None
-    base = [Fraction(c) - pc for c, pc in zip(s0, point)]
+    base = [c - int(pc) for c, pc in zip(s0, point)]
     # Babai candidate first; a small coefficient enumeration catches near-ties.
-    span = range(-2, 3)
-    cols = [reduced.column(j) for j in range(k)]
-
-    def consider(vec: List[Fraction]) -> None:
-        nonlocal best
-        ints = [int(c) for c in vec]
-        norm = max(abs(c) for c in ints) if ints else 0
-        if norm <= bound and (best is None or norm < best[0]):
-            best = (norm, ints)
-
-    consider(base)
-    if best is None and k <= 4:
-        for coeffs in product(span, repeat=k):
-            cand = list(base)
-            for j, a in enumerate(coeffs):
-                if a:
-                    cand = [x - a * y for x, y in zip(cand, cols[j])]
-            consider(cand)
-    if best is None:
+    candidates = [base]
+    if max(map(abs, base)) > bound and k <= 4:
+        cols = reduced.to_integer().columns()
+        candidates = [[x - sum(a * col[i] for a, col in zip(coeffs, cols))
+                       for i, x in enumerate(base)]
+                      for coeffs in product(range(-2, 3), repeat=k)]
+    fits = [v for v in candidates if max(map(abs, v)) <= bound]
+    if not fits:
         raise InfeasibleShift(f"no solution with infinity norm <= {bound}")
-    return tuple(best[1])
+    return tuple(min(fits, key=lambda v: max(map(abs, v))))
 
 
 def recover_shift(shift: Sequence[int], L: Lattice, t: int, rng: random.Random,
@@ -567,15 +547,14 @@ def recover_shift(shift: Sequence[int], L: Lattice, t: int, rng: random.Random,
                   stats: Optional[SieveStats] = None) -> Optional[Tuple[int, ...]]:
     """Full shift recovery; returns a vector congruent to the planted shift
     mod L, or None on failure.  Exact mode succeeds with probability >= 1/2
-    for full-rank L only: below full rank the torsion factors measure C^T s
-    mod 2^t (C the integer orthogonal of L), which need not fix the coset of
-    s in the box ||s||_inf <= shift_bound, so the lift may land in another."""
+    for full-rank L only: below full rank the torsion factors measure the
+    last k - rank coordinates of V s mod 2^t (D = V M W), which need not fix
+    the coset of s in the box ||s||_inf <= shift_bound, so the lift may land
+    in another."""
     stats = stats if stats is not None else SieveStats()
-    residues: List[Tuple[CyclicFactor, int]] = []
     try:
-        for fac in build_target_group(L, t):
-            c = assemble_cyclic(fac, cfg, L, shift, rng, stats)
-            residues.append((fac, c))
-        return lift_shift(residues, L, cfg.shift_bound)
+        residues = [assemble_cyclic(fac, cfg, L, shift, rng, stats)
+                    for fac in build_target_group(L, t)]
+        return lift_shift(residues, L, t, cfg.shift_bound)
     except (SieveBudgetExceeded, InfeasibleShift):
         return None

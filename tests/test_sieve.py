@@ -22,7 +22,6 @@ from hslattice import sieve as sieve_module
 from hslattice.sieve import (
     ORDER_CEILING,
     InfeasibleShift,
-    CyclicFactor,
     PhaseVector,
     SieveBudgetExceeded,
     SieveConfig,
@@ -681,32 +680,51 @@ class TestLiftShift:
     def test_all_zero(self):
         L = col_lattice([[4]], 1)
         g = build_target_group(L, 2)
-        res = [(f, 0) for f in g]
-        s = lift_shift(res, L, 2)
+        s = lift_shift([0] * len(g), L, 2, 2)
         assert coset_canonical(L, s) == (0,)
 
     def test_infeasible_box(self):
-        # artificial order-8 generator with L = 4Z, t = 2: s = 3 mod 8 has no
-        # representative with |s| <= 2, so the error path fires
-        L = col_lattice([[4]], 1)
-        fac = CyclicFactor(8, (1,), "finite")
+        # L = 8Z: s = 4 mod 8 has no representative with |s| <= 2, so the
+        # enumeration runs and the error path fires
+        L = col_lattice([[8]], 1)
         with pytest.raises(InfeasibleShift):
-            lift_shift([(fac, 3)], L, 2)
+            lift_shift([4], L, 1, 2)
 
     def test_quarter_residue(self):
         # k=1, trivial L, t=2, gen 1/4, residue 3: unique in-box solution -1
         L = Lattice.trivial(1)
-        fac = CyclicFactor(4, (1,), "torsion")
-        s = lift_shift([(fac, 3)], L, 2)
-        assert s == (-1,)
+        assert build_target_group(L, 2)[0].generator == (1,)
+        assert lift_shift([3], L, 2, 2) == (-1,)
 
-    def test_inconsistent_congruences(self):
-        L = Lattice.trivial(1)
-        f1 = CyclicFactor(4, (1,), "torsion")
-        f2 = CyclicFactor(2, (1,), "torsion")
-        # s = 1 mod 4 forces s odd; s = 0 mod 2 forces s even
-        with pytest.raises(InfeasibleShift):
-            lift_shift([(f1, 1), (f2, 0)], L, 2)
+    def test_enumeration_rescues_babai(self):
+        # Babai's candidate for s = (2, -2) falls outside the box; the +-2
+        # coefficient enumeration finds s itself
+        L = col_lattice([[0, 6], [6, -3]], 2)
+        s = (2, -2)
+        res = [sum(g * x for g, x in zip(f.generator, s)) % f.order
+               for f in build_target_group(L, 1)]
+        assert lift_shift(res, L, 1, 2) == s
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.data(), st.sampled_from([1, 2]))
+    def test_lift_meets_congruences_and_box(self, k, data, t):
+        """Any returned vector has the measured residues and lies in the box;
+        at full rank it lies in s + L."""
+        cols = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
+                                  max_size=k))
+        L = col_lattice(cols, k)
+        bound = 2 ** (t - 1)
+        s = data.draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k))
+        g = build_target_group(L, t)
+        res = [sum(a * x for a, x in zip(f.generator, s)) % f.order for f in g]
+        try:
+            out = lift_shift(res, L, t, bound)
+        except InfeasibleShift:
+            return
+        assert max(map(abs, out)) <= bound
+        assert [sum(a * x for a, x in zip(f.generator, out)) % f.order for f in g] == res
+        if L.rank == k:
+            assert L.contains([a - b for a, b in zip(out, s)])
 
 
 class TestRecoverShift:
