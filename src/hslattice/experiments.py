@@ -42,10 +42,7 @@ def random_lattice(k: int, rank: int, entry_bound: int, rng: random.Random) -> L
     while True:
         cols = [[rng.randrange(-entry_bound, entry_bound + 1) for _ in range(k)]
                 for _ in range(rank)]
-        try:
-            L = Lattice.from_generators(IntMatrix.from_columns(cols, rows=k))
-        except ValueError:
-            continue
+        L = Lattice.from_generators(IntMatrix.from_columns(cols, rows=k))
         if L.rank == rank:
             return L
 
@@ -191,7 +188,7 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
             shift = list(spec_shift)
         stats = SieveStats()
         t0 = time.monotonic()
-        recovered = recover_shift(shift, lattice, t, rng, cfg=cfg, stats=stats)
+        recovered = recover_shift(shift, cfg, rng, stats=stats)
         elapsed = time.monotonic() - t0
         success = recovered is not None and all(
             c == 0 for c in coset_canonical(lattice, [a - b for a, b in zip(recovered, shift)])

@@ -1,6 +1,7 @@
 """Sublattices of Z^k and the geometry of their dual groups in (R/Z)^k.
 
-A lattice H <= Z^k is held as a canonical column-HNF basis.  The torus dual
+A lattice H <= Z^k is its canonical column-HNF basis, and every value read
+from the basis is cached on the lattice at first use.  The torus dual
 H^# = {y : x.y in Z for all x in H} splits into a finite component group
 (reached through the reciprocal lattice H^o) and a connected torus H_1^#
 (reached through the integer points of H_R^perp); the operations here expose
@@ -16,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .lll import gram_schmidt
 from .matrix import IntMatrix, RatMatrix, hnf, hnf_pivots, snf
@@ -28,24 +29,17 @@ _TWO_SQRT_PI = Fraction(35449077018110322, 10 ** 16)
 
 @dataclass(frozen=True)
 class Lattice:
-    """A sublattice of Z^k with canonical HNF basis and cached Gram determinant."""
+    """A sublattice of Z^k, held as its canonical HNF basis; equality and
+    hash are those of the basis."""
 
-    k: int
-    rank: int
     basis: IntMatrix  # k x rank, column HNF, no zero columns
-    gram_det: int
 
     @staticmethod
     def from_generators(G: IntMatrix) -> "Lattice":
         """Canonicalize an arbitrary generating set (any rank, any shape)."""
         H, _ = hnf(G)
-        cols = [col for col in H.columns() if any(col)]
-        basis = IntMatrix.from_columns(cols, rows=G.rows)
-        gram = basis.transpose() @ basis
-        delta = gram.det() if basis.cols else 1
-        if delta <= 0:
-            raise ValueError("HNF produced dependent columns")
-        return Lattice(G.rows, basis.cols, basis, delta)
+        return Lattice(IntMatrix.from_columns([col for col in H.columns() if any(col)],
+                                              rows=G.rows))
 
     @staticmethod
     def zn(k: int) -> "Lattice":
@@ -53,13 +47,29 @@ class Lattice:
 
     @staticmethod
     def trivial(k: int) -> "Lattice":
-        return Lattice(k, 0, IntMatrix(k, 0, tuple(() for _ in range(k))), 1)
+        return Lattice(IntMatrix.from_columns([], rows=k))
+
+    @property
+    def k(self) -> int:
+        return self.basis.rows
+
+    @property
+    def rank(self) -> int:
+        return self.basis.cols
 
     def contains(self, x: Sequence[int]) -> bool:
         return all(c == 0 for c in coset_canonical(self, x))
 
     def contains_lattice(self, other: "Lattice") -> bool:
         return all(self.contains(other.basis.column(j)) for j in range(other.rank))
+
+    @functools.cached_property
+    def gram_det(self) -> int:
+        """The Gram determinant Delta = det(M^T M) of the basis M, 1 at rank 0."""
+        delta = (self.basis.transpose() @ self.basis).det() if self.rank else 1
+        if delta <= 0:
+            raise ValueError("the basis has dependent columns")
+        return delta
 
     @functools.cached_property
     def pivots(self) -> List[Tuple[int, int]]:
@@ -74,34 +84,25 @@ class Lattice:
         return snf(self.basis)
 
     @functools.cached_property
-    def geometry(self) -> "LatticeGeometry":
-        """The geometry of H^#, built on first use and kept with the lattice."""
-        return LatticeGeometry.of(self)
+    def scaled_reciprocal(self) -> IntMatrix:
+        """Delta times the reciprocal basis M (M^T M)^-1: M adj(M^T M), integral."""
+        _, adj = (self.basis.transpose() @ self.basis).adjugate()
+        return self.basis @ adj
 
+    @functools.cached_property
+    def orthogonal(self) -> IntMatrix:
+        """Basis of {x in Z^k : M^T x = 0}, the integer points of H_R^perp:
+        the rows rank.. of V in the Smith form D = V M W, as columns.  For
+        x = V^T y, x^T M = y^T D W^-1 vanishes exactly when y does on the
+        first rank coordinates."""
+        return IntMatrix.from_columns(self.smith[1].data[self.rank:], rows=self.k)
 
-@dataclass(frozen=True)
-class LatticeGeometry:
-    """What sampling from H^# needs: the reciprocal basis scaled by the Gram
-    determinant Delta (integral, since Delta (M^T M)^-1 is the adjugate; None
-    at rank 0), the integer orthogonal of H_R, and the Gram-Schmidt frame of
-    the basis as (vector, float-exact inverse norm) pairs."""
-
-    scaled_reciprocal: Optional[IntMatrix]
-    ortho: IntMatrix
-    frame: Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]
-
-    @staticmethod
-    def of(L: Lattice) -> "LatticeGeometry":
-        star, _, norms = gram_schmidt(L.basis.columns())
-        frame = tuple((tuple(v), Fraction(_inverse_sqrt(n))) for v, n in zip(star, norms))
-        scaled = _scaled_reciprocal(L) if L.rank else None
-        return LatticeGeometry(scaled, integer_orthogonal(L), frame)
-
-
-def _scaled_reciprocal(L: Lattice) -> IntMatrix:
-    """Delta times the reciprocal basis M (M^T M)^-1, i.e. M adj(M^T M)."""
-    _, adj = (L.basis.transpose() @ L.basis).adjugate()
-    return L.basis @ adj
+    @functools.cached_property
+    def frame(self) -> Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]:
+        """The Gram-Schmidt frame of the basis as (vector, float-exact inverse
+        norm) pairs; ValueError when an inverse norm underflows a float."""
+        star, _, norms = gram_schmidt(self.basis.columns())
+        return tuple((tuple(v), Fraction(_inverse_sqrt(n))) for v, n in zip(star, norms))
 
 
 def _inverse_sqrt(n: Fraction) -> float:
@@ -136,7 +137,7 @@ def reciprocal_basis(L: Lattice) -> RatMatrix:
     """Generating matrix M (M^T M)^{-1} of the reciprocal lattice H^o."""
     if L.rank == 0:
         raise ValueError("rank-0 lattice has an empty reciprocal")
-    return _scaled_reciprocal(L).to_rational(L.gram_det)
+    return L.scaled_reciprocal.to_rational(L.gram_det)
 
 
 def saturation(L: Lattice) -> Lattice:
@@ -151,14 +152,6 @@ def saturation_from_snf(V: IntMatrix, rank: int) -> Lattice:
     its SNF D = V M W: the lattice of the first `rank` columns of V^-1."""
     cols = V.inverse_unimodular().columns()[:rank]
     return Lattice.from_generators(IntMatrix.from_columns(cols, rows=V.rows))
-
-
-def integer_orthogonal(L: Lattice) -> IntMatrix:
-    """Basis of {x in Z^k : M^T x = 0}, the integer points of H_R^perp: the
-    rows rank.. of V in the Smith form D = V M W, as columns.  For
-    x = V^T y, x^T M = y^T D W^-1 vanishes exactly when y does on the first
-    rank coordinates."""
-    return IntMatrix.from_columns(L.smith[1].data[L.rank:], rows=L.k)
 
 
 def dual_membership(L: Lattice, x: Sequence[int], modulus: int) -> bool:
@@ -181,17 +174,16 @@ def dual_sample_uniform(L: Lattice, torus_grid: int,
     check the genericity of the torus part."""
     if torus_grid < 1:
         raise ValueError("torus grid must be >= 1")
-    g = L.geometry
     modulus = math.lcm(L.gram_det, torus_grid)
     x = [0] * L.k
     a = [rng.randrange(L.gram_det) for _ in range(L.rank)]
     if a:
         step = modulus // L.gram_det
-        x = [c + step * v for c, v in zip(x, g.scaled_reciprocal.mul_vec(a))]
-    u = [rng.randrange(torus_grid) for _ in range(g.ortho.cols)]
+        x = [c + step * v for c, v in zip(x, L.scaled_reciprocal.mul_vec(a))]
+    u = [rng.randrange(torus_grid) for _ in range(L.k - L.rank)]
     if u:
         step = modulus // torus_grid
-        x = [c + step * v for c, v in zip(x, g.ortho.mul_vec(u))]
+        x = [c + step * v for c, v in zip(x, L.orthogonal.mul_vec(u))]
     return tuple(c % modulus for c in x), a, u
 
 
@@ -203,7 +195,7 @@ def gaussian_grid_noise(L: Lattice, x: Sequence[int], modulus: int, width: int, 
     over grid.  One standard normal draw per basis vector."""
     sigma = 1 / (_TWO_SQRT_PI * width)
     offset = [Fraction(0)] * len(x)
-    for vec, inv_norm in L.geometry.frame:
+    for vec, inv_norm in L.frame:
         z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
         if z:
             offset = [o + z * g for o, g in zip(offset, vec)]

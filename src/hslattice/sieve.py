@@ -61,7 +61,7 @@ class SieveBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SieveConfig:
-    k: int
+    lattice: Lattice
     t: int
     m: int              # stage exponent; km collimation stages
     G: int              # Gaussian width for the noisy sampler (1/g)
@@ -70,6 +70,10 @@ class SieveConfig:
     noise: str = "exact"            # "exact" | "gaussian"
     shift_bound: int = 0            # infinity-norm box for the lifted shift
     check: bool = False             # assert window/length invariants as we go
+
+    @property
+    def k(self) -> int:
+        return self.lattice.k
 
     def stage_radius(self, j: int) -> int:
         """Window radius 2^-(jm+1) at stage j, in units of 1/N."""
@@ -120,11 +124,14 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
             m += 1
     if k * m > STAGE_CEILING:
         raise ValueError(f"km = {k * m} exceeds the desk-scale ceiling {STAGE_CEILING}")
+    # Read in both noise modes: the gaussian sampler needs the frame, and an
+    # exact sieve over a basis whose inverse norms underflow does not finish.
+    L.frame
     g_exp = k * m + t + 2
     q_exp = max(2 * g_exp, 2 * k * m * m + 2)
     Q = 2 ** q_exp
     return SieveConfig(
-        k=k, t=t, m=m, G=2 ** g_exp, Q=Q, N=math.lcm(L.gram_det, Q),
+        lattice=L, t=t, m=m, G=2 ** g_exp, Q=Q, N=math.lcm(L.gram_det, Q),
         noise=noise, shift_bound=shift_bound if shift_bound is not None else 2 ** (t - 1),
         check=check,
     )
@@ -196,7 +203,7 @@ class SieveStats:
         self.rejections[stage] = self.rejections.get(stage, 0) + 1
 
 
-def create_qubit(L: Lattice, cfg: SieveConfig, rng: random.Random,
+def create_qubit(cfg: SieveConfig, rng: random.Random,
                  stats: Optional[SieveStats] = None) -> PhaseVector:
     """Sample one phase qubit: multipliers {0, y} with y uniform over H^#.
     Phases are implied, not stored, so the hidden shift is not needed."""
@@ -204,7 +211,7 @@ def create_qubit(L: Lattice, cfg: SieveConfig, rng: random.Random,
     stats.qubits += 1
     if stats.qubits > QUBIT_BUDGET:
         raise SieveBudgetExceeded("qubit budget exhausted")
-    N = cfg.N
+    L, N = cfg.lattice, cfg.N
     y, _, _ = dual_sample_uniform(L, cfg.Q, rng)
     if cfg.noise == "gaussian":
         # The noisy point is on the (1/Q) grid, and Q divides N.
@@ -338,19 +345,19 @@ def _balanced_split(counts: Counts, rng: random.Random) -> Tuple[Counts, Counts]
     return rest, half
 
 
-def _check_vector(pv: PhaseVector, cfg: SieveConfig, L: Lattice, j: int) -> None:
+def _check_vector(pv: PhaseVector, cfg: SieveConfig, j: int) -> None:
     radius = cfg.stage_radius(j)
     for spot in pv.spots:
         assert spot.window.radius == radius, "radius telescoping violated"
         for y in spot.counts:
             assert spot.window.contains(y), "multiplier escaped its window"
             if cfg.noise == "exact":
-                assert dual_membership(L, y, cfg.N), "multiplier left the dual group"
+                assert dual_membership(cfg.lattice, y, cfg.N), "multiplier left the dual group"
         assert cfg.min_len <= spot.length < cfg.max_len, "length discipline violated"
 
 
-def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
-          rng: random.Random, stats: Optional[SieveStats] = None):
+def sieve(j: int, p: int, target: Point, cfg: SieveConfig, rng: random.Random,
+          stats: Optional[SieveStats] = None):
     """Depth-first collimation sieve; the target is numerators over cfg.N.
 
     p=1 returns a single-spot vector at stage j; p=2 below the last stage
@@ -365,9 +372,9 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
     if j == 0:
         # 2km qubits give one spot of length 4^km; p = 2 takes one more qubit
         # and splits it in half.  Base windows are the whole torus.
-        pv = create_qubit(L, cfg, rng, stats)
+        pv = create_qubit(cfg, rng, stats)
         for _ in range(2 * km - 2 + p):
-            pv = tensor(pv, create_qubit(L, cfg, rng, stats))
+            pv = tensor(pv, create_qubit(cfg, rng, stats))
         counts = pv.spots[0].counts
         whole = Window((0,) * cfg.k, cfg.N // 2, cfg.N)
         if p == 1:
@@ -377,17 +384,17 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
             spots = (Spot(a, whole), Spot(b, Window(target, cfg.N // 2, cfg.N)))
         out = PhaseVector(spots)
         if cfg.check:
-            _check_vector(out, cfg, L, 0)
+            _check_vector(out, cfg, 0)
         return out
 
     for _ in range(NODE_RETRIES):
         if p == 1:
-            u = sieve(j - 1, 1, target, cfg, L, rng, stats)
-            v = sieve(j - 1, 1, target, cfg, L, rng, stats)
+            u = sieve(j - 1, 1, target, cfg, rng, stats)
+            v = sieve(j - 1, 1, target, cfg, rng, stats)
             joined = tensor(u, v)
         else:
-            uv = sieve(j - 1, 2, target, cfg, L, rng, stats)
-            w = sieve(j - 1, 1, target, cfg, L, rng, stats)
+            uv = sieve(j - 1, 2, target, cfg, rng, stats)
+            w = sieve(j - 1, 1, target, cfg, rng, stats)
             joined = tensor(uv, w)
         out = collimate(joined, cfg.m, rng, stats)
         if any(s.length < cfg.min_len for s in out.spots):
@@ -401,7 +408,7 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, L: Lattice,
                 continue
             return result
         if cfg.check:
-            _check_vector(out, cfg, L, j)
+            _check_vector(out, cfg, j)
         return out
     raise SieveBudgetExceeded(f"stage {j} retry budget exhausted")
 
@@ -457,8 +464,8 @@ def build_target_group(L: Lattice, t: int) -> Tuple[CyclicFactor, ...]:
     return factors
 
 
-def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, L: Lattice,
-                    shift: Sequence[int], rng: random.Random,
+def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, shift: Sequence[int],
+                    rng: random.Random,
                     stats: Optional[SieveStats] = None) -> int:
     """Produce the qubits for one cyclic factor, post-select onto indices
     below the order, and sample the Z/d Fourier measurement outcome.
@@ -474,7 +481,7 @@ def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, L: Lattice,
         deltas = []
         for level in range(e):
             target = tuple(g * 2 ** level * step % cfg.N for g in factor.generator)
-            deltas.append(sieve(km, 2, target, cfg, L, rng, stats))
+            deltas.append(sieve(km, 2, target, cfg, rng, stats))
         # Boolean post-selection onto b < d succeeds with probability d/2^e.
         stats.postselect_attempts += 1
         if rng.randrange(2 ** e) >= d:
@@ -485,7 +492,7 @@ def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, L: Lattice,
         phases = []
         for b in range(d):
             acc = sum(pr for level, pr in enumerate(pairings) if (b >> level) & 1)
-            phases.append(float(Fraction(acc % cfg.N, cfg.N)))
+            phases.append(acc % cfg.N / cfg.N)
         probs = []
         for c in range(d):
             amp = sum(cmath.exp(2j * cmath.pi * (theta - b * c / d))
@@ -542,19 +549,18 @@ def lift_shift(residues: Sequence[int], L: Lattice, t: int, bound: int) -> Tuple
     return tuple(min(fits, key=lambda v: max(map(abs, v))))
 
 
-def recover_shift(shift: Sequence[int], L: Lattice, t: int, rng: random.Random,
-                  cfg: SieveConfig,
+def recover_shift(shift: Sequence[int], cfg: SieveConfig, rng: random.Random,
                   stats: Optional[SieveStats] = None) -> Optional[Tuple[int, ...]]:
-    """Full shift recovery; returns a vector congruent to the planted shift
-    mod L, or None on failure.  Exact mode succeeds with probability >= 1/2
-    for full-rank L only: below full rank the torsion factors measure the
-    last k - rank coordinates of V s mod 2^t (D = V M W), which need not fix
-    the coset of s in the box ||s||_inf <= shift_bound, so the lift may land
-    in another."""
+    """Full shift recovery over L = cfg.lattice; returns a vector congruent
+    to the planted shift mod L, or None on failure.  Exact mode succeeds
+    with probability >= 1/2 for full-rank L only: below full rank the
+    torsion factors measure the last k - rank coordinates of V s mod 2^t
+    (D = V M W), which need not fix the coset of s in the box
+    ||s||_inf <= shift_bound, so the lift may land in another."""
     stats = stats if stats is not None else SieveStats()
     try:
-        residues = [assemble_cyclic(fac, cfg, L, shift, rng, stats)
-                    for fac in build_target_group(L, t)]
-        return lift_shift(residues, L, t, cfg.shift_bound)
+        residues = [assemble_cyclic(fac, cfg, shift, rng, stats)
+                    for fac in build_target_group(cfg.lattice, cfg.t)]
+        return lift_shift(residues, cfg.lattice, cfg.t, cfg.shift_bound)
     except (SieveBudgetExceeded, InfeasibleShift):
         return None

@@ -328,7 +328,7 @@ def test_11_sieve_end_to_end():
     cfg1 = sieve_config(L1, 2, shift_bound=3, check=True)
     wins1 = 0
     for i in range(100):
-        rec = recover_shift([3], L1, 2, trial_rng(111, i), cfg=cfg1)
+        rec = recover_shift([3], cfg1, trial_rng(111, i))
         if rec is not None and coset_canonical(L1, [rec[0] - 3]) == (0,):
             wins1 += 1
     # k = 2: L = diag(4, 4), t = 2, random shifts
@@ -338,7 +338,7 @@ def test_11_sieve_end_to_end():
     for i in range(100):
         rng = trial_rng(112, i)
         s = [rng.randrange(-2, 3) for _ in range(2)]
-        rec = recover_shift(s, L2, 2, rng, cfg=cfg2)
+        rec = recover_shift(s, cfg2, rng)
         if rec is not None and all(
             c == 0 for c in coset_canonical(L2, [a - b for a, b in zip(rec, s)])
         ):
@@ -358,7 +358,7 @@ def test_12_scaling_probe():
         runs = 5
         for i in range(runs):
             stats = SieveStats()
-            sieve(cfg.k * cfg.m, 2, target, cfg, L, trial_rng(112 + m, i), stats)
+            sieve(cfg.k * cfg.m, 2, target, cfg, trial_rng(112 + m, i), stats)
             tot += stats.qubits
         means.append(tot / runs)
     alpha = (math.log2(means[2]) - math.log2(means[0])) / 2

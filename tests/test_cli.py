@@ -229,13 +229,15 @@ class TestReports:
         ("shift-recover", {"k": 1, "basis": [[1]], "t": 10 ** 6, "m": 2}, "ceiling"),
         ("hsp-recover", {"k": 12, "n": 906}, "ceiling"),
         ("hsp-recover", {"k": 1, "n": 30000}, "ceiling"),
+        ("shift-recover", {"k": 2, "basis": [[10 ** 400], [1]], "t": 1}, "underflows"),
     ], ids=["secret-not-object", "hsp-top-level-basis", "shift-length-vs-k",
             "shift-rows-vs-k", "m-zero", "shift-bound-negative", "random-rank-above-k",
             "random-rank-negative", "entry-bound-zero", "retries-zero", "hsp-unknown-key",
             "secret-unknown-key", "shift-unknown-key", "hsp-not-object", "shift-not-object",
             "hsp-k-negative", "shift-k-negative", "shift-k-zero", "shift-order-above-ceiling",
             "shift-torsion-above-ceiling", "shift-huge-t", "shift-huge-t-explicit-m",
-            "hsp-k12-above-ceiling", "hsp-n30000-above-ceiling"])
+            "hsp-k12-above-ceiling", "hsp-n30000-above-ceiling",
+            "shift-inverse-norm-underflow"])
     def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
         d = tmp_path / "d.json"
         d.write_text(json.dumps(descriptor))

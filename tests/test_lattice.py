@@ -1,15 +1,16 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hslattice.lattice import (
     Lattice,
     coset_canonical,
     dual_membership,
     dual_sample_uniform,
-    integer_orthogonal,
     reciprocal_basis,
     saturation,
 )
@@ -121,23 +122,23 @@ class TestSaturation:
 
 class TestIntegerOrthogonal:
     def test_zn_empty(self):
-        assert integer_orthogonal(Lattice.zn(3)).cols == 0
+        assert Lattice.zn(3).orthogonal.cols == 0
 
     def test_line_in_z2(self):
-        C = integer_orthogonal(col_lattice([[1, 1]], 2))
+        C = col_lattice([[1, 1]], 2).orthogonal
         assert C.cols == 1
         v = C.column(0)
         assert v in ((1, -1), (-1, 1))
 
     def test_trivial_identity(self):
-        assert integer_orthogonal(Lattice.trivial(3)).data == IntMatrix.identity(3).data
+        assert Lattice.trivial(3).orthogonal.data == IntMatrix.identity(3).data
 
     def test_orthogonality_random(self):
         rng = random.Random(3)
         for _ in range(40):
             k = rng.randrange(1, 6)
             L = random_lattice(k, rng.randrange(0, k + 1), 64, rng)
-            C = integer_orthogonal(L)
+            C = L.orthogonal
             assert C.cols == k - L.rank
             prod = L.basis.transpose() @ C
             assert all(x == 0 for row in prod.data for x in row)
@@ -248,23 +249,64 @@ class TestGeometry:
         for _ in range(20):
             k = rng.randrange(1, 5)
             L = random_lattice(k, rng.randrange(0, k + 1), 32, rng)
-            g = L.geometry
-            assert L.geometry is g  # built once per lattice
-            if g.scaled_reciprocal is not None:
-                reciprocal = (g.scaled_reciprocal.transpose() @ L.basis).to_rational(L.gram_det)
+            if L.rank:
+                reciprocal = (L.scaled_reciprocal.transpose() @ L.basis).to_rational(L.gram_det)
                 assert reciprocal.data == IntMatrix.identity(L.rank).to_rational().data
-            assert g.ortho.cols == k - L.rank
-            assert all(x == 0 for row in (L.basis.transpose() @ g.ortho).data for x in row)
+            assert L.orthogonal.cols == k - L.rank
+            assert all(x == 0 for row in (L.basis.transpose() @ L.orthogonal).data for x in row)
 
     def test_inverse_norms_beyond_float_range(self):
         """Squared norms past the float range still get their inverse norms."""
         for L in (col_lattice([[10 ** 200]], 1),
                   col_lattice([[3 * 10 ** 200, 0], [10 ** 199, 7]], 2)):
-            for vec, inv_norm in L.geometry.frame:
+            for vec, inv_norm in L.frame:
                 norm_sq = sum(x * x for x in vec)
                 assert math.isclose(inv_norm * inv_norm * norm_sq, 1, rel_tol=1e-14)
-            assert L.geometry.scaled_reciprocal is not None
+            assert L.scaled_reciprocal.cols == L.rank
 
     def test_inverse_norm_underflow_rejected(self):
         with pytest.raises(ValueError, match="underflows"):
-            col_lattice([[10 ** 400]], 1).geometry
+            col_lattice([[10 ** 400]], 1).frame
+
+
+class TestLatticeValue:
+    """A lattice is its HNF basis: derived values are cached on it and take
+    no part in equality or hashing."""
+
+    def test_one_dataclass_field(self):
+        assert [f.name for f in dataclasses.fields(Lattice)] == ["basis"]
+
+    def test_generating_sets_give_equal_lattices(self):
+        a = col_lattice([[2, 0], [0, 6]], 2)
+        b = col_lattice([[2, 6], [4, 6], [0, 12]], 2)
+        a.gram_det, a.smith, a.frame  # read on one side only
+        assert a == b and hash(a) == hash(b)
+        assert b.gram_det == a.gram_det == 144
+
+    def test_each_value_built_once(self):
+        L = col_lattice([[3, 1, 0], [0, 2, 5]], 3)
+        for name in ("gram_det", "pivots", "smith", "scaled_reciprocal", "orthogonal", "frame"):
+            assert getattr(L, name) is getattr(L, name), name
+
+    def test_dependent_columns_rejected(self):
+        with pytest.raises(ValueError, match="dependent"):
+            Lattice(IntMatrix.from_columns([[1, 2], [2, 4]])).gram_det
+
+
+lattices = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-6, 6), min_size=k, max_size=k), max_size=k + 1).map(
+    lambda cols: col_lattice(cols, k)))
+
+
+class TestCosetProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(lattices, st.data())
+    def test_coset_canonicity(self, L, data):
+        x = data.draw(st.lists(st.integers(-50, 50), min_size=L.k, max_size=L.k))
+        c = data.draw(st.lists(st.integers(-4, 4), min_size=L.rank, max_size=L.rank))
+        rep = coset_canonical(L, x)
+        shifted = [a + b for a, b in zip(x, L.basis.mul_vec(c))]
+        assert coset_canonical(L, shifted) == rep
+        assert L.contains([a - b for a, b in zip(x, rep)])
+        for r, j in L.pivots:
+            assert 0 <= rep[r] < L.basis[r, j]

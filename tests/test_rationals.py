@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hslattice.intmath import FactorBoundExceeded
 from hslattice.rationals import (
@@ -149,3 +151,30 @@ class TestPartialFractions:
     def test_factor_bound_propagates(self):
         with pytest.raises(FactorBoundExceeded):
             partial_fractions(Fraction(1, (1 << 97) + 1))
+
+
+# Denominators up to 10^6 keep factoring far below FACTOR_BIT_BOUND.
+rationals = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))
+
+
+class TestRationalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(rationals)
+    def test_partial_fraction_round_trip(self, x):
+        form = partial_fractions(x)
+        assert form.value() == x
+        assert PartialFractionForm(*form.abbreviated()).value() == x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10 ** 6), st.data())
+    def test_legendre_reconstruction(self, R, data):
+        """A p/q with q <= R and |x - p/q| < 1/(2 q^2) makes the result
+        verified, with a denominator in [q, R] that meets Legendre's bound."""
+        q = data.draw(st.integers(1, R))
+        p = data.draw(st.integers(-10 * q, 10 * q).filter(lambda a: math.gcd(a, q) == 1))
+        d = data.draw(st.integers(2 * q * q + 1, 8 * q * q + 8))
+        x = Fraction(p, q) + Fraction(data.draw(st.integers(-(d - 1), d - 1)), 2 * q * q * d)
+        res = legendre_reconstruct(x, R)
+        assert res.verified
+        assert q <= res.value.denominator <= R
+        assert abs(x - res.value) * 2 * res.value.denominator ** 2 < 1

@@ -14,7 +14,6 @@ from hslattice.lattice import (
     dual_membership,
     dual_sample_uniform,
     gaussian_grid_noise,
-    integer_orthogonal,
     reciprocal_basis,
 )
 from hslattice.matrix import IntMatrix
@@ -132,6 +131,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="ceiling"):
                 sieve_config(L, t)
 
+    def test_inverse_norm_underflow_rejected(self):
+        """A basis whose Gram-Schmidt inverse norm underflows a float is
+        rejected by sieve_config in both noise modes, before any sieve runs."""
+        L = col_lattice([[10 ** 400, 1]], 2)
+        for noise in ("exact", "gaussian"):
+            with pytest.raises(ValueError, match="underflows"):
+                sieve_config(L, 1, noise=noise)
+
     def test_unknown_noise_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             sieve_config(L8(), 1, noise="bogus")
@@ -144,7 +151,7 @@ class TestCreateQubit:
         rng = random.Random(0)
         cfg = sieve_config(Lattice.zn(1), 1)
         for _ in range(10):
-            q = create_qubit(Lattice.zn(1), cfg, rng)
+            q = create_qubit(cfg, rng)
             assert set(q.spots[0].counts) == {(0,)}
             assert q.spots[0].length == 2
 
@@ -154,7 +161,7 @@ class TestCreateQubit:
         cfg = sieve_config(L, 1)
         counts = {0: 0, 1: 0}
         for _ in range(4000):
-            q = create_qubit(L, cfg, rng)
+            q = create_qubit(cfg, rng)
             nonzero = [y for y in q.spots[0].counts if any(y)]
             counts[1 if nonzero else 0] += 1
         # y = 0 and y = 1/2 each with prob 1/2; chi-squared 1 dof
@@ -166,7 +173,7 @@ class TestCreateQubit:
         L = col_lattice([[3, 1]], 2)
         cfg = sieve_config(L, 1)
         for _ in range(20):
-            q = create_qubit(L, cfg, rng)
+            q = create_qubit(cfg, rng)
             for y in q.spots[0].counts:
                 assert dual_membership(L, y, cfg.N)
 
@@ -372,7 +379,7 @@ def total_variation(p, q):
     return sum(abs(p.get(x, 0) - q.get(x, 0)) for x in set(p) | set(q)) / 2
 
 
-TINY_CFG = SieveConfig(k=1, t=1, m=0, G=1, Q=1, N=1)  # min_len 1, max_len 4
+TINY_CFG = SieveConfig(lattice=Lattice.zn(1), t=1, m=0, G=1, Q=1, N=1)  # min_len 1, max_len 4
 TINY_COUNTS = {nv(0): 3, nv("1/4"): 2, nv("1/2"): 2}
 
 
@@ -412,7 +419,7 @@ class TestSamplerProperties:
     @settings(max_examples=60, deadline=None)
     @given(multisets, st.integers(0, 2), st.integers(0, 2 ** 32))
     def test_shorten(self, counts, m, seed):
-        cfg = SieveConfig(k=1, t=1, m=m, G=1, Q=1, N=1)
+        cfg = SieveConfig(lattice=Lattice.zn(1), t=1, m=m, G=1, Q=1, N=1)
         length = sum(counts.values())
         out = shorten(single_spot([y for y, c in counts.items() for _ in range(c)]),
                       cfg, random.Random(seed)).spots[0]
@@ -513,7 +520,7 @@ class TestIntegerTorus:
         if L.rank:
             a = [rng.randrange(L.gram_det) for _ in range(L.rank)]
             coords = [c + x for c, x in zip(coords, reciprocal_basis(L).mul_vec(a))]
-        C = integer_orthogonal(L).to_rational()
+        C = L.orthogonal.to_rational()
         if C.cols:
             u = [Fraction(rng.randrange(grid), grid) for _ in range(C.cols)]
             coords = [c + x for c, x in zip(coords, C.mul_vec(u))]
@@ -535,7 +542,7 @@ class TestIntegerTorus:
         rng = random.Random(seed)
         coords = [Fraction(c, modulus) for c in x]
         sigma = 1 / (Fraction(35449077018110322, 10 ** 16) * width)
-        for vec, inv_norm in L.geometry.frame:
+        for vec, inv_norm in L.frame:
             z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
             if z:
                 coords = [c + z * g for c, g in zip(coords, vec)]
@@ -549,7 +556,7 @@ class TestSieveRecursion:
     def test_base_single_spot(self):
         rng = random.Random(6)
         cfg = sieve_config(L8(), 2, check=True)
-        out = sieve(0, 1, (0,), cfg, L8(), rng)
+        out = sieve(0, 1, (0,), cfg, rng)
         assert len(out.spots) == 1
         assert out.spots[0].length == cfg.min_len
         assert Fraction(out.spots[0].window.radius, cfg.N) == Fraction(1, 2)
@@ -557,7 +564,7 @@ class TestSieveRecursion:
     def test_base_two_spot_equal_split(self):
         rng = random.Random(7)
         cfg = sieve_config(L8(), 2, check=True)
-        out = sieve(0, 2, (cfg.N // 8,), cfg, L8(), rng)
+        out = sieve(0, 2, (cfg.N // 8,), cfg, rng)
         assert len(out.spots) == 2
         assert out.spots[0].length == cfg.min_len
         assert out.spots[1].length == cfg.min_len
@@ -567,7 +574,7 @@ class TestSieveRecursion:
         cfg = sieve_config(L8(), 2, check=True)
         km = cfg.k * cfg.m
         for seed in range(5):
-            q = sieve(km, 2, (cfg.N // 8,), cfg, L8(), random.Random(seed), SieveStats())
+            q = sieve(km, 2, (cfg.N // 8,), cfg, random.Random(seed), SieveStats())
             diff = lifted_difference(torus(q, cfg.N), mod1(["1/8"]))
             bound = Fraction(2, 2 ** (cfg.k * cfg.m * cfg.m + 1))
             assert all(abs(c) <= bound for c in diff)
@@ -576,7 +583,7 @@ class TestSieveRecursion:
         # check=True asserts window soundness and radii at every stage
         cfg = sieve_config(L8(), 2, check=True)
         stats = SieveStats()
-        sieve(cfg.k * cfg.m, 1, (0,), cfg, L8(), random.Random(8), stats)
+        sieve(cfg.k * cfg.m, 1, (0,), cfg, random.Random(8), stats)
         assert stats.qubits > 0
 
     def test_qubit_budget_without_stats(self, monkeypatch):
@@ -585,11 +592,11 @@ class TestSieveRecursion:
         monkeypatch.setattr(sieve_module, "QUBIT_BUDGET", 3)
         cfg = sieve_config(L8(), 2)
         with pytest.raises(SieveBudgetExceeded):
-            sieve(cfg.k * cfg.m, 1, (0,), cfg, L8(), random.Random(8))
+            sieve(cfg.k * cfg.m, 1, (0,), cfg, random.Random(8))
 
     def test_exact_mode_closure(self):
         cfg = sieve_config(L8(), 2)
-        out = sieve(2, 1, (0,), cfg, L8(), random.Random(9))
+        out = sieve(2, 1, (0,), cfg, random.Random(9))
         for y in out.spots[0].counts:
             assert dual_membership(L8(), y, cfg.N)
 
@@ -649,7 +656,7 @@ class TestAssembleCyclic:
         cfg = sieve_config(L, 1)
         fac = build_target_group(L, 1)[0]
         for s, expect in (([1], 1), ([0], 0), ([2], 0)):
-            c = assemble_cyclic(fac, cfg, L, s, random.Random(11))
+            c = assemble_cyclic(fac, cfg, s, random.Random(11))
             assert c == expect
 
     def test_d3_postselection_rate(self):
@@ -661,7 +668,7 @@ class TestAssembleCyclic:
         stats = SieveStats()
         rng = random.Random(12)
         for _ in range(120):
-            assemble_cyclic(fac, cfg, L, [1], rng, stats)
+            assemble_cyclic(fac, cfg, [1], rng, stats)
         rate = stats.postselect_successes / stats.postselect_attempts
         assert abs(rate - 0.75) < 0.12
 
@@ -670,7 +677,7 @@ class TestAssembleCyclic:
         cfg = sieve_config(L, 1)
         fac = build_target_group(L, 1)[0]
         for s in ([0], [1], [2]):
-            c = assemble_cyclic(fac, cfg, L, s, random.Random(13))
+            c = assemble_cyclic(fac, cfg, s, random.Random(13))
             # gen . s = s/3 exactly: outcome = s mod 3 deterministically
             expect = sum(g * x for g, x in zip(fac.generator, s)) % 3
             assert c == expect
@@ -731,7 +738,7 @@ class TestRecoverShift:
     def test_zero_shift(self):
         L = L8()
         cfg = sieve_config(L, 2)
-        rec = recover_shift([0], L, 2, random.Random(14), cfg=cfg)
+        rec = recover_shift([0], cfg, random.Random(14))
         assert rec is not None and coset_canonical(L, rec) == (0,)
 
     def test_k1_planted(self):
@@ -739,7 +746,7 @@ class TestRecoverShift:
         cfg = sieve_config(L, 2, shift_bound=3)
         wins = 0
         for i in range(10):
-            rec = recover_shift([3], L, 2, random.Random(100 + i), cfg=cfg)
+            rec = recover_shift([3], cfg, random.Random(100 + i))
             if rec is not None and coset_canonical(L, [rec[0] - 3]) == (0,):
                 wins += 1
         assert wins >= 5
@@ -751,7 +758,7 @@ class TestRecoverShift:
         wins = 0
         for i in range(6):
             s = [rng.randrange(-2, 3) for _ in range(2)]
-            rec = recover_shift(s, L, 2, random.Random(200 + i), cfg=cfg)
+            rec = recover_shift(s, cfg, random.Random(200 + i))
             if rec is not None and all(
                 c == 0 for c in coset_canonical(L, [a - b for a, b in zip(rec, s)])
             ):
@@ -764,7 +771,7 @@ class TestRecoverShift:
         cfg = sieve_config(L, 2, m=2)
         wins = 0
         for i in range(6):
-            rec = recover_shift([1], L, 2, random.Random(300 + i), cfg=cfg)
+            rec = recover_shift([1], cfg, random.Random(300 + i))
             wins += rec == (1,)
         assert wins >= 4
 
@@ -772,7 +779,7 @@ class TestRecoverShift:
         # probing mode only: multipliers are near H^# but not in it
         L = L8()
         cfg = sieve_config(L, 1, m=2, noise="gaussian")
-        rec = recover_shift([1], L, 1, random.Random(16), cfg=cfg)
+        rec = recover_shift([1], cfg, random.Random(16))
         assert rec is None or len(rec) == 1
 
     def test_work_scaling_probe(self):
@@ -786,7 +793,7 @@ class TestRecoverShift:
             tot = 0
             for i in range(3):
                 stats = SieveStats()
-                sieve(cfg.k * cfg.m, 2, (cfg.N // 8,), cfg, L, random.Random(400 + i), stats)
+                sieve(cfg.k * cfg.m, 2, (cfg.N // 8,), cfg, random.Random(400 + i), stats)
                 tot += stats.qubits
             counts.append(tot / 3)
         alpha = (math.log2(counts[2]) - math.log2(counts[0])) / 2
