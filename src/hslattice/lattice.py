@@ -118,15 +118,17 @@ def _inverse_sqrt(n: Fraction) -> float:
     return r
 
 
-def coset_canonical(L: Lattice, x: Sequence[int]) -> Tuple[int, ...]:
+def coset_canonical(L: Lattice, x: Sequence[int], centred: bool = False) -> Tuple[int, ...]:
     """Canonical representative of x + L: HNF pivot coordinates reduced into
-    [0, pivot) from the bottom pivot row upward, other coordinates unchanged."""
+    [0, pivot), or into [-pivot/2, pivot/2) when centred, from the bottom
+    pivot row upward, other coordinates unchanged."""
     if len(x) != L.k:
         raise ValueError("dimension mismatch")
     v = [int(c) for c in x]
     for r, j in reversed(L.pivots):
         col = L.basis.column(j)
-        q = v[r] // col[r]
+        p = col[r]
+        q = (2 * v[r] + p) // (2 * p) if centred else v[r] // p
         if q:
             for i in range(L.k):
                 v[i] -= q * col[i]

@@ -22,7 +22,7 @@ measurement split: create_qubit draws a dual point per qubit, sieve() runs
 the depth-first recursion with tandem two-spot collimation windows, and
 recover_shift assembles one cyclic factor of the target group at a time
 before lifting the measured residues to an integer shift through the Smith
-form of the lattice's basis (approximate CVP on the solution lattice).
+form of the lattice's basis: s* = V^-1 z, exact in every rank.
 """
 
 from __future__ import annotations
@@ -32,19 +32,17 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import (
     Lattice,
     basis_bit_complexity,
+    coset_canonical,
     dual_membership,
     dual_sample_uniform,
     gaussian_grid_noise,
 )
-from .lll import babai_nearest_plane, lll
-from .matrix import IntMatrix
 
 Point = Tuple[int, ...]  # numerators over the modulus N: the point x / N of the torus
 
@@ -68,7 +66,7 @@ class SieveConfig:
     Q: int              # measurement/torus grid radix
     N: int              # multiplier modulus, lcm(Delta, Q)
     noise: str = "exact"            # "exact" | "gaussian"
-    shift_bound: int = 0            # infinity-norm box for the lifted shift
+    shift_bound: int = 0            # infinity-norm box of the shift; sets the torsion orders
     check: bool = False             # assert window/length invariants as we go
 
     @property
@@ -97,7 +95,8 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     final collimation radius 2^(-k m^2 - 1) fine enough for the target-group
     measurement to land within trace distance 1/2.  Q = 2^q with
     q >= 2 k m^2 + 2, so every window radius and tile width down to the last
-    stage is a whole number of 1/N steps."""
+    stage is a whole number of 1/N steps, and q >= t', so the torsion orders
+    2^t' of the target group divide N."""
     if t < 1:
         raise ValueError("t must be >= 1")
     if t >= STAGE_CEILING ** 2:
@@ -111,8 +110,16 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     if shift_bound is not None and shift_bound < 0:
         raise ValueError(f"shift_bound must be >= 0, got {shift_bound}")
     k = L.k
+    bound = shift_bound if shift_bound is not None else 2 ** (t - 1)
+    # Read in both noise modes: the gaussian sampler needs the frame, and an
+    # exact sieve over a basis whose inverse norms underflow does not finish.
+    L.frame
     # The largest cyclic order of the target group: assemble_cyclic is O(order^2).
-    order = max(_row_orders(L, t), default=1)
+    # The torsion order 2^t' is compared by its exponent, before it is built.
+    t_torsion = _torsion_exponent(L, bound)
+    if t_torsion >= ORDER_CEILING.bit_length():
+        raise ValueError(f"target group order 2^{t_torsion} exceeds the ceiling {ORDER_CEILING}")
+    order = max(_row_orders(L, bound), default=1)
     if order > ORDER_CEILING:
         raise ValueError(f"target group order {order} exceeds the ceiling {ORDER_CEILING}")
     n = k * t
@@ -124,16 +131,12 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
             m += 1
     if k * m > STAGE_CEILING:
         raise ValueError(f"km = {k * m} exceeds the desk-scale ceiling {STAGE_CEILING}")
-    # Read in both noise modes: the gaussian sampler needs the frame, and an
-    # exact sieve over a basis whose inverse norms underflow does not finish.
-    L.frame
     g_exp = k * m + t + 2
-    q_exp = max(2 * g_exp, 2 * k * m * m + 2)
+    q_exp = max(2 * g_exp, 2 * k * m * m + 2, t_torsion)
     Q = 2 ** q_exp
     return SieveConfig(
         lattice=L, t=t, m=m, G=2 ** g_exp, Q=Q, N=math.lcm(L.gram_det, Q),
-        noise=noise, shift_bound=shift_bound if shift_bound is not None else 2 ** (t - 1),
-        check=check,
+        noise=noise, shift_bound=bound, check=check,
     )
 
 
@@ -440,26 +443,37 @@ def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[Point]
 class CyclicFactor:
     order: int
     generator: Point  # numerators over the order: the point generator / order
-    kind: str  # "finite" (complement of H_1^# in H^#) or "torsion" (2^t part)
+    kind: str  # "finite" (complement of H_1^# in H^#) or "torsion" (2^t' part)
 
 
-def _row_orders(L: Lattice, t: int) -> List[int]:
+def _torsion_exponent(L: Lattice, bound: int) -> int:
+    """The least t' with 2^t' > 2 W bound, W the largest ||V_i||_1 over the
+    rows i >= rank of V in the Smith form D = V M W of L's basis: for
+    ||s||_inf <= bound, (V s)_i on those rows lies in [-W bound, W bound],
+    so it is fixed by its residue mod 2^t'."""
+    V = L.smith[1]
+    W = max((sum(map(abs, V.data[i])) for i in range(L.rank, L.k)), default=0)
+    return (2 * W * bound).bit_length()
+
+
+def _row_orders(L: Lattice, bound: int) -> List[int]:
     """The order of the target-group factor on each row i of V in the Smith
-    form D = V M W of L's basis: D_ii below the rank, 2^t from it on.  A
+    form D = V M W of L's basis: D_ii below the rank, 2^t' from it on.  A
     factor of order 1 is trivial."""
     D = L.smith[0]
-    return [D[i, i] for i in range(L.rank)] + [2 ** t] * (L.k - L.rank)
+    return [D[i, i] for i in range(L.rank)] + [2 ** _torsion_exponent(L, bound)] * (L.k - L.rank)
 
 
-def build_target_group(L: Lattice, t: int) -> Tuple[CyclicFactor, ...]:
-    """A = A1 + A2, one cyclic factor per row of V (D = V M W) of order
-    above 1: rows i < rank over D_ii are a complement of H_1^# in H^#, and
-    rows i >= rank, which span the integer orthogonal, over 2^t are the
-    2^t-torsion of H_1^#."""
+def build_target_group(L: Lattice, bound: int) -> Tuple[CyclicFactor, ...]:
+    """A = A1 + A2 for shifts in the box ||s||_inf <= bound, one cyclic
+    factor per row of V (D = V M W) of order above 1: rows i < rank over
+    D_ii are a complement of H_1^# in H^#, and rows i >= rank, which span
+    the integer orthogonal, over 2^t' (`_torsion_exponent`) are the
+    2^t'-torsion of H_1^#."""
     V = L.smith[1]
     factors = tuple(CyclicFactor(d, tuple(x % d for x in V.data[i]),
                                  "finite" if i < L.rank else "torsion")
-                    for i, d in enumerate(_row_orders(L, t)) if d > 1)
+                    for i, d in enumerate(_row_orders(L, bound)) if d > 1)
     assert all(dual_membership(L, f.generator, f.order) for f in factors)
     return factors
 
@@ -475,7 +489,7 @@ def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, shift: Sequence[int]
     d = factor.order
     e = max(1, (d - 1).bit_length())
     km = cfg.k * cfg.m
-    step = cfg.N // d  # d divides N: finite orders divide Delta, 2^t divides Q
+    step = cfg.N // d  # d divides N: finite orders divide Delta, 2^t' divides Q
     stats = stats if stats is not None else SieveStats()
     for _ in range(POSTSELECT_ATTEMPTS):
         deltas = []
@@ -509,58 +523,39 @@ def assemble_cyclic(factor: CyclicFactor, cfg: SieveConfig, shift: Sequence[int]
     raise SieveBudgetExceeded("post-selection retry budget exhausted")
 
 
-class InfeasibleShift(ValueError):
-    """No shift inside the norm box satisfies the measured congruences."""
-
-
-def lift_shift(residues: Sequence[int], L: Lattice, t: int, bound: int) -> Tuple[int, ...]:
-    """An s with ||s||_inf <= bound whose pairings with the factors of
-    build_target_group(L, t), in order, are the measured residues.
+def lift_shift(residues: Sequence[int], L: Lattice, bound: int) -> Tuple[int, ...]:
+    """The centred representative of s + L for any shift s with
+    ||s||_inf <= bound whose pairings with the factors of
+    build_target_group(L, bound), in order, are the measured residues.
 
     Factor i measures (V s)_i mod its order o_i (D = V M W), and a row of
-    order 1 measures nothing, so the solutions are s0 + V^-1 diag(o) Z^k with
-    s0 = V^-1 z, z the residues on their rows.  Babai nearest-plane on the
-    LLL-reduced solution lattice moves s0 towards the box."""
-    k = L.k
-    orders = _row_orders(L, t)
+    order 1 measures nothing.  z holds the centred residues.  On a torsion
+    row (i >= rank), (V s)_i lies in [-W bound, W bound] and 2 W bound < o_i
+    (`_torsion_exponent`), so z_i = (V s)_i; on a row i < rank,
+    z_i = (V s)_i mod D_ii.  So V s - z lies in D Z^rank, and s - V^-1 z in
+    V^-1 D Z^rank = L: s* = V^-1 z is in s + L at every rank, with no
+    search."""
+    orders = _row_orders(L, bound)
     rows = [i for i, d in enumerate(orders) if d > 1]
     if len(residues) != len(rows):
         raise ValueError(f"{len(residues)} residues for {len(rows)} target-group factors")
-    z = [0] * k
+    z = [0] * L.k
     for i, c in zip(rows, residues):
-        z[i] = c % orders[i]
-    V_inv = L.smith[1].inverse_unimodular()
-    s0 = V_inv.mul_vec(z)
-    sol_lattice = Lattice.from_generators(IntMatrix.from_columns(
-        [[d * x for x in col] for col, d in zip(V_inv.columns(), orders)], rows=k))
-    reduced = lll(sol_lattice.basis.to_rational())
-    point = babai_nearest_plane(reduced, [Fraction(c) for c in s0])
-    base = [c - int(pc) for c, pc in zip(s0, point)]
-    # Babai candidate first; a small coefficient enumeration catches near-ties.
-    candidates = [base]
-    if max(map(abs, base)) > bound and k <= 4:
-        cols = reduced.to_integer().columns()
-        candidates = [[x - sum(a * col[i] for a, col in zip(coeffs, cols))
-                       for i, x in enumerate(base)]
-                      for coeffs in product(range(-2, 3), repeat=k)]
-    fits = [v for v in candidates if max(map(abs, v)) <= bound]
-    if not fits:
-        raise InfeasibleShift(f"no solution with infinity norm <= {bound}")
-    return tuple(min(fits, key=lambda v: max(map(abs, v))))
+        z[i] = _lift(c, orders[i])
+    return coset_canonical(L, L.smith[1].inverse_unimodular().mul_vec(z), centred=True)
 
 
 def recover_shift(shift: Sequence[int], cfg: SieveConfig, rng: random.Random,
                   stats: Optional[SieveStats] = None) -> Optional[Tuple[int, ...]]:
-    """Full shift recovery over L = cfg.lattice; returns a vector congruent
-    to the planted shift mod L, or None on failure.  Exact mode succeeds
-    with probability >= 1/2 for full-rank L only: below full rank the
-    torsion factors measure the last k - rank coordinates of V s mod 2^t
-    (D = V M W), which need not fix the coset of s in the box
-    ||s||_inf <= shift_bound, so the lift may land in another."""
+    """Full shift recovery over L = cfg.lattice: the lift of the measured
+    residues, or None when a budget runs out.  When every residue is right
+    and the planted shift lies in the box ||s||_inf <= shift_bound, the lift
+    is the centred representative of s + L at every rank; it may lie
+    outside the box."""
     stats = stats if stats is not None else SieveStats()
     try:
         residues = [assemble_cyclic(fac, cfg, shift, rng, stats)
-                    for fac in build_target_group(cfg.lattice, cfg.t)]
-        return lift_shift(residues, cfg.lattice, cfg.t, cfg.shift_bound)
-    except (SieveBudgetExceeded, InfeasibleShift):
+                    for fac in build_target_group(cfg.lattice, cfg.shift_bound)]
+    except SieveBudgetExceeded:
         return None
+    return lift_shift(residues, cfg.lattice, cfg.shift_bound)

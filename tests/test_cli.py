@@ -225,6 +225,7 @@ class TestReports:
         ("shift-recover", {"k": 0, "t": 1}, "'k'"),
         ("shift-recover", {"k": 1, "basis": [[10 ** 200]], "t": 1}, "ceiling"),
         ("shift-recover", {"k": 2, "basis": [[1], [0]], "t": 11}, "ceiling"),
+        ("shift-recover", {"k": 1, "basis": [], "t": 10}, "ceiling"),
         ("shift-recover", {"k": 1, "basis": [[1]], "t": 10 ** 7}, "ceiling"),
         ("shift-recover", {"k": 1, "basis": [[1]], "t": 10 ** 6, "m": 2}, "ceiling"),
         ("hsp-recover", {"k": 12, "n": 906}, "ceiling"),
@@ -235,8 +236,9 @@ class TestReports:
             "random-rank-negative", "entry-bound-zero", "retries-zero", "hsp-unknown-key",
             "secret-unknown-key", "shift-unknown-key", "hsp-not-object", "shift-not-object",
             "hsp-k-negative", "shift-k-negative", "shift-k-zero", "shift-order-above-ceiling",
-            "shift-torsion-above-ceiling", "shift-huge-t", "shift-huge-t-explicit-m",
-            "hsp-k12-above-ceiling", "hsp-n30000-above-ceiling",
+            "shift-torsion-above-ceiling", "shift-trivial-torsion-above-ceiling",
+            "shift-huge-t", "shift-huge-t-explicit-m", "hsp-k12-above-ceiling",
+            "hsp-n30000-above-ceiling",
             "shift-inverse-norm-underflow"])
     def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
         d = tmp_path / "d.json"

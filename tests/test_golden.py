@@ -90,6 +90,13 @@ def load_tracing():
     return tracing
 
 
+def run_cli_lll(tmp_path):
+    """`hslattice lattice lll` on a 2 x 2 matrix file, through the loaded CLI."""
+    path = tmp_path / "matrix.txt"
+    path.write_text("2 2\n3 1\n4 5\n")
+    assert sys.modules["hslattice.cli"].main(["lattice", "lll", str(path)]) == 0
+
+
 def test_trace_layers_resolve():
     """perfbench/tracing.py wraps each LAYERS function by name, so a rename in
     the package breaks benchmark runs with `--trace 1`, which nothing else here
@@ -109,23 +116,26 @@ def test_trace_layers_resolve():
 
 
 @pytest.mark.parametrize("run,layers", [
-    (lambda ex: ex.run_hsp_experiment(
+    (lambda ex, _: ex.run_hsp_experiment(
         {"k": 1, "secret": {"random_rank": "random", "entry_bound": 16}}, seed=1, trials=1),
      ["lattice.dual_sample_uniform"]),
-    (lambda ex: ex.run_shift_experiment(
+    (lambda ex, _: ex.run_shift_experiment(
         {"k": 1, "basis": [[8]], "t": 1, "check": True}, seed=1, trials=1, noise="exact"),
-     ["lattice.dual_sample_uniform", "lattice.dual_membership", "lll.lll"]),
-    (lambda ex: ex.run_hsp_experiment(
+     ["lattice.dual_sample_uniform", "lattice.dual_membership", "sieve.lift_shift"]),
+    (lambda ex, _: ex.run_hsp_experiment(
         {"k": 2, "secret": {"random_rank": 1, "entry_bound": 16}}, seed=1, trials=1),
      ["alg_a.finite_stage", "matrix.snf_rational", "lattice.Lattice.from_generators"]),
-], ids=["hsp-k1", "sieve-exact", "hsp-rank1"])
-def test_trace_layers_count_live_runs(run, layers):
+    (lambda _, tmp: run_cli_lll(tmp), ["lll.lll"]),
+], ids=["hsp-k1", "sieve-exact", "hsp-rank1", "cli-lll"])
+def test_trace_layers_count_live_runs(run, layers, tmp_path):
     """A layer that resolves can still read 0 when the pipelines stop calling
     it by that name; one traced trial of each pipeline must count its calls."""
+    # install() patches the names that loaded modules hold, so the CLI loads first.
+    importlib.import_module("hslattice.cli")
     tracer = load_tracing().Tracer()
     try:
         tracer.install()
-        run(sys.modules["hslattice.experiments"])
+        run(sys.modules["hslattice.experiments"], tmp_path)
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()

@@ -20,7 +20,6 @@ from hslattice.matrix import IntMatrix
 from hslattice import sieve as sieve_module
 from hslattice.sieve import (
     ORDER_CEILING,
-    InfeasibleShift,
     PhaseVector,
     SieveBudgetExceeded,
     SieveConfig,
@@ -123,13 +122,25 @@ class TestConfig:
 
     def test_order_ceiling(self):
         """The largest cyclic order of the target group is bounded: an
-        invariant factor of the basis, or 2^t when the rank is below k."""
+        invariant factor of the basis, or 2^t' when the rank is below k
+        (2^(t+1) for the trivial lattice in Z^1 and the default box)."""
         sieve_config(col_lattice([[ORDER_CEILING]], 1), 1)
-        sieve_config(Lattice.trivial(1), ORDER_CEILING.bit_length() - 1)
+        sieve_config(Lattice.trivial(1), ORDER_CEILING.bit_length() - 2)
+        # row (1, -2) of V: 2^t' > 2 * 3 * 1 gives order 8
+        cfg = sieve_config(col_lattice([[2, 1]], 2), 1)
+        assert [f.order for f in build_target_group(cfg.lattice, cfg.shift_bound)] == [8]
         for L, t in ((col_lattice([[ORDER_CEILING + 1]], 1), 1),
+                     (Lattice.trivial(1), ORDER_CEILING.bit_length() - 1),
                      (col_lattice([[1, 0]], 2), ORDER_CEILING.bit_length())):
             with pytest.raises(ValueError, match="ceiling"):
                 sieve_config(L, t)
+
+    def test_torsion_orders_divide_modulus(self):
+        """A box wide enough to need 2^t' above 2^(2 km^2 + 2) still gets a
+        grid Q that 2^t' divides: here km = 1 and t' = 9."""
+        cfg = sieve_config(Lattice.trivial(1), 1, m=1, shift_bound=200)
+        (factor,) = build_target_group(cfg.lattice, cfg.shift_bound)
+        assert factor.order == 2 ** 9 and cfg.N % factor.order == 0
 
     def test_inverse_norm_underflow_rejected(self):
         """A basis whose Gram-Schmidt inverse norm underflows a float is
@@ -612,15 +623,16 @@ class TestTargetGroup:
         assert f.order == 2 and f.generator == (1,) and f.kind == "finite"
 
     def test_trivial_z1_torsion(self):
-        g = build_target_group(Lattice.trivial(1), 3)
+        # box 4 (t = 3): V = (1), and 2^t' > 2 * 1 * 4 gives order 16
+        g = build_target_group(Lattice.trivial(1), 4)
         assert len(g) == 1
         f = g[0]
-        assert f.order == 8 and f.generator in ((1,), (7,)) and f.kind == "torsion"
+        assert f.order == 16 and f.generator in ((1,), (15,)) and f.kind == "torsion"
 
     def test_orders_exact_and_independent(self):
         for cols, k, t in ([[2, 0], [0, 4]], 2, 1), ([[2, 4]], 2, 1), ([], 2, 2):
             L = col_lattice(cols, k)
-            g = build_target_group(L, t)
+            g = build_target_group(L, 2 ** (t - 1))
             for f in g:
                 # numerators over the order, so order * g = 0; no smaller multiple is
                 assert all(0 <= x < f.order for x in f.generator)
@@ -636,17 +648,18 @@ class TestTargetGroup:
                     assert all(a == 0 for a in combo)
 
     def test_sizes(self):
-        # |T1| = [H1:H], |T2| = 2^(t(k-l))
+        # |T1| = [H1:H], |T2| = 2^(t'(k-l))
         import math
 
         L = col_lattice([[2, 4]], 2)  # index 2 inside its saturation, rank 1
+        # box 2: row (-2, 1) of V has W = 3, and 2^t' > 2 * 3 * 2 gives t' = 4
         g = build_target_group(L, 2)
         finite = [f for f in g if f.kind == "finite"]
         torsion = [f for f in g if f.kind == "torsion"]
         prod_finite = math.prod(f.order for f in finite)
         prod_torsion = math.prod(f.order for f in torsion)
         assert prod_finite == 2
-        assert prod_torsion == 2 ** (2 * (2 - 1))
+        assert prod_torsion == 2 ** (4 * (2 - 1))
 
 
 class TestAssembleCyclic:
@@ -654,7 +667,7 @@ class TestAssembleCyclic:
         # gen . s = 1/2 makes the DFT a delta at c = 1; = 0 gives c = 0
         L = col_lattice([[2]], 1)
         cfg = sieve_config(L, 1)
-        fac = build_target_group(L, 1)[0]
+        fac = build_target_group(L, cfg.shift_bound)[0]
         for s, expect in (([1], 1), ([0], 0), ([2], 0)):
             c = assemble_cyclic(fac, cfg, s, random.Random(11))
             assert c == expect
@@ -663,7 +676,7 @@ class TestAssembleCyclic:
         # d = 3, e = 2: acceptance probability 3/4
         L = col_lattice([[3]], 1)
         cfg = sieve_config(L, 1)
-        fac = build_target_group(L, 1)[0]
+        fac = build_target_group(L, cfg.shift_bound)[0]
         assert fac.order == 3
         stats = SieveStats()
         rng = random.Random(12)
@@ -675,7 +688,7 @@ class TestAssembleCyclic:
     def test_d3_outcome(self):
         L = col_lattice([[3]], 1)
         cfg = sieve_config(L, 1)
-        fac = build_target_group(L, 1)[0]
+        fac = build_target_group(L, cfg.shift_bound)[0]
         for s in ([0], [1], [2]):
             c = assemble_cyclic(fac, cfg, s, random.Random(13))
             # gen . s = s/3 exactly: outcome = s mod 3 deterministically
@@ -687,51 +700,52 @@ class TestLiftShift:
     def test_all_zero(self):
         L = col_lattice([[4]], 1)
         g = build_target_group(L, 2)
-        s = lift_shift([0] * len(g), L, 2, 2)
+        s = lift_shift([0] * len(g), L, 2)
         assert coset_canonical(L, s) == (0,)
 
-    def test_infeasible_box(self):
-        # L = 8Z: s = 4 mod 8 has no representative with |s| <= 2, so the
-        # enumeration runs and the error path fires
-        L = col_lattice([[8]], 1)
-        with pytest.raises(InfeasibleShift):
-            lift_shift([4], L, 1, 2)
-
     def test_quarter_residue(self):
-        # k=1, trivial L, t=2, gen 1/4, residue 3: unique in-box solution -1
+        # k=1, trivial L, box 1: 2^t' > 2 gives gen 1/4, and residue 3 is -1
         L = Lattice.trivial(1)
-        assert build_target_group(L, 2)[0].generator == (1,)
-        assert lift_shift([3], L, 2, 2) == (-1,)
+        g = build_target_group(L, 1)
+        assert [(f.order, f.generator) for f in g] == [(4, (1,))]
+        assert lift_shift([3], L, 1) == (-1,)
 
     def test_enumeration_rescues_babai(self):
-        # Babai's candidate for s = (2, -2) falls outside the box; the +-2
-        # coefficient enumeration finds s itself
+        # s = (2, -2) once needed a coefficient enumeration after Babai's
+        # step; the exact lift lands in s + L directly
         L = col_lattice([[0, 6], [6, -3]], 2)
         s = (2, -2)
         res = [sum(g * x for g, x in zip(f.generator, s)) % f.order
-               for f in build_target_group(L, 1)]
-        assert lift_shift(res, L, 1, 2) == s
+               for f in build_target_group(L, 2)]
+        out = lift_shift(res, L, 2)
+        assert L.contains([a - b for a, b in zip(out, s)])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.data(), st.sampled_from([1, 2]))
     def test_lift_meets_congruences_and_box(self, k, data, t):
-        """Any returned vector has the measured residues and lies in the box;
-        at full rank it lies in s + L."""
+        """For a shift s in the box, the lift has the measured residues and
+        lies in s + L at every rank; it need not lie in the box."""
         cols = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=k, max_size=k),
                                   max_size=k))
         L = col_lattice(cols, k)
         bound = 2 ** (t - 1)
         s = data.draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k))
-        g = build_target_group(L, t)
+        g = build_target_group(L, bound)
         res = [sum(a * x for a, x in zip(f.generator, s)) % f.order for f in g]
-        try:
-            out = lift_shift(res, L, t, bound)
-        except InfeasibleShift:
-            return
-        assert max(map(abs, out)) <= bound
+        out = lift_shift(res, L, bound)
         assert [sum(a * x for a, x in zip(f.generator, out)) % f.order for f in g] == res
-        if L.rank == k:
-            assert L.contains([a - b for a, b in zip(out, s)])
+        assert L.contains([a - b for a, b in zip(out, s)])
+
+    @pytest.mark.parametrize("cols,k", [([], 1), ([], 2), ([[2, 1]], 2), ([[1, 0]], 2)],
+                             ids=["trivial-1", "trivial-2", "rank1-2-1", "rank1-1-0"])
+    def test_lift_exhaustive_below_full_rank(self, cols, k):
+        """Every shift of the default box at t = 1 lifts into its own coset."""
+        L = col_lattice(cols, k)
+        bound = sieve_config(L, 1).shift_bound
+        g = build_target_group(L, bound)
+        for s in product(range(-bound, bound + 1), repeat=k):
+            res = [sum(a * x for a, x in zip(f.generator, s)) % f.order for f in g]
+            assert L.contains([a - b for a, b in zip(lift_shift(res, L, bound), s)]), s
 
 
 class TestRecoverShift:
@@ -764,6 +778,13 @@ class TestRecoverShift:
             ):
                 wins += 1
         assert wins >= 3
+
+    def test_trivial_z1_shift_one(self):
+        # The box |s| <= 1 holds 1 and -1; a torsion factor of order 2 gave
+        # both the same residue, and the lift returned -1.
+        cfg = sieve_config(Lattice.trivial(1), 1)
+        for seed in range(5):
+            assert recover_shift([1], cfg, random.Random(seed)) == (1,)
 
     def test_deficient_rank_interior_shift(self):
         # trivial lattice: pure torsion recovery; m override keeps it small
