@@ -35,7 +35,7 @@ SHIFT_CASES = [
     ({"k": 1, "basis": [[2]], "t": 1}, "gaussian", 3,
      "51af808007feeadaf0a28f7b53e83db8d1d81333319ece202ae2ca35adeadcb1"),
     ({"k": 1, "basis": [], "t": 1}, "gaussian", 3,
-     "904b743f2967326b2fcc9201500da201af8f207d187cf7c4b864bd12a2b6a608"),
+     "f1d731cd7bce80da0d4e878a942d2d4d64b1077da5eb67017ed8ed253bc8c22e"),
     ({"k": 2, "basis": [[4, 0], [0, 4]], "t": 2, "check": True}, "exact", 2,
      "a4b9a5aa44d256b6021200ac68b6c8d80d59049de4751e0d8176e40e31793622"),
     ({"k": 1, "basis": [[8]], "t": 2}, "gaussian", 3,
