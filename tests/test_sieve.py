@@ -711,8 +711,7 @@ class TestLiftShift:
         assert lift_shift([3], L, 1) == (-1,)
 
     def test_enumeration_rescues_babai(self):
-        # s = (2, -2) once needed a coefficient enumeration after Babai's
-        # step; the exact lift lands in s + L directly
+        # full rank with a non-diagonal HNF; s lies on the box's corner
         L = col_lattice([[0, 6], [6, -3]], 2)
         s = (2, -2)
         res = [sum(g * x for g, x in zip(f.generator, s)) % f.order
