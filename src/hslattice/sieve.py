@@ -13,9 +13,10 @@ counts, so this is exact and collapses the bookkeeping when the dual group
 is finite).  Unit r of a multiset is found from its sorted keys and running
 unit totals (`_cumulative`), and every random part of one is a single
 uniform sub-multiset draw (`_submultiset`: distinct units by `rng.sample`,
-tallied by bucket).  Phases are never materialized: the hidden shift enters
-only in the final Fourier measurement, where the multipliers' numerators
-determine the outcome distribution.
+tallied by bucket; nothing is drawn when one multiplier fills the multiset).
+Phases are never materialized: the hidden shift enters only in the final
+Fourier measurement, where the multipliers' numerators determine the outcome
+distribution.
 
 The three stages mirror the qubit-creation / recursive-collimation / final-
 measurement split: create_qubit draws a dual point per qubit, sieve() runs
@@ -314,7 +315,13 @@ def collimate(pv: PhaseVector, m: int, rng: random.Random,
 
 def _submultiset(counts: Counts, size: int, rng: random.Random) -> Counts:
     """Uniformly random sub-multiset of the given size: `size` distinct units
-    drawn without replacement, tallied by bucket."""
+    drawn without replacement, tallied by bucket.  One distinct multiplier
+    has exactly one sub-multiset of each size, so that draws nothing."""
+    if len(counts) == 1:
+        ((y, c),) = counts.items()
+        if not 0 <= size <= c:
+            raise ValueError(f"sub-multiset size {size} outside [0, {c}]")
+        return {y: size} if size else {}
     keys, ends = _cumulative(counts)
     taken = [0] * len(keys)
     for r in rng.sample(range(ends[-1]), size):

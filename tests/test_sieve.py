@@ -392,26 +392,71 @@ def total_variation(p, q):
 
 TINY_CFG = SieveConfig(lattice=Lattice.zn(1), t=1, m=0, G=1, Q=1, N=1)  # min_len 1, max_len 4
 TINY_COUNTS = {nv(0): 3, nv("1/4"): 2, nv("1/2"): 2}
+ONE_BUCKET = {nv(0): 7}
+law_counts = pytest.mark.parametrize("counts", [TINY_COUNTS, ONE_BUCKET],
+                                     ids=["three-buckets", "one-bucket"])
 
 
 class TestExactSamplingLaw:
-    def test_shorten_is_length_law_times_hypergeometric(self):
-        pv = single_spot([y for y, c in TINY_COUNTS.items() for _ in range(c)])
+    @law_counts
+    def test_shorten_is_length_law_times_hypergeometric(self, counts):
+        pv = single_spot([y for y, c in counts.items() for _ in range(c)])
         law = exact_law(lambda rng: frozen(shorten(pv, TINY_CFG, rng).spots[0].counts))
         expected = {}
-        for length, p in halving_length_law(7, TINY_CFG.max_len).items():
-            for sub, q in hypergeometric(TINY_COUNTS, length).items():
+        for length, p in halving_length_law(sum(counts.values()), TINY_CFG.max_len).items():
+            for sub, q in hypergeometric(counts, length).items():
                 expected[sub] = p * q
         assert sum(law.values()) == 1
         assert total_variation(law, expected) == 0
 
-    def test_balanced_split_is_hypergeometric(self):
-        law = exact_law(lambda rng: tuple(map(frozen, _balanced_split(TINY_COUNTS, rng))))
+    @law_counts
+    def test_balanced_split_is_hypergeometric(self, counts):
+        law = exact_law(lambda rng: tuple(map(frozen, _balanced_split(counts, rng))))
         expected = {}
-        for half, q in hypergeometric(TINY_COUNTS, 3).items():
-            rest = {y: c - dict(half).get(y, 0) for y, c in TINY_COUNTS.items()}
+        for half, q in hypergeometric(counts, sum(counts.values()) // 2).items():
+            rest = {y: c - dict(half).get(y, 0) for y, c in counts.items()}
             expected[frozen({y: c for y, c in rest.items() if c}), half] = q
         assert total_variation(law, expected) == 0
+
+
+class _RaisingRng:
+    """Stand-in RNG whose every method raises, so any draw fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was called")
+
+
+class _LengthOnlyRng(_RaisingRng):
+    """Lets `shorten` draw its kept length by `randrange`; any other draw raises."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def randrange(self, n):
+        return self._rng.randrange(n)
+
+
+class TestOneBucketSubmultiset:
+    def test_one_bucket_draws_nothing(self):
+        y = nv("1/4")
+        assert _submultiset({y: 9}, 0, _RaisingRng()) == {}
+        assert _submultiset({y: 9}, 4, _RaisingRng()) == {y: 4}
+        assert _submultiset({y: 9}, 9, _RaisingRng()) == {y: 9}
+        assert _balanced_split({y: 9}, _RaisingRng()) == ({y: 5}, {y: 4})
+        assert _balanced_split({y: 1}, _RaisingRng()) == ({y: 1}, {})
+        cfg = TestShorten().cfg()
+        for seed in range(5):
+            pv = single_spot([y] * (3 * cfg.max_len + seed))
+            out = shorten(pv, cfg, _LengthOnlyRng(seed)).spots[0]
+            assert cfg.min_len <= out.length < cfg.max_len
+            assert out.counts == {y: out.length}
+
+    @pytest.mark.parametrize("counts", [{nv(0): 5}, {nv(0): 3, nv("1/2"): 2}],
+                             ids=["one-bucket", "two-buckets"])
+    @pytest.mark.parametrize("size", [-1, 6])
+    def test_size_out_of_range_raises(self, counts, size):
+        with pytest.raises(ValueError):
+            _submultiset(counts, size, random.Random(0))
 
 
 multisets = st.dictionaries(st.integers(0, 15).map(lambda i: nv(Fraction(i, 16))),
