@@ -31,7 +31,7 @@ HSP_DIGESTS = {
 
 SHIFT_CASES = [
     ({"k": 1, "basis": [[8]], "t": 2, "shift_bound": 3, "check": True}, "exact", 3,
-     "e81520c49edcfc3e5ed8760e0f8091096acc8e8d71e9521e6e54ebe07ecd8d5b"),
+     "2bce6f55b764bf98846e428aac64d67bb15b35ee39961931b3b1092e4c99dd4b"),
     ({"k": 1, "basis": [[2]], "t": 1}, "gaussian", 3,
      "51af808007feeadaf0a28f7b53e83db8d1d81333319ece202ae2ca35adeadcb1"),
     ({"k": 1, "basis": [], "t": 1}, "gaussian", 3,
