@@ -444,7 +444,7 @@ class TestOneBucketSubmultiset:
         assert _submultiset({y: 9}, 9, _RaisingRng()) == {y: 9}
         assert _balanced_split({y: 9}, _RaisingRng()) == ({y: 5}, {y: 4})
         assert _balanced_split({y: 1}, _RaisingRng()) == ({y: 1}, {})
-        cfg = TestShorten().cfg()
+        cfg = sieve_config(L8(), 2)  # min_len 64, max_len 256
         for seed in range(5):
             pv = single_spot([y] * (3 * cfg.max_len + seed))
             out = shorten(pv, cfg, _LengthOnlyRng(seed)).spots[0]
