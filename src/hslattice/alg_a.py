@@ -34,8 +34,11 @@ class ScheduleOverflow(ValueError):
 # (k+1)-dimensional lattice that recover_colattice reduces.
 PARAM_BIT_CEILING = 1 << 19
 # The coarse reduction of recover_colattice takes one stage per STAGE_BITS
-# bits of log2 T.
+# bits of log2 T.  When that makes more than one stage, a first stage at
+# T_1 = 2^FIRST_STAGE_BITS comes before them: a full-rank secret makes all
+# its swaps there, on small integers, and the next stage then makes none.
 STAGE_BITS = 512
+FIRST_STAGE_BITS = 64
 
 
 def _next_pow2(n: int) -> int:
@@ -174,16 +177,21 @@ def _round_half_even(a: int, b: int) -> int:
 def _coarse_stages(lift: List[int], modulus: int, p: AlgAParams) -> List[IntMatrix]:
     """The coarse copies of E that lll_from_coarse reduces, finest last.
 
-    With b = log2 T and s = ceil(b / STAGE_BITS) stages, stage j flattens
-    with T_j = 2^(j b / s) (rounded down; T_s = T) and rounds lift(y) to the
-    grid 1/G_j, G_j = T_j * 2^bits(R): its columns are G_j e_1, ...,
-    G_j e_k and (round(G_j lift(y)), G_j / T_j)."""
+    With b = log2 T and s = ceil(b / STAGE_BITS), the uniform stages flatten
+    with T_j = 2^(j b / s) for j = 1..s (rounded down; T_s = T).  When s > 1
+    a first stage with T = 2^FIRST_STAGE_BITS comes before them, so there
+    are s + 1 stages; when s = 1 the one stage is E's own grid.  Each stage
+    rounds lift(y) to the grid 1/G, G = T_j * 2^bits(R): its columns are
+    G e_1, ..., G e_k and (round(G lift(y)), G / T_j)."""
     b = p.T.bit_length() - 1
     s = -(-b // STAGE_BITS)
+    exponents = [j * b // s for j in range(1, s + 1)]
+    if s > 1:
+        exponents.insert(0, FIRST_STAGE_BITS)
     R_bits = p.R.bit_length()
     stages = []
-    for j in range(1, s + 1):
-        G = (p.T >> (b - j * b // s)) << R_bits
+    for e in exponents:
+        G = (p.T >> (b - e)) << R_bits
         stages.append(_flattened(G, [_round_half_even(c * G, modulus) for c in lift]
                                  + [1 << R_bits]))
     return stages
@@ -199,16 +207,21 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     continued-fraction reconstruction), in which case the caller resamples.
 
     The short vectors (norm <= 1/R) of E = [I_k, lift(y); 0, 1/T] are found
-    on coarse copies of E (_coarse_stages), and their span is certified
-    there, after the perturbation argument of Chang, Stehle and Villard
-    (Math. Comp. 2012) and Villard (ISSAC 2007).  Let U reduce the last
-    stage C, on the grid 1/G with G = T * 2^bits(R), and let x be an integer
-    vector with |E x| <= 1/R.  The last entry of E x is c/T with |c| <= T/R,
-    and C / G differs from E only in the rounded entries of the last
-    column, each by at most 1/(2G); so |C x| / G <= 1/R + sqrt(k) T / (2 G R),
-    and in C's integer units |C x| <= (2G + T (isqrt(k) + 1)) / (2R).  If
-    every Gram-Schmidt norm of C U from index kappa on exceeds that bound,
-    C x, as a combination of C U's columns, uses only the first kappa of
+    on coarse copies of E (_coarse_stages: one per STAGE_BITS bits of
+    log2 T, after a first copy at T = 2^FIRST_STAGE_BITS when there are
+    several), which lll_from_coarse reduces in turn, going straight to the
+    last once a stage after the first makes no swap.  Their span is
+    certified on the last copy, after the perturbation argument of Chang,
+    Stehle and Villard (Math. Comp. 2012) and Villard (ISSAC 2007).  The
+    skip changes only U, so the certificate below holds as it stands.
+
+    Let U reduce the last stage C, on the grid 1/G with G = T * 2^bits(R),
+    and let x be an integer vector with |E x| <= 1/R.  The last entry of
+    E x is c/T with |c| <= T/R, and C / G differs from E only in the
+    rounded entries of the last column, each by at most 1/(2G); so
+    |C x| / G <= 1/R + sqrt(k) T / (2 G R), and in C's integer units
+    |C x| <= (2G + T (isqrt(k) + 1)) / (2R).  If every Gram-Schmidt norm
+    of C U from index kappa on exceeds that bound, C x, as a combination of C U's columns, uses only the first kappa of
     them; the same coefficients on E U give E x.  So every short vector of
     E lies in the span of the first kappa columns of E U.  When those
     columns are themselves short they are B1: they span exactly the span of

@@ -62,9 +62,12 @@ def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix]) -> Tuple[IntMatri
     j - 1, so each stage mostly refines a basis that the previous, coarser
     one has already reduced, and nearly all swaps act on integers of the
     coarse size, not of B's (gradual feeding: van Hoeij and Novocin, LATIN
-    2010; Novocin, Stehle and Villard, STOC 2011).  B * U generates B's
-    lattice but need not be LLL-reduced itself; a caller that needs that
-    runs lll on it.
+    2010; Novocin, Stehle and Villard, STOC 2011).  Once a stage after the
+    first makes no swap, the extra precision it added left the basis's
+    order alone, so the stages between it and the last are skipped and the
+    last one runs next; the last stage always runs, so U reduces it
+    whatever the skip.  B * U generates B's lattice but need not be
+    LLL-reduced itself; a caller that needs that runs lll on it.
     """
     if not stages or any((C.rows, C.cols) != (B.rows, B.cols) for C in stages):
         raise ValueError("each coarse basis must have the shape of B")
@@ -74,15 +77,21 @@ def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix]) -> Tuple[IntMatri
     def times_u(M: IntMatrix) -> List[List[int]]:
         return [[sum(a * c for a, c in zip(row, uj)) for row in M.data] for uj in u]
 
-    for C in stages:
-        d = _lll_integer(times_u(C), u)
+    for j, C in enumerate(stages[:-1]):
+        _, swaps = _lll_integer(times_u(C), u)
+        if j and not swaps:
+            break
+    d, _ = _lll_integer(times_u(stages[-1]), u)
     return IntMatrix.from_columns(times_u(B), rows=B.rows), d
 
 
-def _lll_integer(b: List[Sequence[int]], u: Optional[List[List[int]]] = None) -> List[int]:
+def _lll_integer(b: List[Sequence[int]],
+                 u: Optional[List[List[int]]] = None) -> Tuple[List[int], int]:
     """In-place integer LLL on column vectors b (de Weger formulation), with
-    Lovasz parameter delta = 3/4.  Returns the Gram subdeterminants d of the
-    output: d[0] = 1 and d[i + 1] = d[i] * |b*_i|^2.
+    Lovasz parameter delta = 3/4.  Returns (d, swaps): the Gram
+    subdeterminants d of the output, d[0] = 1 and d[i + 1] = d[i] * |b*_i|^2,
+    and the number of swaps made (0 when b was already in Lovasz order,
+    though size reduction may still have changed it).
 
     When u is given (one coefficient column per column of b), every
     size-reduction and swap is applied to it as well: a u that starts as U0
@@ -129,18 +138,20 @@ def _lll_integer(b: List[Sequence[int]], u: Optional[List[List[int]]] = None) ->
 
     for i in range(n):
         init_column(i)
+    swaps = 0
     k = 1
     while k < n:
         reduce(k, k - 1)
         # Lovasz: d[k+1] * d[k-1] >= (3/4 * d[k]^2 - lam^2) scaled to integers.
         if 4 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 3 * d[k] * d[k]:
             swap(k)
+            swaps += 1
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    return d
+    return d, swaps
 
 
 def babai_nearest_plane(B: RatMatrix, target: Sequence[Fraction]) -> Tuple[Fraction, ...]:

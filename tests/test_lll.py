@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hslattice.alg_a import _coarse_stages, recover_colattice, schedule
+from hslattice import lll as lll_module
+from hslattice.alg_a import (
+    FIRST_STAGE_BITS,
+    _coarse_stages,
+    recover_colattice,
+    sample_fourier_point,
+    schedule,
+)
+from hslattice.experiments import random_lattice
+from hslattice.lattice import basis_bit_complexity
 from hslattice.lll import _lll_integer, babai_nearest_plane, gram_schmidt, lll, lll_from_coarse
 from hslattice.matrix import IntMatrix, RatMatrix, hnf
 from hslattice.verify import (
@@ -127,6 +136,20 @@ class TestLLLProperties:
         assert (M @ U).data == IntMatrix.from_columns(cols, rows=k).data
 
     @settings(max_examples=100, deadline=None)
+    @given(int_bases())
+    def test_swaps_reported(self, M):
+        """A second pass over an LLL-reduced basis reports no swap."""
+        cols = [list(M.column(j)) for j in range(M.cols)]
+        _lll_integer(cols)
+        assert _lll_integer(cols)[1] == 0
+
+    def test_swap_counted(self):
+        """Columns (3, 1), (1, 0) need exactly one swap."""
+        cols = [[3, 1], [1, 0]]
+        assert _lll_integer(cols) == ([1, 1, 1], 1)
+        assert cols == [[1, 0], [0, 1]]
+
+    @settings(max_examples=100, deadline=None)
     @given(int_bases(), st.data())
     def test_any_coarse_basis(self, M, data):
         """Whatever the coarse bases, M * U generates M's lattice, the last
@@ -155,14 +178,46 @@ class TestLLLProperties:
         assert_last_stage_reduced(E, out, stages[-1], d)
 
     def test_stage_count(self):
-        """One coarse stage per 512 bits of log2 T, rounded up; the last
+        """One coarse stage per 512 bits of log2 T, rounded up, and a first
+        stage at T = 2^64 before them when there is more than one; the last
         stage is the grid 1/(T * 2^bits(R))."""
-        for n, k, count in ((2, 1, 1), (14, 2, 1), (70, 3, 2), (160, 5, 4)):
+        for n, k, count in ((2, 1, 1), (14, 2, 1), (70, 3, 3), (160, 5, 5)):
             p = schedule(n, k)
             stages = _coarse_stages([0] * k, p.Q, p)
             assert len(stages) == count
             assert stages[-1][0, 0] == p.T << p.R.bit_length()
             assert all(C[k, k] == 1 << p.R.bit_length() for C in stages)
+            if count > 1:
+                assert stages[0][0, 0] == 1 << FIRST_STAGE_BITS + p.R.bit_length()
+
+    @pytest.mark.parametrize("rank,runs", [(5, 3), (4, 5)], ids=["full-rank", "rank-4"])
+    def test_swap_free_stage_skips_to_last(self, monkeypatch, rank, runs):
+        """On a k = 5, n = 160 sample, a full-rank secret makes all its swaps
+        in the 64-bit first stage, so the second stage swaps nothing and the
+        last follows it: 3 of the 5 stages run.  A rank-4 secret swaps in
+        every stage and skips none.  Either way the last stage ends reduced."""
+        p = schedule(160, 5)
+        rng = random.Random(rank)
+        secret = random_lattice(5, rank, 64, rng)
+        assert basis_bit_complexity(secret) <= 160
+        y1 = sample_fourier_point(secret, p, rng).y1
+        _, trace = recover_colattice(y1, p.Q, p)
+        lift = [c - p.Q if 2 * c > p.Q else c for c in y1]
+        stages = _coarse_stages(lift, p.Q, p)
+        assert len(stages) == 5
+        swaps = []
+
+        def counting(b, u=None):
+            d, count = _lll_integer(b, u)
+            swaps.append(count)
+            return d, count
+
+        monkeypatch.setattr(lll_module, "_lll_integer", counting)
+        E = trace.E.cleared()[1]
+        out, d = lll_from_coarse(E, stages)
+        assert len(swaps) == runs and swaps[0] > 0
+        assert swaps[1] == 0 if rank == 5 else all(swaps)
+        assert_last_stage_reduced(E, out, stages[-1], d)
 
 
 def assert_last_stage_reduced(B, out, last, d):
