@@ -166,8 +166,16 @@ def _emit_report(report: dict, as_json: bool) -> None:
         print(f"  ... {len(report['trials']) - 20} more")
 
 
+def _read_descriptor(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        # json.loads recurses once per nesting level
+        raise ValueError("descriptor is nested too deeply") from None
+
+
 def cmd_hsp_recover(args) -> int:
-    descriptor = json.loads(Path(args.descriptor).read_text())
+    descriptor = _read_descriptor(args.descriptor)
     report = run_hsp_experiment(descriptor, seed=args.seed, trials=args.trials,
                                 debug_trace=args.debug_trace, timing=args.timing)
     _emit_report(report, args.json)
@@ -175,7 +183,7 @@ def cmd_hsp_recover(args) -> int:
 
 
 def cmd_shift_recover(args) -> int:
-    descriptor = json.loads(Path(args.descriptor).read_text())
+    descriptor = _read_descriptor(args.descriptor)
     report = run_shift_experiment(descriptor, seed=args.seed, trials=args.trials,
                                   noise=args.noise, timing=args.timing)
     _emit_report(report, args.json)

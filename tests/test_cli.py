@@ -95,6 +95,7 @@ def test_oracle_rational(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+
 def test_oracle_sparse(capsys):
     assert main(["oracle", "sparse-simon", "e2+e5", "--accepted", "0,2,4,6"]) == 0
     assert capsys.readouterr().out.strip() == "e5"
@@ -231,6 +232,8 @@ class TestReports:
         ("hsp-recover", {"k": 12, "n": 906}, "ceiling"),
         ("hsp-recover", {"k": 1, "n": 30000}, "ceiling"),
         ("shift-recover", {"k": 2, "basis": [[10 ** 400], [1]], "t": 1}, "underflows"),
+        ("hsp-recover", "[" * 200_000 + "]" * 200_000, "nested"),
+        ("shift-recover", "[" * 200_000 + "]" * 200_000, "nested"),
     ], ids=["secret-not-object", "hsp-top-level-basis", "shift-length-vs-k",
             "shift-rows-vs-k", "m-zero", "shift-bound-negative", "random-rank-above-k",
             "random-rank-negative", "entry-bound-zero", "retries-zero", "hsp-unknown-key",
@@ -239,10 +242,11 @@ class TestReports:
             "shift-torsion-above-ceiling", "shift-trivial-torsion-above-ceiling",
             "shift-huge-t", "shift-huge-t-explicit-m", "hsp-k12-above-ceiling",
             "hsp-n30000-above-ceiling",
-            "shift-inverse-norm-underflow"])
+            "shift-inverse-norm-underflow", "hsp-deeply-nested", "shift-deeply-nested"])
     def test_cli_inconsistent_descriptor(self, tmp_path, capsys, command, descriptor, needle):
+        """A descriptor given as a str is written as it stands, not as JSON."""
         d = tmp_path / "d.json"
-        d.write_text(json.dumps(descriptor))
+        d.write_text(descriptor if isinstance(descriptor, str) else json.dumps(descriptor))
         assert main([command, str(d), "--json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
