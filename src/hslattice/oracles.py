@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
+from .intmath import is_probable_prime
 from .lattice import Lattice, coset_canonical
 from .rationals import partial_fractions
 
@@ -31,10 +32,15 @@ class RationalOracle:
     """Hides the subgroup of Q generated by 1 and 1/p for accepted primes p.
 
     Evaluation drops the integer part of the partial-fraction expansion and
-    every exponent-1 term r/p with p accepted, then sums what remains."""
+    every exponent-1 term r/p with p accepted, then sums what remains.
+    An accepted value that is not a prime raises ValueError, since no
+    partial-fraction term has it as its denominator's base."""
 
     def __init__(self, accepted_primes: Iterable[int]):
         self._accepted = frozenset(int(p) for p in accepted_primes)
+        bad = sorted(p for p in self._accepted if not is_probable_prime(p))
+        if bad:
+            raise ValueError(f"accepted values must be primes, not {', '.join(map(str, bad))}")
 
     def evaluate(self, x: Fraction) -> Fraction:
         form = partial_fractions(Fraction(x))

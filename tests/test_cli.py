@@ -95,6 +95,14 @@ def test_oracle_rational(capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+@pytest.mark.parametrize("accepted", ["4", "1,3,9", "0", "-3"])
+def test_oracle_rational_not_prime(capsys, accepted):
+    assert main(["oracle", "rational", "1/4", "--accepted", accepted]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "primes" in captured.err
+
 
 def test_oracle_sparse(capsys):
     assert main(["oracle", "sparse-simon", "e2+e5", "--accepted", "0,2,4,6"]) == 0
