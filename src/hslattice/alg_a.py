@@ -221,8 +221,9 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     rounded entries of the last column, each by at most 1/(2G); so
     |C x| / G <= 1/R + sqrt(k) T / (2 G R), and in C's integer units
     |C x| <= (2G + T (isqrt(k) + 1)) / (2R).  If every Gram-Schmidt norm
-    of C U from index kappa on exceeds that bound, C x, as a combination of C U's columns, uses only the first kappa of
-    them; the same coefficients on E U give E x.  So every short vector of
+    of C U from index kappa on exceeds that bound, C x, as a combination
+    of C U's columns, uses only the first kappa of them; the same
+    coefficients on E U give E x.  So every short vector of
     E lies in the span of the first kappa columns of E U.  When those
     columns are themselves short they are B1: they span exactly the span of
     E's short vectors, and no pass over E's own (much longer) integers is

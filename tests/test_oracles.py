@@ -79,7 +79,9 @@ class TestRationalOracle:
                 member = (diff * 5).denominator == 1  # in <1, 1/5>
                 assert (f.token(x) == f.token(y)) == member
 
-    @pytest.mark.parametrize("accepted", [{4}, {1, 3}, {3, 9}, {0}, {-5}, {(2 ** 31 - 1) * (2 ** 61 - 1)}])
+    @pytest.mark.parametrize("accepted", [
+        {4}, {1, 3}, {3, 9}, {0}, {-5}, {(2 ** 31 - 1) * (2 ** 61 - 1)},
+    ])
     def test_rejects_non_primes(self, accepted):
         with pytest.raises(ValueError, match="primes"):
             RationalOracle(accepted)
