@@ -37,6 +37,8 @@ PARAM_BIT_CEILING = 1 << 19
 # bits of log2 T.  When that makes more than one stage, a first stage at
 # T_1 = 2^FIRST_STAGE_BITS comes before them: a full-rank secret makes all
 # its swaps there, on small integers, and the next stage then makes none.
+# Every stage but the last is on its own grid 1/T_j; only the last, which
+# the certificate reads, carries the extra factor 2^bits(R).
 STAGE_BITS = 512
 FIRST_STAGE_BITS = 64
 
@@ -181,19 +183,23 @@ def _coarse_stages(lift: List[int], modulus: int, p: AlgAParams) -> List[IntMatr
     with T_j = 2^(j b / s) for j = 1..s (rounded down; T_s = T).  When s > 1
     a first stage with T = 2^FIRST_STAGE_BITS comes before them, so there
     are s + 1 stages; when s = 1 the one stage is E's own grid.  Each stage
-    rounds lift(y) to the grid 1/G, G = T_j * 2^bits(R): its columns are
-    G e_1, ..., G e_k and (round(G lift(y)), G / T_j)."""
+    rounds lift(y) to the grid 1/G: its columns are G e_1, ..., G e_k and
+    (round(G lift(y)), G / T_j).  The last stage has G = T * 2^bits(R), so
+    that the rounding term sqrt(k) T / (2 G R) of recover_colattice's
+    certificate, which reads only that stage, stays far below 1/R.  An
+    earlier stage only steers the transform U the next one starts from, so
+    it takes its own grid, G = T_j, and stays bits(R) bits shorter."""
     b = p.T.bit_length() - 1
     s = -(-b // STAGE_BITS)
     exponents = [j * b // s for j in range(1, s + 1)]
     if s > 1:
         exponents.insert(0, FIRST_STAGE_BITS)
-    R_bits = p.R.bit_length()
     stages = []
-    for e in exponents:
-        G = (p.T >> (b - e)) << R_bits
+    for j, e in enumerate(exponents):
+        extra = p.R.bit_length() if j == len(exponents) - 1 else 0
+        G = (p.T >> (b - e)) << extra
         stages.append(_flattened(G, [_round_half_even(c * G, modulus) for c in lift]
-                                 + [1 << R_bits]))
+                                 + [1 << extra]))
     return stages
 
 
@@ -213,7 +219,9 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     last once a stage after the first makes no swap.  Their span is
     certified on the last copy, after the perturbation argument of Chang,
     Stehle and Villard (Math. Comp. 2012) and Villard (ISSAC 2007).  The
-    skip changes only U, so the certificate below holds as it stands.
+    earlier copies, each on its own grid 1/T_j, and the skip only steer U,
+    so the certificate below, which reads the last copy alone, holds as it
+    stands.
 
     Let U reduce the last stage C, on the grid 1/G with G = T * 2^bits(R),
     and let x be an integer vector with |E x| <= 1/R.  The last entry of

@@ -58,16 +58,19 @@ def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix]) -> Tuple[IntMatri
     (B * U, d): U is the unimodular transform that LLL-reduces (delta = 3/4)
     the last stage, and d that stage's Gram subdeterminants after reduction.
 
-    Every stage has B's shape.  Stage j starts from the transform of stage
-    j - 1, so each stage mostly refines a basis that the previous, coarser
-    one has already reduced, and nearly all swaps act on integers of the
-    coarse size, not of B's (gradual feeding: van Hoeij and Novocin, LATIN
-    2010; Novocin, Stehle and Villard, STOC 2011).  Once a stage after the
-    first makes no swap, the extra precision it added left the basis's
-    order alone, so the stages between it and the last are skipped and the
-    last one runs next; the last stage always runs, so U reduces it
-    whatever the skip.  B * U generates B's lattice but need not be
-    LLL-reduced itself; a caller that needs that runs lll on it.
+    Every stage has B's shape; the stages need not share a scale.  Stage j
+    starts from the transform of stage j - 1, so each stage mostly refines a
+    basis that the previous, coarser one has already reduced, and nearly all
+    swaps act on integers of the coarse size, not of B's (gradual feeding:
+    van Hoeij and Novocin, LATIN 2010; Novocin, Stehle and Villard, STOC
+    2011).  An earlier stage reaches the result only through the transform
+    it hands on, so it can be as coarse as steering U allows; only the last
+    stage's precision shows in d.  Once a stage after the first makes no
+    swap, the extra precision it added left the basis's order alone, so the
+    stages between it and the last are skipped and the last one runs next;
+    the last stage always runs, so U reduces it whatever the skip.  B * U
+    generates B's lattice but need not be LLL-reduced itself; a caller that
+    needs that runs lll on it.
     """
     if not stages or any((C.rows, C.cols) != (B.rows, B.cols) for C in stages):
         raise ValueError("each coarse basis must have the shape of B")

@@ -179,23 +179,29 @@ class TestLLLProperties:
 
     def test_stage_count(self):
         """One coarse stage per 512 bits of log2 T, rounded up, and a first
-        stage at T = 2^64 before them when there is more than one; the last
-        stage is the grid 1/(T * 2^bits(R))."""
+        stage at T = 2^64 before them when there is more than one.  The last
+        stage is the grid 1/(T * 2^bits(R)); every earlier stage is its own
+        grid 1/T_j, with last entry 1."""
         for n, k, count in ((2, 1, 1), (14, 2, 1), (70, 3, 3), (160, 5, 5)):
             p = schedule(n, k)
             stages = _coarse_stages([0] * k, p.Q, p)
             assert len(stages) == count
             assert stages[-1][0, 0] == p.T << p.R.bit_length()
-            assert all(C[k, k] == 1 << p.R.bit_length() for C in stages)
-            if count > 1:
-                assert stages[0][0, 0] == 1 << FIRST_STAGE_BITS + p.R.bit_length()
+            assert stages[-1][k, k] == 1 << p.R.bit_length()
+            b = p.T.bit_length() - 1
+            s = count - 1
+            T_j = [1 << FIRST_STAGE_BITS] + [1 << j * b // s for j in range(1, s)] if s else []
+            assert [C[0, 0] for C in stages[:-1]] == T_j
+            assert all(C[k, k] == 1 for C in stages[:-1])
 
-    @pytest.mark.parametrize("rank,runs", [(5, 3), (4, 5)], ids=["full-rank", "rank-4"])
+    @pytest.mark.parametrize("rank,runs", [(5, 3), (4, 5), (1, 5)],
+                             ids=["full-rank", "rank-4", "rank-1"])
     def test_swap_free_stage_skips_to_last(self, monkeypatch, rank, runs):
         """On a k = 5, n = 160 sample, a full-rank secret makes all its swaps
         in the 64-bit first stage, so the second stage swaps nothing and the
-        last follows it: 3 of the 5 stages run.  A rank-4 secret swaps in
-        every stage and skips none.  Either way the last stage ends reduced."""
+        last follows it: 3 of the 5 stages run.  Rank-4 and rank-1 secrets
+        swap in every stage and skip none.  Either way the last stage ends
+        reduced."""
         p = schedule(160, 5)
         rng = random.Random(rank)
         secret = random_lattice(5, rank, 64, rng)
