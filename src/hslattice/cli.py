@@ -13,12 +13,17 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from .lattice import Lattice, reciprocal_basis, saturation
+from .lattice import Lattice, coset_canonical, reciprocal_basis, saturation
 from .lll import lll
 from .matrix import format_matrix, parse_int_matrix, parse_matrix, parse_rational, hnf, snf
 from .oracles import BrickOracle, RationalOracle, ShiftPairOracle, SparseSimonOracle, SparseVec
 from .rationals import PartialFractionForm, partial_fractions
 from .experiments import run_hsp_experiment, run_shift_experiment
+
+
+# The most points of the box [-4, 4]^k that `oracle --check` walks for the
+# brick and shift-pair oracles: 9^6, so k <= 6.
+CHECK_BOX_CEILING = 9 ** 6
 
 
 def _read_matrix(path: str):
@@ -106,17 +111,30 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _check_box(k: int):
+    """The points of [-4, 4]^k that --check walks; ValueError past the cap."""
+    if 9 ** k > CHECK_BOX_CEILING:
+        raise ValueError(f"--check walks the 9^{k} points of [-4, 4]^{k}; "
+                         f"at most {CHECK_BOX_CEILING} are allowed")
+    return product(range(-4, 5), repeat=k)
+
+
 def _check_brick(oracle) -> None:
-    """Exhaustive hiding-property check on a small box; raises on failure."""
-    k = oracle.lattice.k
-    pts = list(product(range(-4, 5), repeat=k))
-    tokens = {x: oracle.token(x) for x in pts}
-    for x in pts:
-        for y in pts:
-            same = tokens[x] == tokens[y]
-            member = oracle.lattice.contains([a - b for a, b in zip(x, y)])
-            if same != member:
-                raise AssertionError(f"hiding property fails at {x}, {y}")
+    """Exhaustive hiding-property check on a small box; raises on failure.
+
+    Tokens agree exactly when the points' difference lies in L, that is, when
+    their cosets agree; so one pass that maps each token to its coset and
+    each coset to its token, and finds neither map given two values, checks
+    every pair."""
+    coset_of = {}
+    token_of = {}
+    for x in _check_box(oracle.lattice.k):
+        token = oracle.token(x)
+        coset = coset_canonical(oracle.lattice, x)
+        for seen, key, value in ((coset_of, token, coset), (token_of, coset, token)):
+            y, first = seen.setdefault(key, (x, value))
+            if first != value:
+                raise AssertionError(f"hiding property fails at {y}, {x}")
     print("hiding property verified on the box", file=sys.stderr)
 
 
@@ -141,8 +159,7 @@ def _check_sparse(oracle, accepted) -> None:
 
 
 def _check_shift_pair(oracle) -> None:
-    k = oracle.lattice.k
-    for x in product(range(-4, 5), repeat=k):
+    for x in _check_box(oracle.lattice.k):
         shifted = [a - b for a, b in zip(x, oracle.shift)]
         if oracle.token(x, 1) != oracle.token(shifted, 0):
             raise AssertionError(f"shift relation fails at {x}")

@@ -1,11 +1,15 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from hslattice.cli import main
+from hslattice.cli import CHECK_BOX_CEILING, _check_brick, main
 from hslattice.experiments import run_hsp_experiment, run_shift_experiment
+from hslattice.lattice import Lattice
+from hslattice.matrix import IntMatrix
+from hslattice.oracles import BrickOracle
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema-v1.json").read_text()
@@ -116,6 +120,41 @@ def test_oracle_check_flags(matrix_file, capsys):
     assert main(["oracle", "sparse-simon", "e1", "--accepted", "0,2", "--check"]) == 0
     assert main(["oracle", "shift-pair", "1 2 0", "--basis", f, "--shift", "1 1",
                  "--check"]) == 0
+    # k = 4: one pass over the 9^4 points of the box takes about 0.2 s; a
+    # pass over all 43 M pairs took minutes
+    f4 = matrix_file("b4.txt", "4 4\n2 0 0 0\n0 3 0 0\n0 0 1 0\n0 0 0 5\n")
+    start = time.perf_counter()
+    assert main(["oracle", "brick", "1 2 3 4", "--basis", f4, "--check"]) == 0
+    assert time.perf_counter() - start < 2
+    assert "hiding property verified" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,element,extra", [
+    ("brick", "0 0 0 0 0 0 0", []),
+    ("shift-pair", "0 0 0 0 0 0 0 1", ["--shift", "0 0 0 0 0 0 0"]),
+], ids=["brick", "shift-pair"])
+def test_oracle_check_box_ceiling(matrix_file, capsys, kind, element, extra):
+    """At k = 7 the box has 9^7 > CHECK_BOX_CEILING points: one error line."""
+    rows = "\n".join(" ".join(str(int(i == j)) for j in range(7)) for i in range(7))
+    f = matrix_file("id7.txt", f"7 7\n{rows}\n")
+    assert 9 ** 7 > CHECK_BOX_CEILING >= 9 ** 6
+    assert main(["oracle", kind, element, "--basis", f, *extra, "--check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_check_brick_finds_merged_cosets():
+    """A token that merges the cosets of (0, 0) and (1, 0) mod diag(2, 3)
+    fails the hiding property, and the error names two points."""
+    class Merging(BrickOracle):
+        def token(self, x):
+            c = self.evaluate(x)
+            return b"merged" if c in ((0, 0), (1, 0)) else super().token(x)
+
+    oracle = Merging(Lattice.from_generators(IntMatrix.from_rows([[2, 0], [0, 3]])))
+    with pytest.raises(AssertionError, match=r"hiding property fails at \(.*\), \(.*\)"):
+        _check_brick(oracle)
 
 
 def test_oracle_missing_basis(capsys):
