@@ -755,7 +755,7 @@ class TestLiftShift:
         assert [(f.order, f.generator) for f in g] == [(4, (1,))]
         assert lift_shift([3], L, 1) == (-1,)
 
-    def test_enumeration_rescues_babai(self):
+    def test_corner_shift_non_diagonal_hnf(self):
         # full rank with a non-diagonal HNF; s lies on the box's corner
         L = col_lattice([[0, 6], [6, -3]], 2)
         s = (2, -2)
