@@ -40,6 +40,8 @@ SHIFT_CASES = [
      "a4b9a5aa44d256b6021200ac68b6c8d80d59049de4751e0d8176e40e31793622"),
     ({"k": 1, "basis": [[8]], "t": 2}, "gaussian", 3,
      "0e4ad053ad2a61f6af8f3a707703025a3ad771e723c3bdd4bc1cde8d88fb4b68"),
+    ({"k": 1, "basis": [], "t": 1, "check": True}, "exact", 3,
+     "e0cd3b6ba43e5005cbecbde5f0a35b93c37691addc7ced4b6a78ed31171ec4a1"),
 ]
 
 
@@ -56,7 +58,7 @@ def test_hsp_report_digest(k, seed):
 
 @pytest.mark.parametrize("descriptor,noise,trials,expected", SHIFT_CASES,
                          ids=["exact-8-t2", "gaussian-2-t1", "gaussian-trivial-t1",
-                              "exact-diag44-t2", "gaussian-8-t2"])
+                              "exact-diag44-t2", "gaussian-8-t2", "exact-trivial-t1"])
 def test_shift_report_digest(descriptor, noise, trials, expected):
     report = run_shift_experiment(descriptor, seed=1, trials=trials, noise=noise)
     assert digest(report) == expected
