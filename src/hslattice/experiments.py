@@ -162,7 +162,9 @@ def run_shift_experiment(descriptor: Dict, seed: int, trials: int,
     _at_least(trials, 0, "trials")
     _check_keys(descriptor, ("k", "basis", "shift", "t", "m", "shift_bound", "check"),
                 "descriptor")
-    rows = descriptor.get("basis") or []
+    rows = descriptor.get("basis", [])
+    if not isinstance(rows, list):
+        raise ValueError(f"descriptor 'basis' must be a list of rows, got {rows!r}")
     k = _descriptor_int(descriptor, "k") if "k" in descriptor or not rows else len(rows)
     lattice = _lattice_from_rows(rows, _at_least(k, 1, "descriptor 'k'"))
     spec_shift = descriptor.get("shift", "random")

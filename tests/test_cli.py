@@ -309,8 +309,15 @@ class TestReports:
         ("basis", [["8"]]),
         ("basis", [[True]]),
         ("basis", [[8.5]]),
+        ("basis", 0),
+        ("basis", False),
+        ("basis", {}),
+        ("basis", ""),
+        ("basis", None),
     ], ids=["shift-entry-list", "m-string", "shift-bound-string",
-            "check-int", "t-bool", "basis-string", "basis-bool", "basis-float"])
+            "check-int", "t-bool", "basis-string", "basis-bool", "basis-float",
+            "basis-zero", "basis-false", "basis-empty-object", "basis-empty-string",
+            "basis-null"])
     def test_cli_wrong_type_descriptor(self, tmp_path, capsys, field, value):
         d = tmp_path / "d.json"
         d.write_text(json.dumps({"k": 1, "basis": [[8]], "t": 2, field: value}))
