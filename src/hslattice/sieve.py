@@ -3,27 +3,29 @@
 In exact mode every multiplier lies on the grid (1/N) Z^k / Z^k with
 N = lcm(Delta, Q) (Delta the Gram determinant of the basis, Q the torus
 grid), so the sieve holds a multiplier as the tuple of its numerators in
-[0, N) and a window as an integer center and radius in units of 1/N; sums,
-tiles and window tests are integer arithmetic mod N.  A generator of the
-target group is likewise the tuple of its numerators over its order d, and
-d divides N, so every sieve target is an integer point too.  Phase vectors
-store their multiplier lists as multiplier -> multiplicity dictionaries
-(computational-basis measurements of equal-amplitude states depend only on
-counts, so this is exact and collapses the bookkeeping when the dual group
-is finite).  Unit r of a multiset is found from its sorted keys and running
-unit totals (`_cumulative`), and every random part of one is a single
-uniform sub-multiset draw (`_submultiset`: distinct units by `rng.sample`,
-tallied by bucket; nothing is drawn when one multiplier fills the multiset).
+[0, N) and a window as its integer center, its radius fixed by the stage
+(N >> (jm+1) at stage j, in units of 1/N); sums, tiles and window tests are
+integer arithmetic mod N.  A generator of the target group is likewise the
+tuple of its numerators over its order d, and d divides N, so every sieve
+target is an integer point too.  Phase vectors store their multiplier lists
+as multiplier -> multiplicity dictionaries (computational-basis measurements
+of equal-amplitude states depend only on counts, so this is exact and
+collapses the bookkeeping when the dual group is finite).  Unit r of a
+multiset is found from its sorted keys and running unit totals
+(`_cumulative`), and every random part of one is a single uniform
+sub-multiset draw (`_submultiset`: distinct units by `rng.sample`, tallied
+by bucket; nothing is drawn when one multiplier fills the multiset).
 Phases are never materialized: the hidden shift enters only in the final
 Fourier measurement, where the multipliers' numerators determine the outcome
 distribution.
 
 The three stages mirror the qubit-creation / recursive-collimation / final-
-measurement split: create_qubit draws a dual point per qubit, sieve() runs
-the depth-first recursion with tandem two-spot collimation windows, and
-recover_shift assembles one cyclic factor of the target group at a time
-before lifting the measured residues to an integer shift through the Smith
-form of the lattice's basis: s* = V^-1 z, exact in every rank.
+measurement split: create_qubit draws the dual point y of one qubit {0, y},
+sieve() builds each stage-0 leaf as one fold of its qubits' points into a
+multiset and runs the depth-first recursion with tandem two-spot collimation
+windows, and recover_shift assembles one cyclic factor of the target group
+at a time before lifting the measured residues to an integer shift through
+the Smith form of the lattice's basis: s* = V^-1 z, exact in every rank.
 """
 
 from __future__ import annotations
@@ -135,8 +137,12 @@ def sieve_config(L: Lattice, t: int, *, m: Optional[int] = None,
     g_exp = k * m + t + 2
     q_exp = max(2 * g_exp, 2 * k * m * m + 2, t_torsion)
     Q = 2 ** q_exp
+    N = math.lcm(L.gram_det, Q)
+    # Each stage radius N >> (jm+1), j <= km, is whole, so each joined
+    # radius splits into 2^(m+1) tiles of the next stage's diameter.
+    assert N % (2 << (k * m * m)) == 0, "stage radii off the 1/N grid"
     return SieveConfig(
-        lattice=L, t=t, m=m, G=2 ** g_exp, Q=Q, N=math.lcm(L.gram_det, Q),
+        lattice=L, t=t, m=m, G=2 ** g_exp, Q=Q, N=N,
         noise=noise, shift_bound=bound, check=check,
     )
 
@@ -147,20 +153,10 @@ def _lift(d: int, N: int) -> int:
     return d - N if 2 * d > N else d
 
 
-@dataclass(frozen=True)
-class Window:
-    """The box of points within `radius` of `center` per coordinate on the
-    torus; center and radius in units of 1/modulus."""
-
-    center: Point
-    radius: int
-    modulus: int
-
-    def contains(self, y: Point) -> bool:
-        N, r = self.modulus, self.radius
-        if 2 * r >= N:
-            return True
-        return all(abs(_lift(a - c, N)) <= r for a, c in zip(y, self.center))
+def _in_window(y: Point, center: Point, r: int, N: int) -> bool:
+    """Whether y lies within r of center per coordinate on the torus; all
+    three in units of 1/N."""
+    return 2 * r >= N or all(abs(_lift(a - c, N)) <= r for a, c in zip(y, center))
 
 
 Counts = Dict[Point, int]
@@ -175,8 +171,11 @@ def _cumulative(counts: Dict) -> Tuple[list, List[int]]:
 
 @dataclass
 class Spot:
+    """A multiplier multiset and the center of its window; the window's
+    radius is fixed by the stage and its modulus by the config."""
+
     counts: Counts
-    window: Window
+    center: Point
 
     @property
     def length(self) -> int:
@@ -208,9 +207,10 @@ class SieveStats:
 
 
 def create_qubit(cfg: SieveConfig, rng: random.Random,
-                 stats: Optional[SieveStats] = None) -> PhaseVector:
-    """Sample one phase qubit: multipliers {0, y} with y uniform over H^#.
-    Phases are implied, not stored, so the hidden shift is not needed."""
+                 stats: Optional[SieveStats] = None) -> Point:
+    """Sample one phase qubit, multipliers {0, y} with y uniform over H^#,
+    and return y.  Phases are implied, not stored, so the hidden shift is
+    not needed."""
     stats = stats if stats is not None else SieveStats()
     stats.qubits += 1
     if stats.qubits > QUBIT_BUDGET:
@@ -221,21 +221,17 @@ def create_qubit(cfg: SieveConfig, rng: random.Random,
         # The noisy point is on the (1/Q) grid, and Q divides N.
         step = N // cfg.Q
         y = tuple(step * c for c in gaussian_grid_noise(L, y, N, cfg.G, cfg.Q, rng))
-    zero = (0,) * L.k
-    counts: Counts = {zero: 1}
-    counts[y] = counts.get(y, 0) + 1
-    return PhaseVector((Spot(counts, Window(zero, N // 2, N)),))
+    return y
 
 
-def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:
-    """Tensor product: pairwise multiplier sums mod N, windows add in tandem.
+def tensor(a: PhaseVector, b: PhaseVector, N: int) -> PhaseVector:
+    """Tensor product: pairwise multiplier sums mod N, window centers add in
+    tandem.
 
     b must be one-spot; a two-spot a keeps its two-spot structure."""
     if len(b.spots) != 1:
         raise ValueError("the second factor of a tensor must be a one-spot phase vector")
     rspot = b.spots[0]
-    rwin = rspot.window
-    N = rwin.modulus
     new_spots = []
     for spot in a.spots:
         counts: Counts = {}
@@ -243,64 +239,61 @@ def tensor(a: PhaseVector, b: PhaseVector) -> PhaseVector:
             for v, cv in rspot.counts.items():
                 w = tuple([(x + y) % N for x, y in zip(u, v)])
                 counts[w] = counts.get(w, 0) + cu * cv
-        win = spot.window
-        center = tuple([(x + y) % N for x, y in zip(win.center, rwin.center)])
-        new_spots.append(Spot(counts, Window(center, win.radius + rwin.radius, N)))
+        center = tuple([(x + y) % N for x, y in zip(spot.center, rspot.center)])
+        new_spots.append(Spot(counts, center))
     return PhaseVector(tuple(new_spots))
 
 
-def _tile_index(y: Point, window: Window, tiles_per_axis: int) -> Tuple[int, ...]:
-    """Per-axis index of the tile of width 2 radius / tiles_per_axis that
-    holds y, counted from center - radius and clamped into the window."""
-    N, r = window.modulus, window.radius
+def _tile_index(y: Point, center: Point, r: int, N: int,
+                tiles_per_axis: int) -> Tuple[int, ...]:
+    """Per-axis index of the tile of width 2r / tiles_per_axis that holds y,
+    counted from center - r and clamped into the window of radius r."""
     width = 2 * r // tiles_per_axis
     top = tiles_per_axis - 1
     idx = []
-    for a, c in zip(y, window.center):
+    for a, c in zip(y, center):
         d = (a - c) % N
         i = (d - N + r if 2 * d > N else d + r) // width  # the lift of d, plus r
         idx.append(0 if i < 0 else top if i > top else i)
     return tuple(idx)
 
 
-def _subwindow(window: Window, tile: Tuple[int, ...], tiles_per_axis: int) -> Window:
-    """The window of one tile: radius / tiles_per_axis about the tile's
-    center.  The radius must split into whole 1/N steps."""
-    sub, rem = divmod(window.radius, tiles_per_axis)
-    if rem:
-        raise ValueError(f"radius {window.radius} does not split into {tiles_per_axis} tiles")
-    N = window.modulus
-    center = tuple([(c - window.radius + (2 * i + 1) * sub) % N
-                    for c, i in zip(window.center, tile)])
-    return Window(center, sub, N)
+def _tile_center(tile: Tuple[int, ...], center: Point, r: int, N: int,
+                 tiles_per_axis: int) -> Point:
+    """The center of one tile of the window of radius r about center;
+    tiles_per_axis must divide r."""
+    sub = r // tiles_per_axis
+    return tuple([(c - r + (2 * i + 1) * sub) % N for c, i in zip(center, tile)])
 
 
-def collimation_tally(pv: PhaseVector, m: int):
+def collimation_tally(pv: PhaseVector, m: int, r: int, N: int):
     """Tile assignment and joint tile occupancy for the collimation
-    measurement; the outcome distribution is tally/total exactly."""
+    measurement of windows of radius r; the outcome distribution is
+    tally/total exactly."""
     tiles_per_axis = 2 ** (m + 1)
     per_spot_idx = []
     tally: Dict[Tuple[int, ...], int] = {}
     for spot in pv.spots:
         assignment: Dict[Point, Tuple[int, ...]] = {}
         for y, c in spot.counts.items():
-            ti = _tile_index(y, spot.window, tiles_per_axis)
+            ti = _tile_index(y, spot.center, r, N, tiles_per_axis)
             assignment[y] = ti
             tally[ti] = tally.get(ti, 0) + c
         per_spot_idx.append(assignment)
     return per_spot_idx, tally
 
 
-def collimate(pv: PhaseVector, m: int, rng: random.Random,
+def collimate(pv: PhaseVector, j: int, cfg: SieveConfig, rng: random.Random,
               stats: Optional[SieveStats] = None) -> PhaseVector:
-    """Collimation measurement: tile each window into 2^(k(m+1)) subcubes
+    """Collimation measurement at stage j: tile each joined window, of radius
+    2 stage_radius(j-1), into 2^(k(m+1)) subcubes of radius stage_radius(j)
     (paired in tandem across two-spot windows), sample a tile with
     probability proportional to its resident count, and restrict.
 
     Equal-magnitude amplitudes make the counting measure the exact Born
     rule for this measurement."""
-    tiles_per_axis = 2 ** (m + 1)
-    per_spot_idx, tally = collimation_tally(pv, m)
+    r, N, tiles_per_axis = 2 * cfg.stage_radius(j - 1), cfg.N, 2 ** (cfg.m + 1)
+    per_spot_idx, tally = collimation_tally(pv, cfg.m, r, N)
     stats = stats if stats is not None else SieveStats()
     stats.collimations += 1
     stats.note_live(sum(len(s.counts) for s in pv.spots))
@@ -309,7 +302,7 @@ def collimate(pv: PhaseVector, m: int, rng: random.Random,
     new_spots = []
     for spot, assignment in zip(pv.spots, per_spot_idx):
         counts = {y: c for y, c in spot.counts.items() if assignment[y] == chosen}
-        new_spots.append(Spot(counts, _subwindow(spot.window, chosen, tiles_per_axis)))
+        new_spots.append(Spot(counts, _tile_center(chosen, spot.center, r, N, tiles_per_axis)))
     return PhaseVector(tuple(new_spots))
 
 
@@ -344,7 +337,7 @@ def shorten(pv: PhaseVector, cfg: SieveConfig, rng: random.Random) -> PhaseVecto
             half = keep - keep // 2
             keep = half if rng.randrange(keep) < half else keep // 2
         counts = spot.counts if keep == spot.length else _submultiset(spot.counts, keep, rng)
-        new_spots.append(Spot(counts, spot.window))
+        new_spots.append(Spot(counts, spot.center))
     return PhaseVector(tuple(new_spots))
 
 
@@ -356,11 +349,10 @@ def _balanced_split(counts: Counts, rng: random.Random) -> Tuple[Counts, Counts]
 
 
 def _check_vector(pv: PhaseVector, cfg: SieveConfig, j: int) -> None:
-    radius = cfg.stage_radius(j)
+    r = cfg.stage_radius(j)
     for spot in pv.spots:
-        assert spot.window.radius == radius, "radius telescoping violated"
         for y in spot.counts:
-            assert spot.window.contains(y), "multiplier escaped its window"
+            assert _in_window(y, spot.center, r, cfg.N), "multiplier escaped its window"
             if cfg.noise == "exact":
                 assert dual_membership(cfg.lattice, y, cfg.N), "multiplier left the dual group"
         assert cfg.min_len <= spot.length < cfg.max_len, "length discipline violated"
@@ -381,38 +373,38 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, rng: random.Random,
     km = cfg.k * cfg.m
     if j == 0:
         # 2km qubits give one spot of length 4^km; p = 2 takes one more qubit
-        # and splits it in half.  Base windows are the whole torus.
-        pv = create_qubit(cfg, rng, stats)
-        for _ in range(2 * km - 2 + p):
-            pv = tensor(pv, create_qubit(cfg, rng, stats))
-        counts = pv.spots[0].counts
-        whole = Window((0,) * cfg.k, cfg.N // 2, cfg.N)
+        # and splits it in half.  Each qubit {0, y} folds into the multiset:
+        # every u stays and u + y joins it.  Base windows are the whole torus.
+        zero = (0,) * cfg.k
+        counts: Counts = {zero: 1}
+        for _ in range(2 * km - 1 + p):
+            y = create_qubit(cfg, rng, stats)
+            new = dict(counts)
+            for u, c in counts.items():
+                w = tuple([(a + b) % cfg.N for a, b in zip(u, y)])
+                new[w] = new.get(w, 0) + c
+            counts = new
         if p == 1:
-            spots = (Spot(counts, whole),)
+            spots = (Spot(counts, zero),)
         else:
             a, b = _balanced_split(counts, rng)
-            spots = (Spot(a, whole), Spot(b, Window(target, cfg.N // 2, cfg.N)))
+            spots = (Spot(a, zero), Spot(b, target))
         out = PhaseVector(spots)
         if cfg.check:
             _check_vector(out, cfg, 0)
         return out
 
     for _ in range(NODE_RETRIES):
-        if p == 1:
-            u = sieve(j - 1, 1, target, cfg, rng, stats)
-            v = sieve(j - 1, 1, target, cfg, rng, stats)
-            joined = tensor(u, v)
-        else:
-            uv = sieve(j - 1, 2, target, cfg, rng, stats)
-            w = sieve(j - 1, 1, target, cfg, rng, stats)
-            joined = tensor(uv, w)
-        out = collimate(joined, cfg.m, rng, stats)
+        # a one- or two-spot child as p is, joined with a one-spot child
+        a = sieve(j - 1, p, target, cfg, rng, stats)
+        b = sieve(j - 1, 1, target, cfg, rng, stats)
+        out = collimate(tensor(a, b, cfg.N), j, cfg, rng, stats)
         if any(s.length < cfg.min_len for s in out.spots):
             stats.reject(j)
             continue
         out = shorten(out, cfg, rng)
         if p == 2 and j == km:
-            result = _pairing_measurement(out, rng)
+            result = _pairing_measurement(out, cfg.N, rng)
             if result is None:
                 stats.reject(j)
                 continue
@@ -423,7 +415,7 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, rng: random.Random,
     raise SieveBudgetExceeded(f"stage {j} retry budget exhausted")
 
 
-def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[Point]:
+def _pairing_measurement(pv: PhaseVector, N: int, rng: random.Random) -> Optional[Point]:
     """Pair up basis states across the two spots and measure the partition;
     a sampled pair becomes the output qubit, returned as the difference of
     its multipliers; unpaired outcomes retry."""
@@ -438,7 +430,6 @@ def _pairing_measurement(pv: PhaseVector, rng: random.Random) -> Optional[Point]
     for spot in pv.spots:
         keys, ends = _cumulative(spot.counts)
         pair.append(keys[bisect_right(ends, i)])
-    N = pv.spots[0].window.modulus
     return tuple((b - a) % N for a, b in zip(pair[0], pair[1]))
 
 

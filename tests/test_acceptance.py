@@ -297,7 +297,7 @@ def test_09_finite_stage():
 
 
 def test_10_sieve_micro_oracle():
-    from hslattice.sieve import PhaseVector, Spot, Window
+    from hslattice.sieve import PhaseVector, Spot
 
     rng = random.Random(110)
     checked = 0
@@ -309,8 +309,8 @@ def test_10_sieve_micro_oracle():
         counts = {}
         for y in mults:
             counts[y] = counts.get(y, 0) + 1
-        pv = PhaseVector((Spot(counts, Window((0,) * k, 32, 64)),))
-        per_spot, tally = collimation_tally(pv, rng.randrange(1, 3))
+        pv = PhaseVector((Spot(counts, (0,) * k),))
+        per_spot, tally = collimation_tally(pv, rng.randrange(1, 3), 32, 64)
         born = {}
         for y in mults:
             ti = per_spot[0][y]

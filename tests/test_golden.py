@@ -123,7 +123,8 @@ def test_trace_layers_resolve():
      ["lattice.dual_sample_uniform"]),
     (lambda ex, _: ex.run_shift_experiment(
         {"k": 1, "basis": [[8]], "t": 1, "check": True}, seed=1, trials=1, noise="exact"),
-     ["lattice.dual_sample_uniform", "lattice.dual_membership", "sieve.lift_shift"]),
+     ["lattice.dual_sample_uniform", "lattice.dual_membership", "sieve.create_qubit",
+      "sieve.tensor", "sieve.collimate", "sieve.shorten", "sieve.lift_shift"]),
     (lambda ex, _: ex.run_hsp_experiment(
         {"k": 2, "secret": {"random_rank": 1, "entry_bound": 16}}, seed=1, trials=1),
      ["alg_a.finite_stage", "matrix.snf_rational", "lattice.Lattice.from_generators"]),

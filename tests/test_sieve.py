@@ -25,10 +25,10 @@ from hslattice.sieve import (
     SieveConfig,
     SieveStats,
     Spot,
-    Window,
     _balanced_split,
-    _subwindow,
+    _in_window,
     _submultiset,
+    _tile_center,
     _tile_index,
     assemble_cyclic,
     build_target_group,
@@ -85,17 +85,27 @@ def lifted_difference(y, z):
     return tuple(c if 2 * c <= 1 else c - 1 for c in mod1(a - b for a, b in zip(y, z)))
 
 
-def window(center, radius):
-    return Window(center, int(Fraction(radius) * N), N)
-
-
-def single_spot(multipliers, center=None, radius=Fraction(1, 2)):
+def single_spot(multipliers, center=None):
     counts = {}
     for m in multipliers:
         counts[m] = counts.get(m, 0) + 1
     k = len(multipliers[0])
     c = center if center is not None else (0,) * k
-    return PhaseVector((Spot(counts, window(c, radius)),))
+    return PhaseVector((Spot(counts, c),))
+
+
+def qubit(y):
+    """The one-qubit phase vector {0, y} of a point create_qubit returns."""
+    zero = (0,) * len(y)
+    counts = {zero: 1}
+    counts[y] = counts.get(y, 0) + 1
+    return PhaseVector((Spot(counts, zero),))
+
+
+def hand_cfg(m):
+    """A config over the hand-built modulus N, for collimating hand-built
+    vectors: the joined radius at stage j is N >> ((j-1) m)."""
+    return SieveConfig(lattice=Lattice.zn(1), t=1, m=m, G=1, Q=1, N=N)
 
 
 class TestConfig:
@@ -150,6 +160,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="underflows"):
                 sieve_config(L, 1, noise=noise)
 
+    def test_stage_radii_tile(self):
+        """Each joined radius 2 stage_radius(j-1) splits into 2^(m+1) whole
+        tiles of diameter 2 stage_radius(j), down to the last stage."""
+        for L, t, m in ((L8(), 2, None), (Lattice.trivial(2), 1, None),
+                        (col_lattice([[3, 1]], 2), 1, 1), (Lattice.trivial(1), 1, 1)):
+            cfg = sieve_config(L, t, m=m)
+            for j in range(1, cfg.k * cfg.m + 1):
+                assert 2 * cfg.stage_radius(j - 1) == 2 ** (cfg.m + 1) * cfg.stage_radius(j) > 0
+
     def test_unknown_noise_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             sieve_config(L8(), 1, noise="bogus")
@@ -162,7 +181,7 @@ class TestCreateQubit:
         rng = random.Random(0)
         cfg = sieve_config(Lattice.zn(1), 1)
         for _ in range(10):
-            q = create_qubit(cfg, rng)
+            q = qubit(create_qubit(cfg, rng))
             assert set(q.spots[0].counts) == {(0,)}
             assert q.spots[0].length == 2
 
@@ -172,7 +191,7 @@ class TestCreateQubit:
         cfg = sieve_config(L, 1)
         counts = {0: 0, 1: 0}
         for _ in range(4000):
-            q = create_qubit(cfg, rng)
+            q = qubit(create_qubit(cfg, rng))
             nonzero = [y for y in q.spots[0].counts if any(y)]
             counts[1 if nonzero else 0] += 1
         # y = 0 and y = 1/2 each with prob 1/2; chi-squared 1 dof
@@ -184,7 +203,7 @@ class TestCreateQubit:
         L = col_lattice([[3, 1]], 2)
         cfg = sieve_config(L, 1)
         for _ in range(20):
-            q = create_qubit(cfg, rng)
+            q = qubit(create_qubit(cfg, rng))
             for y in q.spots[0].counts:
                 assert dual_membership(L, y, cfg.N)
 
@@ -193,53 +212,52 @@ class TestTensor:
     def test_identity_element(self):
         a = single_spot([nv(0), nv(0)])  # {0} twice: the |0>+|1> qubit at y=0
         b = single_spot([nv(0), nv("1/4")])
-        out = tensor(a, b)
+        out = tensor(a, b, N)
         assert out.spots[0].counts == {nv(0): 2, nv("1/4"): 2}
 
     def test_direct_sums(self):
         a = single_spot([nv(0), nv("1/4")])
         b = single_spot([nv(0), nv("1/8")])
-        out = tensor(a, b)
+        out = tensor(a, b, N)
         assert out.spots[0].counts == {nv(0): 1, nv("1/8"): 1, nv("1/4"): 1, nv("3/8"): 1}
 
     def test_lengths_multiply(self):
         a = single_spot([nv("1/16")] * 4)
         b = single_spot([nv("1/32")] * 4)
-        assert tensor(a, b).spots[0].length == 16
-
-    def test_radii_add(self):
-        a = single_spot([nv(0)], radius=Fraction(1, 8))
-        b = single_spot([nv(0)], radius=Fraction(1, 16))
-        assert Fraction(tensor(a, b).spots[0].window.radius, N) == Fraction(3, 16)
+        assert tensor(a, b, N).spots[0].length == 16
 
     def test_two_by_two_rejected(self):
         two = PhaseVector(
-            (Spot({nv(0): 1}, window(nv(0), Fraction(1, 2))),
-             Spot({nv("1/4"): 1}, window(nv("1/4"), Fraction(1, 2)))),
+            (Spot({nv(0): 1}, nv(0)),
+             Spot({nv("1/4"): 1}, nv("1/4"))),
         )
         with pytest.raises(ValueError):
-            tensor(two, two)
+            tensor(two, two, N)
 
 
 class TestCollimate:
     def test_single_tile_unchanged(self):
+        # stage 1's joined window is the whole torus; m = 2 tiles it into
+        # quarters, and [0, 1/4) holds all three, about its center 1/8
         rng = random.Random(3)
         mults = [nv("1/64"), nv("1/128"), nv(0)]
-        pv = single_spot(mults, radius=Fraction(1, 2))
-        out = collimate(pv, 2, rng)
+        pv = single_spot(mults)
+        cfg = hand_cfg(2)
+        out = collimate(pv, 1, cfg, rng)
         assert sum(out.spots[0].counts.values()) == 3
-        assert Fraction(out.spots[0].window.radius, N) == Fraction(1, 16)
+        assert out.spots[0].center == nv("1/8")
+        assert all(_in_window(y, nv("1/8"), cfg.stage_radius(1), N) for y in mults)
 
     def test_counting_probabilities(self):
         # two occupied tiles with 3 and 1 residents: probabilities 3/4, 1/4
         mults = [nv("1/64"), nv("1/64"), nv("3/128"), nv("1/2")]
-        pv = single_spot(mults, radius=Fraction(1, 2))
-        _, tally = collimation_tally(pv, 1)
+        pv = single_spot(mults)
+        _, tally = collimation_tally(pv, 1, N // 2, N)
         occ = sorted(tally.values())
         assert occ == [1, 3]
         hits = {1: 0, 3: 0}
         for seed in range(2000):
-            out = collimate(pv, 1, random.Random(seed))
+            out = collimate(pv, 2, hand_cfg(1), random.Random(seed))  # radius 1/2
             hits[out.spots[0].length] += 1
         assert abs(hits[3] / 2000 - 0.75) < 0.05
 
@@ -255,11 +273,11 @@ class TestCollimate:
             y2 = tuple((a + b) % N for a, b in zip(y, offs))
             spot2[y2] = spot2.get(y2, 0) + 1
         pv = PhaseVector(
-            (Spot(spot1, window(nv(0), Fraction(1, 8))),
-             Spot(spot2, window(offs, Fraction(1, 8)))),
+            (Spot(spot1, nv(0)),
+             Spot(spot2, offs)),
         )
         for seed in range(30):
-            out = collimate(pv, 1, random.Random(seed))
+            out = collimate(pv, 4, hand_cfg(1), random.Random(seed))  # radius 1/8
             assert out.spots[0].length == out.spots[1].length
 
     def test_born_micro_oracle(self):
@@ -268,7 +286,7 @@ class TestCollimate:
         rng = random.Random(5)
         mults = [(rng.randrange(64) * N // 64,) for _ in range(48)]
         pv = single_spot(mults)
-        per_spot, tally = collimation_tally(pv, 2)
+        per_spot, tally = collimation_tally(pv, 2, N // 2, N)
         total = sum(tally.values())
         assert total == 48
         born = {}
@@ -301,8 +319,8 @@ class TestShorten:
         big = {nv("1/8"): cfg.max_len}
         small = {nv("1/4"): cfg.min_len}
         pv = PhaseVector(
-            (Spot(dict(big), window(nv(0), Fraction(1, 2))),
-             Spot(dict(small), window(nv("1/8"), Fraction(1, 2)))),
+            (Spot(dict(big), nv(0)),
+             Spot(dict(small), nv("1/8"))),
         )
         out = shorten(pv, cfg, random.Random(2))
         assert cfg.min_len <= out.spots[0].length < cfg.max_len
@@ -488,19 +506,19 @@ class TestSamplerProperties:
 
 @st.composite
 def torus_windows(draw):
-    """(N, k, window, point): N = 2^a b, a center and a point in (Z/N)^k, and
-    a radius N / 2^e."""
+    """(N, k, center, radius, point): N = 2^a b, a center and a point in
+    (Z/N)^k, and a radius N / 2^e."""
     a, b, k = draw(st.integers(1, 10)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
     n = 2 ** a * b
     point = st.tuples(*[st.integers(0, n - 1)] * k)
     e = draw(st.integers(0, a))
-    return n, k, Window(draw(point), n >> e, n), draw(point)
+    return n, k, draw(point), n >> e, draw(point)
 
 
-def fraction_window(w):
+def fraction_window(center, r, n):
     """The window as (Fraction center, Fraction radius), as the sieve held it
     before multipliers were numerators."""
-    return torus(w.center, w.modulus), Fraction(w.radius, w.modulus)
+    return torus(center, n), Fraction(r, n)
 
 
 class TestIntegerTorus:
@@ -509,60 +527,54 @@ class TestIntegerTorus:
     @settings(max_examples=300, deadline=None)
     @given(torus_windows())
     def test_contains(self, case):
-        n, _, w, y = case
-        center, radius = fraction_window(w)
-        expect = 2 * radius >= 1 or all(abs(c) <= radius
-                                        for c in lifted_difference(torus(y, n), center))
-        assert w.contains(y) == expect
+        n, _, c, r, y = case
+        center, radius = fraction_window(c, r, n)
+        expect = 2 * radius >= 1 or all(abs(d) <= radius
+                                        for d in lifted_difference(torus(y, n), center))
+        assert _in_window(y, c, r, n) == expect
 
     @settings(max_examples=300, deadline=None)
     @given(torus_windows(), st.integers(0, 4))
     def test_tile_index(self, case, m):
-        n, _, w, y = case
+        n, _, c, r, y = case
         tiles = 2 ** (m + 1)
-        if 2 * w.radius % tiles:
+        if 2 * r % tiles:
             return  # tile width off the grid; the sieve's Q rules this out
-        center, radius = fraction_window(w)
+        center, radius = fraction_window(c, r, n)
         width = 2 * radius / tiles
         expect = tuple(min(max(int((c + radius) / width), 0), tiles - 1)
                        for c in lifted_difference(torus(y, n), center))
-        assert _tile_index(y, w, tiles) == expect
+        assert _tile_index(y, c, r, n, tiles) == expect
 
     @settings(max_examples=300, deadline=None)
     @given(torus_windows(), st.integers(0, 4), st.data())
-    def test_subwindow_center(self, case, m, data):
-        n, k, w, _ = case
+    def test_tile_center(self, case, m, data):
+        n, k, c, r, _ = case
         tiles = 2 ** (m + 1)
-        if w.radius % tiles:
-            with pytest.raises(ValueError):
-                _subwindow(w, (0,) * k, tiles)
-            return
+        if r % tiles:
+            return  # sub-window radius off the grid; sieve_config rules this out
         tile = data.draw(st.tuples(*[st.integers(0, tiles - 1)] * k))
-        center, radius = fraction_window(w)
+        center, radius = fraction_window(c, r, n)
         width = 2 * radius / tiles
         offset = [-radius + (i + Fraction(1, 2)) * width for i in tile]
         expect = add(center, offset)
-        sub = _subwindow(w, tile, tiles)
-        assert torus(sub.center, n) == expect
-        assert Fraction(sub.radius, n) == radius / tiles
+        assert torus(_tile_center(tile, c, r, n, tiles), n) == expect
 
     @settings(max_examples=100, deadline=None)
-    @given(torus_windows(), st.integers(0, 3), st.data())
-    def test_tensor_sums(self, case, e, data):
-        n, k, w1, c2 = case
-        w2 = Window(c2, n >> e, n)
+    @given(torus_windows(), st.data())
+    def test_tensor_sums(self, case, data):
+        n, k, c1, _, c2 = case
         point = st.tuples(*[st.integers(0, n - 1)] * k)
         bag = st.dictionaries(point, st.integers(1, 5), min_size=1, max_size=5)
         u, v = data.draw(bag), data.draw(bag)
-        out = tensor(PhaseVector((Spot(u, w1),)), PhaseVector((Spot(v, w2),))).spots[0]
+        out = tensor(PhaseVector((Spot(u, c1),)), PhaseVector((Spot(v, c2),)), n).spots[0]
         expect = {}
         for y, cy in u.items():
             for z, cz in v.items():
                 s = add(torus(y, n), torus(z, n))
                 expect[s] = expect.get(s, 0) + cy * cz
         assert {torus(y, n): c for y, c in out.counts.items()} == expect
-        assert torus(out.window.center, n) == add(torus(w1.center, n), torus(w2.center, n))
-        assert out.window.radius == w1.radius + w2.radius
+        assert torus(out.center, n) == add(torus(c1, n), torus(c2, n))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.data(), st.integers(0, 8), st.integers(0, 2 ** 32))
@@ -615,7 +627,7 @@ class TestSieveRecursion:
         out = sieve(0, 1, (0,), cfg, rng)
         assert len(out.spots) == 1
         assert out.spots[0].length == cfg.min_len
-        assert Fraction(out.spots[0].window.radius, cfg.N) == Fraction(1, 2)
+        assert out.spots[0].center == (0,)
 
     def test_base_two_spot_equal_split(self):
         rng = random.Random(7)
@@ -624,7 +636,27 @@ class TestSieveRecursion:
         assert len(out.spots) == 2
         assert out.spots[0].length == cfg.min_len
         assert out.spots[1].length == cfg.min_len
-        assert torus(out.spots[1].window.center, cfg.N) == mod1(["1/8"])
+        assert torus(out.spots[1].center, cfg.N) == mod1(["1/8"])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 2), st.data(), st.sampled_from([1, 2]),
+           st.sampled_from(["exact", "gaussian"]), st.integers(0, 2 ** 32))
+    def test_leaf_is_the_tensor_of_its_qubits(self, k, data, p, noise, seed):
+        """A stage-0 leaf folds its qubits' dual points into one multiset; its
+        spots together equal the tensor product of the one-qubit vectors
+        {0: 1, y: 1} of the points the same stream draws."""
+        L = random_lattice(k, data.draw(st.integers(0, k)), 8, random.Random(seed))
+        cfg = sieve_config(L, 1, noise=noise)
+        out = sieve(0, p, (0,) * k, cfg, random.Random(seed))
+        rng = random.Random(seed)
+        pv = qubit(create_qubit(cfg, rng))
+        for _ in range(2 * cfg.k * cfg.m - 2 + p):
+            pv = tensor(pv, qubit(create_qubit(cfg, rng)), cfg.N)
+        merged = {}
+        for spot in out.spots:
+            for y, c in spot.counts.items():
+                merged[y] = merged.get(y, 0) + c
+        assert merged == pv.spots[0].counts
 
     def test_full_run_difference_near_target(self):
         cfg = sieve_config(L8(), 2, check=True)
