@@ -668,7 +668,7 @@ class TestSieveRecursion:
             assert all(abs(c) <= bound for c in diff)
 
     def test_radius_telescoping_and_windows(self):
-        # check=True asserts window soundness and radii at every stage
+        # check=True asserts window soundness at every stage; sieve_config, the radii
         cfg = sieve_config(L8(), 2, check=True)
         stats = SieveStats()
         sieve(cfg.k * cfg.m, 1, (0,), cfg, random.Random(8), stats)
