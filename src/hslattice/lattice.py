@@ -61,7 +61,12 @@ class Lattice:
         return all(c == 0 for c in coset_canonical(self, x))
 
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(other.basis.column(j)) for j in range(other.rank))
+        return all(self.contains(col) for col in other.columns)
+
+    @functools.cached_property
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The basis columns, read out of the row-major basis on first use."""
+        return tuple(self.basis.columns())
 
     @functools.cached_property
     def gram_det(self) -> int:
@@ -101,7 +106,7 @@ class Lattice:
     def frame(self) -> Tuple[Tuple[Tuple[Fraction, ...], Fraction], ...]:
         """The Gram-Schmidt frame of the basis as (vector, float-exact inverse
         norm) pairs; ValueError when an inverse norm underflows a float."""
-        star, _, norms = gram_schmidt(self.basis.columns())
+        star, _, norms = gram_schmidt(self.columns)
         return tuple((tuple(v), Fraction(_inverse_sqrt(n))) for v, n in zip(star, norms))
 
 
@@ -126,7 +131,7 @@ def coset_canonical(L: Lattice, x: Sequence[int], centred: bool = False) -> Tupl
         raise ValueError("dimension mismatch")
     v = [int(c) for c in x]
     for r, j in reversed(L.pivots):
-        col = L.basis.column(j)
+        col = L.columns[j]
         p = col[r]
         q = (2 * v[r] + p) // (2 * p) if centred else v[r] // p
         if q:
@@ -160,7 +165,7 @@ def dual_membership(L: Lattice, x: Sequence[int], modulus: int) -> bool:
     """True iff the point x / modulus pairs integrally with every basis vector."""
     if len(x) != L.k:
         raise ValueError("dimension mismatch")
-    return all(sum(a * b for a, b in zip(x, col)) % modulus == 0 for col in zip(*L.basis.data))
+    return all(sum(a * b for a, b in zip(x, col)) % modulus == 0 for col in L.columns)
 
 
 def dual_sample_uniform(L: Lattice, torus_grid: int,
@@ -214,7 +219,6 @@ def basis_bit_complexity(L: Lattice) -> int:
     """Bit-complexity bound n with 2^n > prod_j ||m_j||_2 (Hadamard-style),
     the quantity the recovery schedule's R >= 2^(2n+1) needs."""
     prod_sq = 1
-    for j in range(L.rank):
-        col = L.basis.column(j)
+    for col in L.columns:
         prod_sq *= sum(c * c for c in col)
     return math.isqrt(prod_sq).bit_length() + 1
