@@ -29,7 +29,8 @@ from hslattice.oracles import (
 )
 from hslattice.rationals import legendre_reconstruct, partial_fractions
 from hslattice.sieve import SieveStats, collimation_tally, recover_shift, sieve, sieve_config
-from hslattice.verify import is_size_reduced, satisfies_lovasz, successive_minima
+
+from verify import is_size_reduced, satisfies_lovasz, successive_minima
 
 
 def col_lattice(cols, k):

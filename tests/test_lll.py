@@ -17,7 +17,8 @@ from hslattice.experiments import random_lattice
 from hslattice.lattice import basis_bit_complexity
 from hslattice.lll import _lll_integer, babai_nearest_plane, gram_schmidt, lll, lll_from_coarse
 from hslattice.matrix import IntMatrix, RatMatrix, hnf
-from hslattice.verify import (
+
+from verify import (
     enumerate_short_vectors,
     is_size_reduced,
     satisfies_lovasz,

@@ -15,7 +15,8 @@ from hslattice.matrix import (
     snf,
     snf_rational,
 )
-from hslattice.verify import leibniz_det, reference_inverse
+
+from verify import leibniz_det, reference_inverse
 
 
 def random_int_matrix(rng, rows, cols, bound=256):

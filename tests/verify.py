@@ -1,6 +1,7 @@
 """Exact oracles for checking lattice reductions and eliminations: the LLL
-conditions, short-vector enumeration, successive minima, and a textbook
-rational inverse and determinant.
+conditions, short-vector enumeration, successive minima, a textbook
+rational inverse and determinant, and the finite stage that takes a fresh
+HNF on every growth.
 
 These are slow brute-force references for small test lattices; no pipeline
 calls them.
@@ -8,13 +9,16 @@ calls them.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import isqrt, prod
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .lll import gram_schmidt, lll
-from .matrix import RatMatrix
+from hslattice.alg_a import _pull_back
+from hslattice.lattice import Lattice
+from hslattice.lll import gram_schmidt, lll
+from hslattice.matrix import IntMatrix, RatMatrix
 
 
 def is_size_reduced(B: RatMatrix) -> bool:
@@ -150,3 +154,44 @@ def leibniz_det(A: RatMatrix) -> Fraction:
         term = prod((A[i, perm[i]] for i in range(n)), start=Fraction(1))
         total += -term if inversions % 2 else term
     return total
+
+
+def reference_finite_stage(secret: Lattice, h1: Lattice,
+                           rng: random.Random) -> Optional[Lattice]:
+    """alg_a.finite_stage as it was before its group became triangular rows
+    modulo the index: the same draws and stopping rule, with the grown group
+    a Lattice tested by Lattice.contains and rebuilt by a fresh HNF on every
+    growth."""
+    if secret.rank != h1.rank or not h1.contains_lattice(secret):
+        raise ValueError("finite_stage needs secret <= H1 of equal rank")
+    ell = h1.rank
+    if ell == 0:
+        return h1
+    P = _pull_back(h1, secret)
+    det, adj = P.adjugate()
+    index = abs(det)
+    if index == 1:
+        return h1
+    sign = 1 if det > 0 else -1
+    adj_t = adj.transpose()
+    window = 2 * (index - 1).bit_length() + 4
+    budget = 64 * (index.bit_length() + 2)
+    gens = [[index if i == j else 0 for i in range(ell)] for j in range(ell)]
+    group = Lattice.from_generators(IntMatrix.from_columns(gens, rows=ell))
+    stable = 0
+    draws = 0
+    while stable < window:
+        if draws >= budget:
+            return None
+        draws += 1
+        a = [rng.randrange(index) for _ in range(ell)]
+        scaled = [sign * c % index for c in adj_t.mul_vec(a)]
+        if group.contains(scaled):
+            stable += 1
+            continue
+        stable = 0
+        cols = [group.basis.column(j) for j in range(group.rank)] + [scaled]
+        group = Lattice.from_generators(IntMatrix.from_columns(cols, rows=ell))
+    det_g, adj_g = group.basis.adjugate()
+    rec_cols = [h1.basis.mul_vec([index * x // det_g for x in row]) for row in adj_g.data]
+    return Lattice.from_generators(IntMatrix.from_columns(rec_cols, rows=secret.k))
