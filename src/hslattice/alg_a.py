@@ -361,20 +361,79 @@ def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:
     return IntMatrix.from_columns(cols, rows=h1.rank)
 
 
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b), for a, b > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _insert(rows: List[List[int]], v: List[int], index: int) -> bool:
+    """Add v to the group spanned by the triangular rows modulo index; True
+    when the group grew.
+
+    Row r is zero after coordinate r, its pivot rows[r][r] divides index and
+    its other entries lie in [0, index); v, reduced mod index, has len(v)
+    coordinates and is zero after them.  v is reduced down the pivots, bottom
+    row first; it is a member when no pivot leaves a remainder.  At a
+    remainder, an extended-gcd step swaps (row r, v) for a unimodular pair
+    whose first has pivot g = gcd(pivot, v[r]) and whose second is zero from
+    r on, and that second goes on down.  Then (index / g) row r, which is
+    zero from r on, is inserted into the rows above: with it every
+    (index / pivot) row r lies in the span of the rows before r, so the rows
+    alone span the group with index Z^ell and the one pass above decides
+    membership (the strong echelon form modulo index)."""
+    grew = False
+    for r in range(len(v) - 1, -1, -1):
+        x = v[r]
+        if not x:
+            continue
+        row = rows[r]
+        p = row[r]
+        q, rem = divmod(x, p)
+        if not rem:
+            v = [(c - q * h) % index for c, h in zip(v[:r], row)]
+            continue
+        g, s, t = _xgcd(p, x)
+        a, b = p // g, x // g
+        rows[r] = [(s * h + t * c) % index for h, c in zip(row[:r], v)] + [g] + row[r + 1:]
+        v = [(a * c - b * h) % index for h, c in zip(row[:r], v)]
+        _insert(rows, [(index // g) * h % index for h in rows[r][:r]], index)
+        grew = True
+    return grew
+
+
 def finite_stage(secret: Lattice, h1: Lattice, rng: random.Random) -> Optional[Lattice]:
     """Exact finite-group stage: recover the secret inside H_1.
 
-    Pulls the secret back through the H_1 basis to a full-rank sublattice of
-    Z^ell, draws exact uniform dual samples of the finite dual group, grows
+    Pulls the secret back through the H_1 basis to a full-rank sublattice P
+    of Z^ell, draws exact uniform dual samples of the finite dual group, grows
     the generated subgroup until it stabilizes for 2 ceil(log2 index) + 4
     consecutive draws, takes the annihilator of the dual generators as the
-    primal basis, and maps back.  Returns None if the draw budget runs out."""
-    if secret.rank != h1.rank or not h1.contains_lattice(secret):
+    primal basis, and maps back.  Returns None if the draw budget of
+    64 (bits(index) + 2) draws runs out.
+
+    The group is kept scaled by index = |det P|, as <index Z^ell, draws>: ell
+    triangular rows, an HNF kept modulo the index (Domich, Kannan and
+    Trotter, Math. Oper. Res. 1987; Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.4.8), which _insert tests and grows
+    without a Lattice or an HNF.  Once the group's order modulo index Z^ell,
+    index^ell / prod(pivots), reaches index it is the whole dual group and
+    no draw can leave it; each remaining draw is then still made (ell
+    rng.randrange(index) calls, up to the same window and budget), so the
+    RNG ends where it would, but no product is computed."""
+    if secret.rank != h1.rank:
         raise ValueError("finite_stage needs secret <= H1 of equal rank")
     ell = h1.rank
     if ell == 0:
         return h1
     P = _pull_back(h1, secret)
+    if h1.basis @ P != secret.basis:
+        raise ValueError("finite_stage needs secret <= H1 of equal rank")
     det, adj = P.adjugate()
     index = abs(det)
     if index == 1:
@@ -382,12 +441,14 @@ def finite_stage(secret: Lattice, h1: Lattice, rng: random.Random) -> Optional[L
     # A dual sample is P^-T a for a uniform over (Z/index)^ell; the group is
     # tracked scaled by index, and index P^-T = sign(det P) adj(P)^T.
     sign = 1 if det > 0 else -1
-    adj_t = adj.transpose()
+    dual = [[sign * x % index for x in row] for row in adj.transpose().data]
     window = 2 * (index - 1).bit_length() + 4
     budget = 64 * (index.bit_length() + 2)
-    # Track the group <Z^ell, samples> as the integer lattice (index * group).
-    gens = [[index if i == j else 0 for i in range(ell)] for j in range(ell)]
-    group = Lattice.from_generators(IntMatrix.from_columns(gens, rows=ell))
+    # Row r of <index Z^ell, draws> starts as index e_r; the group is whole
+    # when the product of the pivots falls to index^(ell - 1).
+    rows = [[0] * r + [index] + [0] * (ell - 1 - r) for r in range(ell)]
+    pivot_product = index ** ell
+    whole = index ** (ell - 1)
     stable = 0
     draws = 0
     while stable < window:
@@ -395,18 +456,17 @@ def finite_stage(secret: Lattice, h1: Lattice, rng: random.Random) -> Optional[L
             return None
         draws += 1
         a = [rng.randrange(index) for _ in range(ell)]
-        scaled = [sign * c % index for c in adj_t.mul_vec(a)]
-        if group.contains(scaled):
+        if pivot_product == whole or not _insert(
+                rows, [sum(m * x for m, x in zip(row, a)) % index for row in dual], index):
             stable += 1
             continue
         stable = 0
-        cols = [group.basis.column(j) for j in range(group.rank)] + [scaled]
-        group = Lattice.from_generators(IntMatrix.from_columns(cols, rows=ell))
-    # The dual generators are the columns of G / index, G = group.basis; their
-    # annihilator {x : G^T x in index Z^ell} is spanned by the columns of
-    # (index G^-1)^T, the rows of index adj(G) / det G.  G contains
+        pivot_product = math.prod(row[r] for r, row in enumerate(rows))
+    # The dual generators are the columns of G / index, G the rows as
+    # columns; their annihilator {x : G^T x in index Z^ell} is spanned by the
+    # columns of (index G^-1)^T, the rows of index adj(G) / det G.  G contains
     # index Z^ell, so index G^-1 is integral and the division exact.
-    det_g, adj_g = group.basis.adjugate()
+    det_g, adj_g = IntMatrix.from_columns(rows, rows=ell).adjugate()
     rec_cols = [h1.basis.mul_vec([index * x // det_g for x in row]) for row in adj_g.data]
     return Lattice.from_generators(IntMatrix.from_columns(rec_cols, rows=secret.k))
 

@@ -18,10 +18,11 @@ from hslattice.alg_a import (
     schedule,
 )
 from hslattice.experiments import random_lattice
-from hslattice.lattice import Lattice, basis_bit_complexity, dual_membership
+from hslattice.lattice import Lattice, basis_bit_complexity, dual_membership, saturation
 from hslattice.lll import lll
 from hslattice.matrix import IntMatrix, RatMatrix, hnf
-from hslattice.verify import is_size_reduced, satisfies_lovasz
+
+from verify import is_size_reduced, satisfies_lovasz, reference_finite_stage
 
 
 def col_lattice(cols, k):
@@ -301,6 +302,92 @@ class TestFiniteStage:
         rng = random.Random(14)
         with pytest.raises(ValueError):
             finite_stage(col_lattice([[1, 0]], 2), col_lattice([[0, 1]], 2), rng)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_hnf_per_growth_reference(self, data):
+        """The triangular group modulo the index returns the lattice the
+        HNF-per-growth stage returns, from the same draws, and leaves the RNG
+        where that stage leaves it."""
+        ell = data.draw(st.integers(1, 3), label="ell")
+        entries = st.integers(-4, 4)
+        if data.draw(st.booleans(), label="unimodular"):
+            P = IntMatrix.from_rows([[int(i == j) if i >= j else data.draw(entries)
+                                      for j in range(ell)] for i in range(ell)])
+        else:
+            P = IntMatrix.from_rows(data.draw(st.lists(
+                st.lists(entries, min_size=ell, max_size=ell), min_size=ell, max_size=ell).filter(
+                lambda rows: IntMatrix.from_rows(rows).det() != 0), label="P"))
+        if data.draw(st.booleans(), label="h1 = Z^ell"):
+            h1 = Lattice.zn(ell)
+        else:
+            B = IntMatrix.from_rows(data.draw(st.lists(
+                st.lists(entries, min_size=ell, max_size=ell), min_size=ell + 1,
+                max_size=ell + 1).filter(
+                lambda rows: Lattice.from_generators(IntMatrix.from_rows(rows)).rank == ell),
+                label="B"))
+            h1 = saturation(Lattice.from_generators(B))
+        sec = Lattice.from_generators(h1.basis @ P)
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert finite_stage(sec, h1, rng) == reference_finite_stage(sec, h1, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_budget_exhaustion_matches_reference(self):
+        """A scripted stream that grows 2^40 Z by one halving after every 83
+        stable draws runs out of the 2 752-draw budget before the 84-draw
+        window closes; both stages then give None after the whole budget."""
+        index = 2 ** 40
+
+        class Scripted:
+            def __init__(self):
+                self.draws = 0
+
+            def randrange(self, n):
+                assert n == index
+                self.draws += 1
+                cycle, pos = divmod(self.draws - 1, 84)
+                return index >> (cycle + 1) if pos == 83 else 0
+
+        sec, h1 = col_lattice([[index]], 1), Lattice.zn(1)
+        budget = 64 * (index.bit_length() + 2)
+        for stage in (finite_stage, reference_finite_stage):
+            rng = Scripted()
+            assert stage(sec, h1, rng) is None
+            assert rng.draws == budget
+
+
+class TestTriangularGroup:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 72), st.data())
+    def test_rows_span_the_drawn_group(self, ell, index, data):
+        """After every insertion the rows, taken alone, span <index Z^ell,
+        draws so far>; they stay triangular with pivots dividing the index
+        and the other entries reduced mod the index, and _insert reports
+        growth exactly for a non-member."""
+        rows = [[index * (i == r) for i in range(ell)] for r in range(ell)]
+        gens = [list(row) for row in rows]
+        vec = st.lists(st.integers(0, index - 1), min_size=ell, max_size=ell)
+        for v in data.draw(st.lists(vec, max_size=6), label="draws"):
+            before = Lattice.from_generators(IntMatrix.from_columns(gens, rows=ell))
+            assert alg_a._insert(rows, list(v), index) == (not before.contains(v))
+            gens.append(v)
+            assert (Lattice.from_generators(IntMatrix.from_columns(rows, rows=ell))
+                    == Lattice.from_generators(IntMatrix.from_columns(gens, rows=ell)))
+            for r, row in enumerate(rows):
+                assert index % row[r] == 0
+                assert all(0 <= c < index for c in row[:r]) and not any(row[r + 1:])
+
+    def test_closure_step(self):
+        """<4 Z^2, (1, 2)>: the extended-gcd step alone leaves the rows
+        (4, 0) and (1, 2), whose span misses (0, 4); the closure vector
+        2 (1, 2) = (2, 0) mod 4 brings the first pivot down to 2."""
+        rows = [[4, 0], [0, 4]]
+        assert alg_a._insert(rows, [1, 2], 4)
+        assert rows == [[2, 0], [1, 2]]
+        span = Lattice.from_generators(IntMatrix.from_columns(rows, rows=2))
+        assert span.contains([0, 4])
+        assert span == Lattice.from_generators(IntMatrix.from_columns([[4, 0], [0, 4], [1, 2]]))
 
 
 class TestEndToEnd:
