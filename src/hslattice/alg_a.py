@@ -383,7 +383,7 @@ def _insert(rows: List[List[int]], v: List[int], index: int) -> bool:
     remainder, an extended-gcd step swaps (row r, v) for a unimodular pair
     whose first has pivot g = gcd(pivot, v[r]) and whose second is zero from
     r on, and that second goes on down.  Then (index / g) row r, which is
-    zero from r on, is inserted into the rows above: with it every
+    zero from r on, is inserted into the rows before r: with it every
     (index / pivot) row r lies in the span of the rows before r, so the rows
     alone span the group with index Z^ell and the one pass above decides
     membership (the strong echelon form modulo index)."""

@@ -158,10 +158,10 @@ def leibniz_det(A: RatMatrix) -> Fraction:
 
 def reference_finite_stage(secret: Lattice, h1: Lattice,
                            rng: random.Random) -> Optional[Lattice]:
-    """alg_a.finite_stage as it was before its group became triangular rows
-    modulo the index: the same draws and stopping rule, with the grown group
-    a Lattice tested by Lattice.contains and rebuilt by a fresh HNF on every
-    growth."""
+    """The finite stage with the grown group a Lattice, tested by
+    Lattice.contains and rebuilt by a fresh HNF on every growth: the same
+    draws, stopping rule and annihilator as alg_a.finite_stage, which keeps
+    the group as triangular rows modulo the index."""
     if secret.rank != h1.rank or not h1.contains_lattice(secret):
         raise ValueError("finite_stage needs secret <= H1 of equal rank")
     ell = h1.rank
