@@ -29,6 +29,16 @@ HSP_DIGESTS = {
     (5, 2): "84a82dc7c70447b6e6073e969c2f5d816ab182e38506106a6e3bee4c8b9dfb5e",
 }
 
+# Multi-stage HSP reports (k = 5, n = 160: five coarse stages).  A full-rank
+# secret stops swapping after the first stage, so its last stage is swap-free;
+# a rank-4 secret swaps in every stage.
+MULTI_STAGE_CASES = [
+    ({"k": 5, "secret": {"random_rank": 5, "entry_bound": 64}, "n": 160},
+     "e4da61447a77de257bbcbd87d687f2e7e2e10a81e74a1a6d948616ed50290fa3"),
+    ({"k": 5, "secret": {"random_rank": 4, "entry_bound": 64}, "n": 160},
+     "ff714e93c9ddbc4e0f7905765a0d77c663d97bf9eb90bc65ce4c2e75f6873015"),
+]
+
 SHIFT_CASES = [
     ({"k": 1, "basis": [[8]], "t": 2, "shift_bound": 3, "check": True}, "exact", 3,
      "2bce6f55b764bf98846e428aac64d67bb15b35ee39961931b3b1092e4c99dd4b"),
@@ -54,6 +64,13 @@ def test_hsp_report_digest(k, seed):
     descriptor = {"k": k, "secret": {"random_rank": "random", "entry_bound": 16}}
     report = run_hsp_experiment(descriptor, seed=seed, trials=5, debug_trace=True)
     assert digest(report) == HSP_DIGESTS[k, seed]
+
+
+@pytest.mark.parametrize("descriptor,expected", MULTI_STAGE_CASES,
+                         ids=["k5-full-rank", "k5-rank-4"])
+def test_multi_stage_hsp_report_digest(descriptor, expected):
+    report = run_hsp_experiment(descriptor, seed=1, trials=3, debug_trace=True)
+    assert digest(report) == expected
 
 
 @pytest.mark.parametrize("descriptor,noise,trials,expected", SHIFT_CASES,
