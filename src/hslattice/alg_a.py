@@ -221,7 +221,16 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     Stehle and Villard (Math. Comp. 2012) and Villard (ISSAC 2007).  The
     earlier copies, each on its own grid 1/T_j, and the skip only steer U,
     so the certificate below, which reads the last copy alone, holds as it
-    stands.
+    stands.  When the stage before the last made no swap, lll_from_coarse
+    does not reduce the last one at all: it proves, with integer interval
+    arithmetic on the exact Gram matrix of C U0 (U0 the transform handed
+    on), that the exact reduction would make no swap, which size reductions
+    it would make and which of the kappa comparisons below hold.  Each
+    interval encloses the exact Gram-Schmidt value it stands for, so a
+    decision is taken only where the enclosure settles it, and then it is
+    the exact decision; no float enters.  Where one stays open, the exact
+    reduction of C runs.  Either way U and kappa are those of the exact
+    reduction, so the argument below reads them as it stands.
 
     Let U reduce the last stage C, on the grid 1/G with G = T * 2^bits(R),
     and let x be an integer vector with |E x| <= 1/R.  The last entry of
@@ -253,15 +262,12 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     trace = RecoveryTrace(E.to_rational(scale))
 
     stages = _coarse_stages(lift, modulus, p)
-    B, d = lll_from_coarse(E, stages)
     G = stages[-1][0, 0]
     bound_sq = (2 * G + p.T * (math.isqrt(k) + 1)) ** 2
     R_sq = p.R * p.R
     # The certified prefix: every coarse Gram-Schmidt norm from kappa on
     # exceeds the coarse image bound of a vector of norm <= 1/R.
-    kappa = k + 1
-    while kappa and d[kappa] * 4 * R_sq > bound_sq * d[kappa - 1]:
-        kappa -= 1
+    B, kappa = lll_from_coarse(E, stages, Fraction(bound_sq, 4 * R_sq))
     scale_sq = scale * scale
 
     def short(col) -> bool:  # its norm, over `scale`, is at most r = 1/R

@@ -5,7 +5,10 @@ subdeterminants d_i and scaled Gram-Schmidt coefficients lambda_ij), so a
 rational input is cleared to the lcm of its denominators first and rescaled
 at the end.  The core can also record its unimodular transform, which
 lll_from_coarse uses to reduce low-precision copies of a basis in stages and
-carry the transform over to the full-precision one.
+carry the transform over to the full-precision one.  A last stage that makes
+no swap is not reduced at all: _certify_swap_free proves every decision of
+the core on it with integer interval arithmetic, and only the size-reduction
+quotients it proves reach the transform.
 """
 
 from __future__ import annotations
@@ -53,10 +56,13 @@ def lll(B: RatMatrix) -> RatMatrix:
     return IntMatrix.from_columns(cols, rows=B.rows).to_rational(scale)
 
 
-def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix]) -> Tuple[IntMatrix, List[int]]:
+def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix],
+                    threshold: Fraction) -> Tuple[IntMatrix, int]:
     """Reduce the coarse bases `stages` in turn, finest last, and return
-    (B * U, d): U is the unimodular transform that LLL-reduces (delta = 3/4)
-    the last stage, and d that stage's Gram subdeterminants after reduction.
+    (B * U, kappa): U is the unimodular transform that LLL-reduces (delta =
+    3/4) the last stage, and kappa the least index such that every squared
+    Gram-Schmidt norm |b*_i|^2, i >= kappa, of that stage after reduction
+    exceeds `threshold`.
 
     Every stage has B's shape; the stages need not share a scale.  Stage j
     starts from the transform of stage j - 1, so each stage mostly refines a
@@ -65,12 +71,20 @@ def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix]) -> Tuple[IntMatri
     van Hoeij and Novocin, LATIN 2010; Novocin, Stehle and Villard, STOC
     2011).  An earlier stage reaches the result only through the transform
     it hands on, so it can be as coarse as steering U allows; only the last
-    stage's precision shows in d.  Once a stage after the first makes no
+    stage's precision shows in kappa.  Once a stage after the first makes no
     swap, the extra precision it added left the basis's order alone, so the
     stages between it and the last are skipped and the last one runs next;
-    the last stage always runs, so U reduces it whatever the skip.  B * U
-    generates B's lattice but need not be LLL-reduced itself; a caller that
-    needs that runs lll on it.
+    the last stage always runs, so U reduces it whatever the skip.
+
+    When the stage before the last made no swap, the last one most likely
+    makes none either, and _certify_swap_free proves that with integer
+    interval arithmetic on its Gram matrix: every size reduction, Lovasz
+    test and kappa comparison that the exact reduction would make is
+    decided exactly, from intervals that enclose the exact values, and U is
+    updated by the proven quotients alone.  Where a decision stays open it
+    returns None, and the exact reduction runs as it would without it, so U
+    and kappa are the same either way.  B * U generates B's lattice but need
+    not be LLL-reduced itself; a caller that needs that runs lll on it.
     """
     if not stages or any((C.rows, C.cols) != (B.rows, B.cols) for C in stages):
         raise ValueError("each coarse basis must have the shape of B")
@@ -80,12 +94,199 @@ def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix]) -> Tuple[IntMatri
     def times_u(M: IntMatrix) -> List[List[int]]:
         return [[sum(a * c for a, c in zip(row, uj)) for row in M.data] for uj in u]
 
+    swaps = None
     for j, C in enumerate(stages[:-1]):
         _, swaps = _lll_integer(times_u(C), u)
         if j and not swaps:
             break
-    d, _ = _lll_integer(times_u(stages[-1]), u)
-    return IntMatrix.from_columns(times_u(B), rows=B.rows), d
+    last = times_u(stages[-1])
+    certified = _certify_swap_free(last, threshold) if swaps == 0 else None
+    if certified is not None:
+        quotients, kappa = certified
+        for k, l, q in quotients:
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+    else:
+        d, _ = _lll_integer(last, u)
+        kappa = n
+        while kappa and d[kappa] * threshold.denominator > threshold.numerator * d[kappa - 1]:
+            kappa -= 1
+    return IntMatrix.from_columns(times_u(B), rows=B.rows), kappa
+
+
+# Fixed-point fraction bits of the mu intervals of _certify_swap_free, and
+# the guard bits below them that every other rounding keeps.
+FRAC_BITS = 96
+GUARD_BITS = 32
+
+
+def _at(lo: int, hi: int, e: int, target: int) -> Tuple[int, int]:
+    """The interval [lo, hi] 2^e as mantissas over 2^target: exact when
+    target <= e, rounded outward (lo down, hi up) otherwise."""
+    s = e - target
+    if s >= 0:
+        return lo << s, hi << s
+    return lo >> -s, -(-hi >> -s)
+
+
+def _mul_at(x: Tuple[int, int, int], y: Tuple[int, int, int],
+            target: int) -> Tuple[int, int]:
+    """An enclosure of x * y over 2^target for intervals (lo, hi, e).  Each
+    factor is first rounded outward to the precision the other's magnitude
+    leaves room for, so the product costs about as many bits as the result
+    keeps; a product below 2^target is enclosed in [-1, 1] outright."""
+    top_x = max(-x[0], x[1]).bit_length() + x[2]  # |x| < 2^top_x
+    top_y = max(-y[0], y[1]).bit_length() + y[2]
+    if top_x + top_y <= target:
+        return -1, 1
+    e_x = max(x[2], target - top_y - 2)
+    e_y = max(y[2], target - top_x - 2)
+    a, b = _at(x[0], x[1], x[2], e_x)
+    c, d = _at(y[0], y[1], y[2], e_y)
+    products = (a * c, a * d, b * c, b * d)
+    return _at(min(products), max(products), e_x + e_y, target)
+
+
+def _reduced_sum(a: int, terms, target: int) -> Tuple[int, int, int]:
+    """An enclosure (lo, hi, e) of a - sum of x * y over (x, y) in terms, with
+    e = target, or e = 0 for a alone when target < 0 (exact)."""
+    if not terms and target < 0:
+        return a, a, 0
+    lo, hi = _at(a, a, 0, target)
+    for x, y in terms:
+        p, q = _mul_at(x, y, target)
+        lo -= q
+        hi -= p
+    return lo, hi, target
+
+
+def _times_pow2_gt(x: int, ex: int, y: int, ey: int) -> bool:
+    """x 2^ex > y 2^ey, exactly."""
+    if ex >= ey:
+        return x << (ex - ey) > y
+    return x > y << (ey - ex)
+
+
+def _interval_gram_schmidt(A: List[List[int]]):
+    """Enclosures of the Gram-Schmidt data of columns with lower-triangular
+    integer Gram matrix A (A[i][j] = <b_i, b_j> for j <= i): (mu, r), mu[i][j]
+    the interval [lo, hi] 2^-FRAC_BITS around mu_ij and r[i] the interval
+    (lo, hi, e) = [lo, hi] 2^e around r_i^2 = |b*_i|^2, with lo > 0.  None
+    when some r_i^2 is not proven positive.
+
+    It is the LDL^T factorisation nu_ij = A_ij - sum_{t<j} mu_jt nu_it,
+    mu_ij = nu_ij / r_j^2 and r_i^2 = A_ii - sum_{t<i} mu_it nu_it, each value
+    rounded outward.  The nu_ij of column j keep GUARD_BITS below 2^-FRAC_BITS
+    r_j^2, so mu_ij is good to about 2^-FRAC_BITS whatever its size; r_j^2
+    keeps that many bits below |mu_ij| r_j^2 with |mu_ij| <= sqrt(A_ii /
+    r_j^2), since an error in r_j^2 is scaled by mu_ij.  The widths only
+    decide how often the caller proves something, never whether it is true."""
+    n = len(A)
+    mu: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    nu: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+    r: List[Tuple[int, int, int]] = []
+    top_later = [0] * n  # bits of the largest A_kk with k > i
+    for i in range(n - 2, -1, -1):
+        top_later[i] = max(top_later[i + 1], A[i + 1][i + 1].bit_length())
+    for i in range(n):
+        for j in range(i):
+            r_lo, r_hi, e_r = r[j]
+            e = r_lo.bit_length() + e_r - FRAC_BITS - GUARD_BITS
+            terms = [((*mu[j][t], -FRAC_BITS), nu[i][t]) for t in range(j)]
+            lo, hi, e = nu_ij = _reduced_sum(A[i][j], terms, e)
+            nu[i].append(nu_ij)
+            # mu_ij 2^FRAC_BITS = nu_ij 2^s / r_j^2, rounded outward: the
+            # least quotient divides lo by the largest divisor when lo >= 0.
+            s = e + FRAC_BITS - e_r
+            lo_den = r_hi if lo >= 0 else r_lo
+            hi_den = r_lo if hi >= 0 else r_hi
+            if s >= 0:
+                mu[i].append(((lo << s) // lo_den, -((-hi << s) // hi_den)))
+            else:
+                mu[i].append((lo // (lo_den << -s), -(-hi // (hi_den << -s))))
+        terms = [((*mu[i][t], -FRAC_BITS), nu[i][t]) for t in range(i)]
+        r_i = _reduced_sum(A[i][i], terms, A[i][i].bit_length() - 2 * (FRAC_BITS + GUARD_BITS))
+        if r_i[0] > 0:
+            log_r = r_i[0].bit_length() - 1 + r_i[2]
+            mu_bits = max(0, (top_later[i] - log_r + 1) // 2 + 1) if i < n - 1 else 0
+            needed = log_r - mu_bits - FRAC_BITS - GUARD_BITS
+            if needed < r_i[2]:
+                r_i = _reduced_sum(A[i][i], terms, needed)
+        if r_i[0] <= 0:
+            return None
+        r.append(r_i)
+    return mu, r
+
+
+def _certify_swap_free(b: List[Sequence[int]], threshold: Fraction):
+    """Prove that _lll_integer(b) makes no swap, and return (quotients,
+    kappa): the size reductions (k, l, q), b_k -= q b_l, that it makes, in
+    its order, and the kappa that lll_from_coarse counts from its d.  None
+    when any of its decisions is not proven.
+
+    It replays _lll_integer's swap-free run, k = 1..n-1: reduce(k, k - 1),
+    the Lovasz test, then reduce(k, l) for l = k-2..0, on intervals from
+    _interval_gram_schmidt of the exact Gram matrix, with mu updated exactly
+    as _lll_integer updates lambda_kl = d_{l+1} mu_kl.  Each decision is
+    taken only where the interval settles it:
+    - no reduction when |mu| <= 1/2 surely (2 |lambda| <= d_{l+1});
+    - reduction by q when mu lies surely in (q - 1/2, q + 1/2), so that
+      |mu| > 1/2 and floor(mu + 1/2) = q;
+    - no swap when r_k^2 / r_{k-1}^2 + mu_{k,k-1}^2 >= 3/4 surely, the test
+      4 (d_{k+1} d_{k-1} + lambda^2) >= 3 d_k^2 divided by d_k^2 (a sure
+      swap is not proven swap-free either);
+    - each kappa comparison r_{kappa-1}^2 > threshold, that is d_kappa >
+      threshold d_{kappa-1}, from r's bounds.
+    Only integers enter; the intervals enclose the exact values, so every
+    decision made is the exact reduction's."""
+    n = len(b)
+    A = [[sum(x * y for x, y in zip(b[i], b[j])) for j in range(i + 1)] for i in range(n)]
+    gs = _interval_gram_schmidt(A)
+    if gs is None:
+        return None
+    mu, r = gs
+    one = 1 << FRAC_BITS
+    half = one >> 1
+    quotients = []
+
+    def reduce(k: int, l: int) -> bool:
+        lo, hi = mu[k][l]
+        if -half <= lo and hi <= half:
+            return True
+        q = (lo + half) >> FRAC_BITS  # floor(mu_lo + 1/2)
+        if not (2 * q - 1) * half < lo or not hi < (2 * q + 1) * half:
+            return False
+        quotients.append((k, l, q))
+        mu[k][l] = (lo - q * one, hi - q * one)
+        for t in range(l):
+            a, c = mu[l][t]
+            lo, hi = mu[k][t]
+            mu[k][t] = (lo - q * c, hi - q * a) if q > 0 else (lo - q * a, hi - q * c)
+        return True
+
+    for k in range(1, n):
+        if not reduce(k, k - 1):
+            return None
+        lo, hi = mu[k][k - 1]
+        mu_sq = 0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
+        # r_k^2 / r_{k-1}^2 >= 3/4 - mu^2, with mu^2 >= mu_sq 2^-2FRAC_BITS
+        rest = (3 << 2 * FRAC_BITS) - 4 * mu_sq
+        rk_lo, _, e_k = r[k]
+        _, rp_hi, e_p = r[k - 1]
+        if rest > 0 and _times_pow2_gt(rest * rp_hi, e_p, 4 * rk_lo, e_k + 2 * FRAC_BITS):
+            return None
+        for l in range(k - 2, -1, -1):
+            if not reduce(k, l):
+                return None
+    kappa = n
+    while kappa:
+        lo, hi, e = r[kappa - 1]
+        if _times_pow2_gt(lo * threshold.denominator, e, threshold.numerator, 0):
+            kappa -= 1
+        elif _times_pow2_gt(hi * threshold.denominator, e, threshold.numerator, 0):
+            return None
+        else:
+            break
+    return quotients, kappa
 
 
 def _lll_integer(b: List[Sequence[int]],

@@ -15,7 +15,16 @@ from hslattice.alg_a import (
 )
 from hslattice.experiments import random_lattice
 from hslattice.lattice import basis_bit_complexity
-from hslattice.lll import _lll_integer, babai_nearest_plane, gram_schmidt, lll, lll_from_coarse
+from hslattice.lll import (
+    FRAC_BITS,
+    _certify_swap_free,
+    _interval_gram_schmidt,
+    _lll_integer,
+    babai_nearest_plane,
+    gram_schmidt,
+    lll,
+    lll_from_coarse,
+)
 from hslattice.matrix import IntMatrix, RatMatrix, hnf
 
 from verify import (
@@ -154,19 +163,21 @@ class TestLLLProperties:
     @given(int_bases(), st.data())
     def test_any_coarse_basis(self, M, data):
         """Whatever the coarse bases, M * U generates M's lattice, the last
-        stage ends LLL-reduced under U, and d holds that stage's Gram
-        subdeterminants: a poor stage only leaves more work to the next."""
+        stage ends LLL-reduced under U, and kappa counts that stage's
+        Gram-Schmidt norms above the threshold: a poor stage only leaves more
+        work to the next."""
         stages = data.draw(st.lists(int_bases(k=M.cols), min_size=1, max_size=3))
-        out, d = lll_from_coarse(M, stages)
+        threshold = Fraction(data.draw(st.integers(0, 2000)), data.draw(st.integers(1, 7)))
+        out, kappa = lll_from_coarse(M, stages, threshold)
         assert hnf(out)[0].data == hnf(M)[0].data
-        assert_last_stage_reduced(M, out, stages[-1], d)
+        assert_last_stage_reduced(M, out, stages[-1], kappa, threshold)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
     def test_flattened_lattice(self, k, n, data):
         """recover_colattice's staged reduction of E = [I_k, lift(y1); 0, 1/T]:
-        E * U and the recovery's lll_basis generate E's lattice, and the last
-        coarse stage ends LLL-reduced."""
+        E * U and the recovery's lll_basis generate E's lattice, the last
+        coarse stage ends LLL-reduced, and kappa is counted on it."""
         p = schedule(n, k)
         y1 = tuple(data.draw(st.integers(0, p.Q - 1)) for _ in range(k))
         _, trace = recover_colattice(y1, p.Q, p)
@@ -174,9 +185,10 @@ class TestLLLProperties:
         lift = [c - p.Q if 2 * c > p.Q else c for c in y1]
         stages = _coarse_stages(lift, p.Q, p)
         E = trace.E.cleared()[1]
-        out, d = lll_from_coarse(E, stages)
+        threshold = colattice_threshold(stages, p)
+        out, kappa = lll_from_coarse(E, stages, threshold)
         assert hnf(out)[0].data == hnf(E)[0].data
-        assert_last_stage_reduced(E, out, stages[-1], d)
+        assert_last_stage_reduced(E, out, stages[-1], kappa, threshold)
 
     def test_stage_count(self):
         """One coarse stage per 512 bits of log2 T, rounded up, and a first
@@ -195,14 +207,15 @@ class TestLLLProperties:
             assert [C[0, 0] for C in stages[:-1]] == T_j
             assert all(C[k, k] == 1 for C in stages[:-1])
 
-    @pytest.mark.parametrize("rank,runs", [(5, 3), (4, 5), (1, 5)],
+    @pytest.mark.parametrize("rank,runs", [(5, 2), (4, 5), (1, 5)],
                              ids=["full-rank", "rank-4", "rank-1"])
     def test_swap_free_stage_skips_to_last(self, monkeypatch, rank, runs):
         """On a k = 5, n = 160 sample, a full-rank secret makes all its swaps
         in the 64-bit first stage, so the second stage swaps nothing and the
-        last follows it: 3 of the 5 stages run.  Rank-4 and rank-1 secrets
-        swap in every stage and skip none.  Either way the last stage ends
-        reduced."""
+        last follows it: 3 of the 5 stages run, and the last is certified
+        swap-free, so the exact reduction runs on the first two alone.
+        Rank-4 and rank-1 secrets swap in every stage, skip none and reduce
+        the last exactly.  Either way the last stage ends reduced."""
         p = schedule(160, 5)
         rng = random.Random(rank)
         secret = random_lattice(5, rank, 64, rng)
@@ -221,21 +234,194 @@ class TestLLLProperties:
 
         monkeypatch.setattr(lll_module, "_lll_integer", counting)
         E = trace.E.cleared()[1]
-        out, d = lll_from_coarse(E, stages)
+        threshold = colattice_threshold(stages, p)
+        out, kappa = lll_from_coarse(E, stages, threshold)
         assert len(swaps) == runs and swaps[0] > 0
         assert swaps[1] == 0 if rank == 5 else all(swaps)
-        assert_last_stage_reduced(E, out, stages[-1], d)
+        assert_last_stage_reduced(E, out, stages[-1], kappa, threshold)
 
 
-def assert_last_stage_reduced(B, out, last, d):
-    """out = B * U for an integer U, last * U is LLL-reduced, and d is its
-    list of Gram subdeterminants."""
+def colattice_threshold(stages, p):
+    """The bound that recover_colattice hands to lll_from_coarse."""
+    k = stages[-1].cols - 1
+    bound_sq = (2 * stages[-1][0, 0] + p.T * (math.isqrt(k) + 1)) ** 2
+    return Fraction(bound_sq, 4 * p.R * p.R)
+
+
+def kappa_from_norms(norms, threshold):
+    """The least kappa with norms[i] > threshold for every i >= kappa."""
+    kappa = len(norms)
+    while kappa and norms[kappa - 1] > threshold:
+        kappa -= 1
+    return kappa
+
+
+def assert_last_stage_reduced(B, out, last, kappa, threshold):
+    """out = B * U for an integer U, last * U is LLL-reduced, and kappa is
+    counted on its exact Gram-Schmidt norms."""
     inverse = B.to_rational().inverse()
     U = RatMatrix(inverse.num @ out, inverse.den).to_integer()
     reduced = (last @ U).to_rational()
     assert is_size_reduced(reduced) and satisfies_lovasz(reduced)
     _, _, norms = gram_schmidt(reduced.columns())
-    assert d == [math.prod(norms[:i]) for i in range(len(norms) + 1)]
+    assert kappa == kappa_from_norms(norms, threshold)
+
+
+def staged_columns(n, short, big, entry):
+    """n columns in Z^n shaped like the last coarse stage of a k = 5 HSP
+    sample: b_0 = 2^short e_0 and b_j = 2^big e_j (j >= 1), each entry
+    perturbed by entry(bits) a sixteenth of its size, so the basis is
+    size-reduced and swap-free after size reduction up to that noise; then
+    each long column gets a multiple of b_0 as long as itself, so the
+    quotients against b_0 reach 2^(big - short)."""
+    cols = []
+    for j, bits in enumerate([short] + [big] * (n - 1)):
+        col = [entry(bits - 4) for _ in range(n)]
+        col[j] += 1 << bits
+        cols.append(col)
+    for j in range(1, n):
+        c0 = entry(big - short)
+        cols[j] = [x + c0 * y for x, y in zip(cols[j], cols[0])]
+    return cols
+
+
+@st.composite
+def staged_bases(draw):
+    """staged_columns for n <= 6 and up to 3000-bit entries, with small
+    multiples of earlier long columns added to later ones, and then perhaps
+    a long column shortened by 1 to 3 bits or a pair of columns swapped, so
+    that the exact run swaps.  Returns (columns, threshold), the threshold a
+    Gram-Schmidt norm times 1, 1/2, 2 or 1 - 2^-64."""
+    n = draw(st.integers(2, 6), label="n")
+    short = draw(st.integers(4, 400), label="short bits")
+    big = draw(st.integers(short + 4, 3000), label="big bits")
+    cols = staged_columns(n, short, big, lambda bits: draw(st.integers(-(1 << bits), 1 << bits)))
+    for j in range(2, n):
+        for t in range(1, j):
+            c = draw(st.integers(-2, 2))
+            cols[j] = [x + c * y for x, y in zip(cols[j], cols[t])]
+    change = draw(st.sampled_from(["none", "shorten", "swap"]), label="change")
+    if change == "shorten":
+        j = draw(st.integers(1, n - 1))
+        cols[j] = [x >> draw(st.integers(1, 3)) for x in cols[j]]
+    elif change == "swap":
+        i = draw(st.integers(0, n - 2))
+        cols[i], cols[i + 1] = cols[i + 1], cols[i]
+    try:
+        _, _, norms = gram_schmidt(cols)
+    except ValueError:
+        assume(False)
+    threshold = norms[draw(st.integers(0, n - 1))] * draw(st.sampled_from(
+        [Fraction(1), Fraction(1, 2), Fraction(2), Fraction((1 << 64) - 1, 1 << 64)]))
+    return cols, threshold
+
+
+def run_exact(cols, threshold):
+    """_lll_integer on a copy of cols: (swaps, u, kappa from its d)."""
+    b = [list(c) for c in cols]
+    n = len(b)
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
+    d, swaps = _lll_integer(b, u)
+    norms = [Fraction(d[i + 1], d[i]) for i in range(n)]
+    return swaps, u, kappa_from_norms(norms, threshold)
+
+
+def apply_quotients(quotients, n):
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
+    for k, l, q in quotients:
+        u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+    return u
+
+
+def assert_certifier_agrees(cols, threshold):
+    """Whenever the certifier answers, the exact run makes no swap and gives
+    the same transform and kappa; whenever the exact run swaps, the
+    certifier does not answer."""
+    certified = _certify_swap_free([list(c) for c in cols], threshold)
+    swaps, u, kappa = run_exact(cols, threshold)
+    if certified is not None:
+        quotients, certified_kappa = certified
+        assert swaps == 0
+        assert apply_quotients(quotients, len(cols)) == u
+        assert certified_kappa == kappa
+    if swaps:
+        assert certified is None
+    return certified
+
+
+class TestCertifySwapFree:
+    @settings(max_examples=150, deadline=None)
+    @given(staged_bases())
+    def test_intervals_enclose_exact_gram_schmidt(self, case):
+        """Every mu interval encloses the exact mu_ij, and every r interval
+        the exact |b*_i|^2, with a positive lower end."""
+        cols, _ = case
+        n = len(cols)
+        A = [[sum(x * y for x, y in zip(cols[i], cols[j])) for j in range(i + 1)]
+             for i in range(n)]
+        intervals = _interval_gram_schmidt(A)
+        assume(intervals is not None)
+        mu, r = intervals
+        _, exact_mu, norms = gram_schmidt(cols)
+        for i in range(n):
+            for j in range(i):
+                lo, hi = mu[i][j]
+                assert lo <= exact_mu[i][j] * (1 << FRAC_BITS) <= hi
+            lo, hi, e = r[i]
+            scale = Fraction(2) ** e
+            assert 0 < lo * scale <= norms[i] <= hi * scale
+
+    @settings(max_examples=150, deadline=None)
+    @given(staged_bases())
+    def test_agrees_with_exact_reduction(self, case):
+        assert_certifier_agrees(*case)
+
+    def test_answers_on_swap_free_stages(self):
+        """The certifier is not vacuous: on hsp-k5-shaped swap-free bases it
+        answers, with huge quotients against the short column."""
+        rng = random.Random(5)
+        short, big = 350, 2280
+        for _ in range(20):
+            cols = staged_columns(6, short, big, lambda bits: rng.randrange(-(1 << bits), 1 << bits))
+            certified = assert_certifier_agrees(cols, Fraction(1 << (2 * big - 1)))
+            assert certified is not None
+            assert max(abs(q) for _, _, q in certified[0]).bit_length() > big - short - 8
+
+    @pytest.mark.parametrize("cols,tie", [
+        ([[2, 0, 0], [1, 3, 0], [0, 0, 4]], "mu = 1/2"),
+        ([[2, 0, 0], [-1, 3, 0], [0, 0, 4]], "mu = -1/2"),
+        ([[2, 0, 0], [3, 3, 0], [0, 0, 4]], "mu = 3/2"),
+        ([[2, 0, 0, 0], [0, 1, 1, 1]], "Lovasz equality, mu = 0"),
+        ([[2, 0, 0, 0], [1, 1, 1, 0]], "Lovasz equality, mu = 1/2"),
+    ])
+    @pytest.mark.parametrize("scale_bits", [0, 2000])
+    @pytest.mark.parametrize("multiple_bits", [0, 1500])
+    def test_exact_ties(self, cols, tie, scale_bits, multiple_bits):
+        """Exact ties of each decision, small and scaled by 2^2000, and with
+        a huge multiple of b_0 added to the later columns so that their
+        intervals are rounded: the certifier never decides one wrongly, and
+        every threshold equal to a Gram-Schmidt norm is a kappa tie."""
+        cols = [[x << scale_bits for x in c] for c in cols]
+        c0 = (1 << multiple_bits) + 12345 if multiple_bits else 0
+        cols = cols[:1] + [[x + c0 * y for x, y in zip(c, cols[0])] for c in cols[1:]]
+        _, mu, norms = gram_schmidt(cols)
+        if tie.startswith("Lovasz"):
+            assert norms[1] == (Fraction(3, 4) - (mu[1][0] - c0) ** 2) * norms[0]
+        else:
+            assert mu[1][0] - c0 == Fraction(tie.split(" = ")[1])
+        for threshold in norms:
+            assert_certifier_agrees(cols, threshold)
+
+    def test_exact_small_ties_decided(self):
+        """On small integers the intervals are exact, so ties are decided,
+        and decided as the exact run decides them: no reduction at mu = 1/2,
+        no swap at Lovasz equality, and no kappa step at r^2 = threshold."""
+        assert _certify_swap_free([[2, 0, 0], [1, 3, 0]], Fraction(9)) == ([], 2)
+        assert _certify_swap_free([[2, 0, 0], [-1, 3, 0]], Fraction(4)) == ([], 1)
+        assert _certify_swap_free([[2, 0, 0, 0], [1, 1, 1, 0]], Fraction(2)) == ([], 2)
+        assert _certify_swap_free([[2, 0, 0, 0], [0, 1, 1, 1]], Fraction(3)) == ([], 2)
+        assert _certify_swap_free([[2, 0, 0], [3, 3, 0]], Fraction(3)) is None
+        assert _certify_swap_free([[2, 0], [1, 1]], Fraction(3)) is None  # swaps
 
 
 class TestBabai:
