@@ -30,6 +30,10 @@ class ScheduleOverflow(ValueError):
     """Requested parameters exceed the configured bit-length ceiling."""
 
 
+class WrongColattice(ValueError):
+    """The secret is not a full-rank sublattice of the candidate H_1."""
+
+
 # The largest (k+1) * bits(Q) schedule accepts: the size of the flattened
 # (k+1)-dimensional lattice that recover_colattice reduces.
 PARAM_BIT_CEILING = 1 << 19
@@ -351,7 +355,8 @@ def _colattice_from_prefix(B1: RatMatrix, p: AlgAParams,
 def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:
     """The integer P with h1.basis @ P = secret.basis, by back-substitution
     on the pivot rows of h1's HNF basis, which form an upper-triangular
-    matrix with nonzero diagonal.  The secret must lie in h1."""
+    matrix with nonzero diagonal.  Raises WrongColattice when a pivot row
+    leaves a remainder; the caller checks the other rows."""
     N = h1.basis
     pivots = h1.pivots
     cols = []
@@ -362,7 +367,7 @@ def _pull_back(h1: Lattice, secret: Lattice) -> IntMatrix:
             rest = s[r] - sum(N[r, j] * x[j] for j in range(i + 1, h1.rank))
             x[i], rem = divmod(rest, N[r, i])
             if rem:
-                raise ValueError("secret is not in H1")
+                raise WrongColattice("secret is not in H1")
         cols.append(x)
     return IntMatrix.from_columns(cols, rows=h1.rank)
 
@@ -421,7 +426,8 @@ def finite_stage(secret: Lattice, h1: Lattice, rng: random.Random) -> Optional[L
     the generated subgroup until it stabilizes for 2 ceil(log2 index) + 4
     consecutive draws, takes the annihilator of the dual generators as the
     primal basis, and maps back.  Returns None if the draw budget of
-    64 (bits(index) + 2) draws runs out.
+    64 (bits(index) + 2) draws runs out, and raises WrongColattice, before
+    any draw, when the secret is not a sublattice of H_1 of its rank.
 
     The group is kept scaled by index = |det P|, as <index Z^ell, draws>: ell
     triangular rows, an HNF kept modulo the index (Domich, Kannan and
@@ -433,13 +439,13 @@ def finite_stage(secret: Lattice, h1: Lattice, rng: random.Random) -> Optional[L
     rng.randrange(index) calls, up to the same window and budget), so the
     RNG ends where it would, but no product is computed."""
     if secret.rank != h1.rank:
-        raise ValueError("finite_stage needs secret <= H1 of equal rank")
+        raise WrongColattice("finite_stage needs secret <= H1 of equal rank")
     ell = h1.rank
     if ell == 0:
         return h1
     P = _pull_back(h1, secret)
     if h1.basis @ P != secret.basis:
-        raise ValueError("finite_stage needs secret <= H1 of equal rank")
+        raise WrongColattice("finite_stage needs secret <= H1 of equal rank")
     det, adj = P.adjugate()
     index = abs(det)
     if index == 1:
@@ -494,14 +500,17 @@ def end_to_end(secret: Lattice, p: AlgAParams, rng: random.Random,
         sample = sample_fourier_point(secret, params, rng)
         stats.samples += 1
         h1, trace = recover_colattice(sample.y1, params.Q, params)
-        if (h1 is not None and h1.rank == secret.rank
-                and h1.contains_lattice(secret)):
-            rec = finite_stage(secret, h1, rng)
-            if rec is not None:
-                return rec
-            stats.last_failure = "finite stage draw budget"
+        if h1 is None:
+            stats.last_failure = trace.failure
         else:
-            stats.last_failure = trace.failure or "wrong colattice candidate"
+            try:
+                rec = finite_stage(secret, h1, rng)
+            except WrongColattice:
+                stats.last_failure = "wrong colattice candidate"
+            else:
+                if rec is not None:
+                    return rec
+                stats.last_failure = "finite stage draw budget"
         params = params.escalated()
         stats.escalations += 1
     return None

@@ -10,6 +10,7 @@ from hslattice.alg_a import (
     AlgAStats,
     RecoveryTrace,
     ScheduleOverflow,
+    WrongColattice,
     _colattice_from_prefix,
     end_to_end,
     finite_stage,
@@ -303,6 +304,20 @@ class TestFiniteStage:
         with pytest.raises(ValueError):
             finite_stage(col_lattice([[1, 0]], 2), col_lattice([[0, 1]], 2), rng)
 
+    @pytest.mark.parametrize("secret,h1", [
+        ([[1, 0]], [[0, 1]]),          # the pivot rows agree, the others do not
+        ([[1, 1]], [[2, 0]]),          # a pivot row leaves a remainder
+        ([[2, 0]], [[1, 0], [0, 1]]),  # ranks differ
+    ], ids=["other-rows", "pivot-remainder", "rank"])
+    def test_wrong_colattice_before_any_draw(self, secret, h1):
+        """A secret that is not a sublattice of H_1 of its rank raises
+        WrongColattice, a ValueError, and draws nothing."""
+        rng = random.Random(14)
+        state = rng.getstate()
+        with pytest.raises(WrongColattice):
+            finite_stage(col_lattice(secret, 2), col_lattice(h1, 2), rng)
+        assert rng.getstate() == state
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_matches_hnf_per_growth_reference(self, data):
@@ -401,6 +416,24 @@ class TestEndToEnd:
         rng = random.Random(16)
         sec = Lattice.trivial(2)
         assert end_to_end(sec, schedule(2, 2), rng) == sec
+
+    def test_wrong_colattice_candidate_is_resampled(self, monkeypatch):
+        """A candidate H_1 that misses the secret counts as a wrong colattice
+        candidate and escalates, as a failed recovery does."""
+        sec = col_lattice([[2, 0], [0, 3]], 2)
+        real = alg_a.recover_colattice
+        calls = []
+
+        def first_wrong(y, modulus, p):
+            h1, trace = real(y, modulus, p)
+            calls.append(h1)
+            return (col_lattice([[1, 0]], 2) if len(calls) == 1 else h1), trace
+
+        monkeypatch.setattr(alg_a, "recover_colattice", first_wrong)
+        stats = AlgAStats()
+        assert end_to_end(sec, schedule(3, 2), random.Random(18), stats) == sec
+        assert stats.last_failure == "wrong colattice candidate"
+        assert stats.escalations == 1 and stats.samples == 2
 
     def test_random_small_monte_carlo(self):
         rng = random.Random(17)
