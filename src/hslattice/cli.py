@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -207,8 +208,19 @@ def cmd_shift_recover(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument starting with '-' and a
+    digit as a value, as it already reads '-7' and '-0.5': so a negative
+    rational such as '-7/12' is a positional, not an unknown option.  No
+    option of this CLI starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hslattice",
+    ap = _Parser(prog="hslattice",
                                  description="exact lattice toolkit and hidden-structure recovery harness")
     sub = ap.add_subparsers(dest="command", required=True)
 

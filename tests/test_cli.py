@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -74,6 +77,47 @@ def test_pf_example(capsys):
     assert capsys.readouterr().out.strip() == "1/2"
     assert main(["pf", "7", "--abbrev"]) == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+@pytest.mark.parametrize("argv,dashed", [
+    (["pf", "-7/12"], ["pf", "--", "-7/12"]),
+    (["pf", "-7/12", "--abbrev"], ["pf", "--abbrev", "--", "-7/12"]),
+    (["pf", "-3"], ["pf", "--", "-3"]),
+    (["oracle", "rational", "--accepted", "2,3", "-1/6"],
+     ["oracle", "rational", "--accepted", "2,3", "--", "-1/6"]),
+    (["oracle", "rational", "-5/7", "--accepted", "7"],
+     ["oracle", "rational", "--accepted", "7", "--", "-5/7"]),
+], ids=["pf", "pf-abbrev", "pf-integer", "oracle-rational", "oracle-rational-first"])
+def test_negative_rational_positional(capsys, argv, dashed):
+    """A negative rational is read as the positional it is, and prints what
+    the form after '--' prints."""
+    assert main(dashed) == 0
+    expected = capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out and not expected.err
+
+
+def test_negative_rational_values(capsys):
+    assert main(["pf", "-7/12"]) == 0
+    assert capsys.readouterr().out.strip() == "-2 + 1/2 + 1/4 + 2/3"
+    assert main(["pf", "-1/0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_python_m_hslattice():
+    """`python -m hslattice` runs the CLI: the README's pf line prints what
+    the README says it prints."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-m", "hslattice", "pf", "1/360"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0 and result.stderr == ""
+    readme = (src.parent / "README.md").read_text()
+    line = next(l for l in readme.splitlines() if l.startswith("hslattice pf 1/360 "))
+    assert result.stdout.strip() == line.split("#", 1)[1].strip()
 
 
 @pytest.mark.parametrize("argv", [["pf", "1/0"], ["oracle", "rational", "3/0", "--accepted", "5"],
