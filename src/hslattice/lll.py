@@ -5,10 +5,11 @@ subdeterminants d_i and scaled Gram-Schmidt coefficients lambda_ij), so a
 rational input is cleared to the lcm of its denominators first and rescaled
 at the end.  The core can also record its unimodular transform, which
 lll_from_coarse uses to reduce low-precision copies of a basis in stages and
-carry the transform over to the full-precision one.  A last stage that makes
-no swap is not reduced at all: _certify_swap_free proves every decision of
-the core on it with integer interval arithmetic, and only the size-reduction
-quotients it proves reach the transform.
+carry the transform over to the full-precision one.  After a swap-free
+stage, the last stage is first handed to _certify_swap_free, which proves
+every decision the core would make on it with integer interval arithmetic;
+the size-reduction quotients it proves are applied to the transform, and
+the core runs only where a decision stays open.
 """
 
 from __future__ import annotations

@@ -77,6 +77,8 @@ def test_pf_example(capsys):
     assert capsys.readouterr().out.strip() == "1/2"
     assert main(["pf", "7", "--abbrev"]) == 0
     assert capsys.readouterr().out.strip() == "7"
+    assert main(["pf", "-7/12"]) == 0
+    assert capsys.readouterr().out.strip() == "-2 + 1/2 + 1/4 + 2/3"
 
 
 @pytest.mark.parametrize("argv,dashed", [
@@ -98,20 +100,12 @@ def test_negative_rational_positional(capsys, argv, dashed):
     assert expected.out and not expected.err
 
 
-def test_negative_rational_values(capsys):
-    assert main(["pf", "-7/12"]) == 0
-    assert capsys.readouterr().out.strip() == "-2 + 1/2 + 1/4 + 2/3"
-    assert main(["pf", "-1/0"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-
-
 def test_python_m_hslattice():
     """`python -m hslattice` runs the CLI: the README's pf line prints what
     the README says it prints."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "hslattice", "pf", "1/360"],
                             capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0 and result.stderr == ""
@@ -121,8 +115,8 @@ def test_python_m_hslattice():
 
 
 @pytest.mark.parametrize("argv", [["pf", "1/0"], ["oracle", "rational", "3/0", "--accepted", "5"],
-                                  ["lattice", "lll", "MATRIX"]],
-                         ids=["pf", "oracle-rational", "matrix-entry"])
+                                  ["lattice", "lll", "MATRIX"], ["pf", "-1/0"]],
+                         ids=["pf", "oracle-rational", "matrix-entry", "pf-negative"])
 def test_zero_denominator(matrix_file, capsys, argv):
     argv = [matrix_file("z.txt", "1 1\n1/0\n") if a == "MATRIX" else a for a in argv]
     assert main(argv) == 1

@@ -394,14 +394,15 @@ class TestCertifySwapFree:
         ([[2, 0, 0, 0], [0, 1, 1, 1]], "Lovasz equality, mu = 0"),
         ([[2, 0, 0, 0], [1, 1, 1, 0]], "Lovasz equality, mu = 1/2"),
     ])
-    @pytest.mark.parametrize("scale_bits", [0, 2000])
+    @pytest.mark.parametrize("scale", [1, 3 ** 1262], ids=["small", "scaled"])
     @pytest.mark.parametrize("multiple_bits", [0, 1500])
-    def test_exact_ties(self, cols, tie, scale_bits, multiple_bits):
-        """Exact ties of each decision, small and scaled by 2^2000, and with
-        a huge multiple of b_0 added to the later columns so that their
-        intervals are rounded: the certifier never decides one wrongly, and
-        every threshold equal to a Gram-Schmidt norm is a kappa tie."""
-        cols = [[x << scale_bits for x in c] for c in cols]
+    def test_exact_ties(self, cols, tie, scale, multiple_bits):
+        """Exact ties of each decision, small and scaled by an odd 2000-bit
+        factor, and with a huge multiple of b_0 added to the later columns,
+        so that the intervals are rounded: the certifier never decides one
+        wrongly, and every threshold equal to a Gram-Schmidt norm is a kappa
+        tie."""
+        cols = [[x * scale for x in c] for c in cols]
         c0 = (1 << multiple_bits) + 12345 if multiple_bits else 0
         cols = cols[:1] + [[x + c0 * y for x, y in zip(c, cols[0])] for c in cols[1:]]
         _, mu, norms = gram_schmidt(cols)
