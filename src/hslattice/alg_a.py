@@ -153,12 +153,14 @@ def sample_fourier_point(secret: Lattice, p: AlgAParams, rng: random.Random,
 class RecoveryTrace:
     """Intermediate matrices of the classical recovery, kept for inspection.
 
-    The recovery works on the integer numerators of E, its reduction, B1 and
-    B2 over one common denominator; each is kept here once, as the RatMatrix
-    that wraps those numerators."""
+    The recovery works on the integer numerators of E, B1 and B2 over one
+    common denominator; each is kept here once, as the RatMatrix that wraps
+    those numerators.  The reduced basis E U is kept as the unimodular U:
+    the recovery forms only its first kappa columns, B1, and lll_basis
+    forms the whole product when it is read."""
 
     E: RatMatrix
-    lll_basis: Optional[RatMatrix] = None
+    U: Optional[IntMatrix] = None
     B1: Optional[RatMatrix] = None
     ell_guess: Optional[int] = None
     B2: Optional[RatMatrix] = None
@@ -166,18 +168,17 @@ class RecoveryTrace:
     A5: Optional[RatMatrix] = None
     failure: Optional[str] = None
 
+    @property
+    def lll_basis(self) -> Optional[RatMatrix]:
+        """The reduced basis E U, formed on each read; None until U is set."""
+        return None if self.U is None else RatMatrix(self.E.num @ self.U, self.E.den)
+
 
 def _flattened(unit: int, last: List[int]) -> IntMatrix:
     """The columns unit * e_1, ..., unit * e_k and `last` of Z^(k+1)."""
     k = len(last) - 1
     return IntMatrix.from_columns([[unit * (i == j) for i in range(k + 1)] for j in range(k)]
                                   + [last])
-
-
-def _round_half_even(a: int, b: int) -> int:
-    """round(Fraction(a, b)) for b > 0, without building the Fraction."""
-    q, r = divmod(2 * a + b, 2 * b)
-    return q - 1 if r == 0 and q & 1 else q
 
 
 def _coarse_stages(lift: List[int], modulus: int, p: AlgAParams) -> List[IntMatrix]:
@@ -192,18 +193,38 @@ def _coarse_stages(lift: List[int], modulus: int, p: AlgAParams) -> List[IntMatr
     that the rounding term sqrt(k) T / (2 G R) of recover_colattice's
     certificate, which reads only that stage, stays far below 1/R.  An
     earlier stage only steers the transform U the next one starts from, so
-    it takes its own grid, G = T_j, and stays bits(R) bits shorter."""
+    it takes its own grid, G = T_j, and stays bits(R) bits shorter.
+
+    Every G is a power of two, so one exact division per coordinate serves
+    all stages: with top = log2 of the last G and 2^(top + 1) lift(y) /
+    modulus = q + f, f in [0, 1), a stage with G = 2^g and sh = top + 1 - g
+    >= 1 takes round(G lift(y) / modulus) = round((q + f) / 2^sh) from
+    q >> sh, q's low sh bits and whether f = 0, half to even as round()
+    does.  That division shifts out modulus's factor 2^v and divides by its
+    odd part alone."""
     b = p.T.bit_length() - 1
     s = -(-b // STAGE_BITS)
     exponents = [j * b // s for j in range(1, s + 1)]
     if s > 1:
         exponents.insert(0, FIRST_STAGE_BITS)
+    top = b + p.R.bit_length()
+    v = (modulus & -modulus).bit_length() - 1
+    low = (1 << v) - 1
+    split = []
+    for c in lift:
+        x = c << (top + 1)
+        q, r = divmod(x >> v, modulus >> v)
+        split.append((q, not r and not x & low))
     stages = []
     for j, e in enumerate(exponents):
-        extra = p.R.bit_length() if j == len(exponents) - 1 else 0
-        G = (p.T >> (b - e)) << extra
-        stages.append(_flattened(G, [_round_half_even(c * G, modulus) for c in lift]
-                                 + [1 << extra]))
+        g = top if j == len(exponents) - 1 else e  # log2 G
+        sh = top + 1 - g
+        half = 1 << (sh - 1)
+        last = []
+        for q, exact in split:
+            hi, lo = q >> sh, q & (2 * half - 1)
+            last.append(hi + (lo > half or lo == half and (not exact or hi & 1)))
+        stages.append(_flattened(1 << g, last + [1 << (g - e)]))
     return stages
 
 
@@ -254,7 +275,12 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     by the same factor under B1 -> B1 V, and B3 = B1 adj(B2) / det(B2) does
     not change.  So the result is the one the exact reduction gives.  When a
     certified column is not short, the exact lll runs on E U and its leading
-    short columns are B1, as without the certificate."""
+    short columns are B1, as without the certificate.
+
+    Only those first kappa columns of E U are formed (kappa = 1 for a
+    full-rank secret); the whole product, of E's long integers by U's, is
+    formed only for the exact lll, and the trace keeps U, with E U the
+    reduced basis either way, so trace.lll_basis forms it when read."""
     k = len(y)
     # lift(y): the numerators of the representative in (-1/2, 1/2]^k.
     lift = [c - modulus if 2 * c > modulus else c for c in y]
@@ -271,23 +297,28 @@ def recover_colattice(y: Tuple[int, ...], modulus: int,
     R_sq = p.R * p.R
     # The certified prefix: every coarse Gram-Schmidt norm from kappa on
     # exceeds the coarse image bound of a vector of norm <= 1/R.
-    B, kappa = lll_from_coarse(E, stages, Fraction(bound_sq, 4 * R_sq))
+    U, kappa = lll_from_coarse(stages, Fraction(bound_sq, 4 * R_sq))
     scale_sq = scale * scale
 
     def short(col) -> bool:  # its norm, over `scale`, is at most r = 1/R
         return sum(x * x for x in col) * R_sq <= scale_sq
 
-    cols = B.columns()
-    if not all(map(short, cols[:kappa])):
-        B = lll(B.to_rational()).to_integer()
+    B1 = E @ IntMatrix.from_columns(U.columns()[:kappa], rows=k + 1)
+    if not all(map(short, B1.columns())):
+        B = lll((E @ U).to_rational()).to_integer()
+        # The U with E U = B, from the bottom row up: E is scale I_k beside
+        # its last column.
+        bottom = [x // E[k, k] for x in B.data[k]]
+        U = IntMatrix.from_rows([[(x - E[r, k] * t) // scale for x, t in zip(B.data[r], bottom)]
+                                 for r in range(k)] + [bottom])
         cols = B.columns()
         kappa = next((i for i, col in enumerate(cols) if not short(col)), k + 1)
-    trace.lll_basis = B.to_rational(scale)
+        B1 = IntMatrix.from_columns(cols[:kappa], rows=k + 1)
+    trace.U = U
     if kappa == 0:
         trace.failure = "no short vectors in the LLL prefix"
         return None, trace
-    return _colattice_from_prefix(IntMatrix.from_columns(cols[:kappa]).to_rational(scale),
-                                  p, trace), trace
+    return _colattice_from_prefix(B1.to_rational(scale), p, trace), trace
 
 
 def _colattice_from_prefix(B1: RatMatrix, p: AlgAParams,

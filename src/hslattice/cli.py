@@ -212,11 +212,16 @@ class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that reads every argument starting with '-' and a
     digit as a value, as it already reads '-7' and '-0.5': so a negative
     rational such as '-7/12' is a positional, not an unknown option.  No
-    option of this CLI starts with a digit."""
+    option of this CLI starts with a digit.  A usage error raises
+    ValueError, which main reports as one 'error:' line and exit status 1,
+    like every other bad input."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -265,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,9 +144,10 @@ def run_hsp_experiment(descriptor: Dict, seed: int, trials: int,
             trace_rng = trial_rng(seed ^ 0xDEB06, i)
             sample = sample_fourier_point(secret, params, trace_rng)
             _, trace = recover_colattice(sample.y1, params.Q, params)
+            basis = trace.lll_basis  # formed on each read
             record["trace"] = {
                 "E": format_matrix(trace.E),
-                "lll_basis": format_matrix(trace.lll_basis) if trace.lll_basis else None,
+                "lll_basis": format_matrix(basis) if basis is not None else None,
                 "ell_guess": trace.ell_guess,
                 "failure": trace.failure,
             }

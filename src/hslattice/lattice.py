@@ -57,12 +57,6 @@ class Lattice:
     def rank(self) -> int:
         return self.basis.cols
 
-    def contains(self, x: Sequence[int]) -> bool:
-        return all(c == 0 for c in coset_canonical(self, x))
-
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(col) for col in other.columns)
-
     @functools.cached_property
     def columns(self) -> Tuple[Tuple[int, ...], ...]:
         """The basis columns, read out of the row-major basis on first use."""
@@ -199,19 +193,26 @@ def gaussian_grid_noise(L: Lattice, x: Sequence[int], modulus: int, width: int, 
     """Add Gaussian noise along H_R with density exp(-2 pi width^2 ||u||^2),
     i.e. per-coordinate deviation 1/(2 sqrt(pi) width), to the point
     x / modulus and round to the (1/grid) Z^k grid; returns the numerators
-    over grid.  One standard normal draw per basis vector."""
-    sigma = 1 / (_TWO_SQRT_PI * width)
+    over grid.  One standard normal draw per basis vector.
+
+    The offset is summed in units of 1/grid, so its denominators are only
+    those of the draws, the frame and 2 sqrt(pi) width / grid, whatever the
+    size of grid; with grid / modulus = a / m in lowest terms, each
+    coordinate is then floor(c a / m + offset + 1/2), one division by the
+    small 2 m q.  The point is the exact rational the unscaled sum gives."""
+    sigma = grid / (_TWO_SQRT_PI * width)  # the deviation in units of 1/grid
     offset = [Fraction(0)] * len(x)
     for vec, inv_norm in L.frame:
         z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
         if z:
             offset = [o + z * g for o, g in zip(offset, vec)]
+    common = math.gcd(grid, modulus)
+    a, m = grid // common, modulus // common
     out = []
     for c, o in zip(x, offset):
-        # floor(grid (c / modulus + o) + 1/2) over the common denominator 2 modulus q
+        # floor(c a / m + o + 1/2) over the common denominator 2 m q
         q = o.denominator
-        out.append((2 * grid * (c * q + o.numerator * modulus) + modulus * q)
-                   // (2 * modulus * q) % grid)
+        out.append((2 * (c * a * q + o.numerator * m) + m * q) // (2 * m * q) % grid)
     return tuple(out)
 
 

@@ -5,7 +5,8 @@ subdeterminants d_i and scaled Gram-Schmidt coefficients lambda_ij), so a
 rational input is cleared to the lcm of its denominators first and rescaled
 at the end.  The core can also record its unimodular transform, which
 lll_from_coarse uses to reduce low-precision copies of a basis in stages and
-carry the transform over to the full-precision one.  After a swap-free
+return the transform, which the caller applies to as many columns of the
+full-precision basis as it reads.  After a swap-free
 stage, the last stage is first handed to _certify_swap_free, which proves
 every decision the core would make on it with integer interval arithmetic;
 the size-reduction quotients it proves are applied to the transform, and
@@ -57,13 +58,14 @@ def lll(B: RatMatrix) -> RatMatrix:
     return IntMatrix.from_columns(cols, rows=B.rows).to_rational(scale)
 
 
-def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix],
+def lll_from_coarse(stages: Sequence[IntMatrix],
                     threshold: Fraction) -> Tuple[IntMatrix, int]:
-    """Reduce the coarse bases `stages` in turn, finest last, and return
-    (B * U, kappa): U is the unimodular transform that LLL-reduces (delta =
-    3/4) the last stage, and kappa the least index such that every squared
-    Gram-Schmidt norm |b*_i|^2, i >= kappa, of that stage after reduction
-    exceeds `threshold`.
+    """Reduce the coarse bases `stages` of a basis B in turn, finest last,
+    and return (U, kappa): U is the unimodular transform that LLL-reduces
+    (delta = 3/4) the last stage, and kappa the least index such that every
+    squared Gram-Schmidt norm |b*_i|^2, i >= kappa, of that stage after
+    reduction exceeds `threshold`.  B itself is never read: the caller
+    forms the columns of B * U it needs, often only the first kappa.
 
     Every stage has B's shape; the stages need not share a scale.  Stage j
     starts from the transform of stage j - 1, so each stage mostly refines a
@@ -87,9 +89,9 @@ def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix],
     and kappa are the same either way.  B * U generates B's lattice but need
     not be LLL-reduced itself; a caller that needs that runs lll on it.
     """
-    if not stages or any((C.rows, C.cols) != (B.rows, B.cols) for C in stages):
-        raise ValueError("each coarse basis must have the shape of B")
-    n = B.cols
+    if not stages or any((C.rows, C.cols) != (stages[0].rows, stages[0].cols) for C in stages):
+        raise ValueError("the coarse bases must share one shape")
+    n = stages[0].cols
     u = [[int(i == j) for i in range(n)] for j in range(n)]
 
     def times_u(M: IntMatrix) -> List[List[int]]:
@@ -111,7 +113,7 @@ def lll_from_coarse(B: IntMatrix, stages: Sequence[IntMatrix],
         kappa = n
         while kappa and d[kappa] * threshold.denominator > threshold.numerator * d[kappa - 1]:
             kappa -= 1
-    return IntMatrix.from_columns(times_u(B), rows=B.rows), kappa
+    return IntMatrix.from_columns(u, rows=n), kappa
 
 
 # Fixed-point fraction bits of the mu intervals of _certify_swap_free, and

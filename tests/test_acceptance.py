@@ -30,7 +30,7 @@ from hslattice.oracles import (
 from hslattice.rationals import legendre_reconstruct, partial_fractions
 from hslattice.sieve import SieveStats, collimation_tally, recover_shift, sieve, sieve_config
 
-from verify import is_size_reduced, satisfies_lovasz, successive_minima
+from verify import contains, is_size_reduced, satisfies_lovasz, successive_minima
 
 
 def col_lattice(cols, k):
@@ -159,7 +159,7 @@ def test_06_hiding_properties():
     pts = list(product(range(-5, 6), repeat=2))
     tokens = {p: f.token(p) for p in pts}
     brick_ok = all(
-        (tokens[x] == tokens[y]) == L.contains([a - b for a, b in zip(x, y)])
+        (tokens[x] == tokens[y]) == contains(L, [a - b for a, b in zip(x, y)])
         for x in pts for y in pts
     )
     # rational, accepted = {5}

@@ -23,7 +23,13 @@ from hslattice.lattice import Lattice, basis_bit_complexity, dual_membership, sa
 from hslattice.lll import lll
 from hslattice.matrix import IntMatrix, RatMatrix, hnf
 
-from verify import is_size_reduced, satisfies_lovasz, reference_finite_stage
+from verify import (
+    contains,
+    contains_lattice,
+    is_size_reduced,
+    reference_finite_stage,
+    satisfies_lovasz,
+)
 
 
 def col_lattice(cols, k):
@@ -261,6 +267,27 @@ class TestCertificate:
         assert (h1, trace.ell_guess, trace.failure) == reference_colattice(y, p.Q, p)
         assert h1 == Lattice.zn(1)
 
+    def test_fallback_trace_keeps_the_exact_basis(self, monkeypatch):
+        """In the fallback, E trace.U is the basis the exact pass returned,
+        also when it is not the certified E U: here the exact pass is made
+        to add its first column to its second."""
+        p = schedule(2, 1)
+        y = (67625147617218824059856741211166,)
+        returned = []
+
+        def sheared(B):
+            out = lll(B)
+            returned.append(RatMatrix(out.num @ IntMatrix.from_rows([[1, 1], [0, 1]]), out.den))
+            return returned[-1]
+
+        monkeypatch.setattr(alg_a, "lll", sheared)
+        _, trace = recover_colattice(y, p.Q, p)
+        assert len(returned) == 1
+        assert returned[0] != lll(returned[0])
+        # E's numerators are over E.den; the exact pass ran on them as integers.
+        assert trace.lll_basis == RatMatrix(returned[0].to_integer(), trace.E.den)
+        assert abs(trace.U.det()) == 1
+
     def test_certified_sample_skips_exact_pass(self, monkeypatch):
         """An hsp-k5-sized sample (4 coarse stages) is certified without the
         exact pass over E's integers."""
@@ -295,7 +322,7 @@ class TestFiniteStage:
         for _ in range(200):
             out = finite_stage(sec, h1, rng)
             if out is not None:
-                assert out.contains_lattice(sec)  # over-constrained only
+                assert contains_lattice(out, sec)  # over-constrained only
                 wins += out == sec
         assert wins >= 150
 
@@ -385,7 +412,7 @@ class TestTriangularGroup:
         vec = st.lists(st.integers(0, index - 1), min_size=ell, max_size=ell)
         for v in data.draw(st.lists(vec, max_size=6), label="draws"):
             before = Lattice.from_generators(IntMatrix.from_columns(gens, rows=ell))
-            assert alg_a._insert(rows, list(v), index) == (not before.contains(v))
+            assert alg_a._insert(rows, list(v), index) == (not contains(before, v))
             gens.append(v)
             assert (Lattice.from_generators(IntMatrix.from_columns(rows, rows=ell))
                     == Lattice.from_generators(IntMatrix.from_columns(gens, rows=ell)))
@@ -401,7 +428,7 @@ class TestTriangularGroup:
         assert alg_a._insert(rows, [1, 2], 4)
         assert rows == [[2, 0], [1, 2]]
         span = Lattice.from_generators(IntMatrix.from_columns(rows, rows=2))
-        assert span.contains([0, 4])
+        assert contains(span, [0, 4])
         assert span == Lattice.from_generators(IntMatrix.from_columns([[4, 0], [0, 4], [1, 2]]))
 
 

@@ -125,6 +125,21 @@ def test_zero_denominator(matrix_file, capsys, argv):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["pf"], ["pf", "-x"], ["lattice", "bogus", "f"],
+                                  ["hsp-recover", "d.json", "--trials", "x"]],
+                         ids=["missing-argument", "unknown-option", "bad-choice", "bad-int"])
+def test_usage_error(capsys, argv):
+    """A usage error prints one 'error:' line and exits 1, as other bad
+    input does; --help still exits 0."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
+
+
 def test_oracle_brick(matrix_file, capsys):
     f = matrix_file("b.txt", "2 1\n7\n1\n")
     assert main(["oracle", "brick", "5 7", "--basis", f]) == 0

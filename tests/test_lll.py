@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hslattice import lll as lll_module
+from hslattice import alg_a, lll as lll_module
 from hslattice.alg_a import (
     FIRST_STAGE_BITS,
     _coarse_stages,
@@ -30,6 +30,7 @@ from hslattice.matrix import IntMatrix, RatMatrix, hnf
 from verify import (
     enumerate_short_vectors,
     is_size_reduced,
+    round_half_even,
     satisfies_lovasz,
     successive_minima,
 )
@@ -168,7 +169,8 @@ class TestLLLProperties:
         work to the next."""
         stages = data.draw(st.lists(int_bases(k=M.cols), min_size=1, max_size=3))
         threshold = Fraction(data.draw(st.integers(0, 2000)), data.draw(st.integers(1, 7)))
-        out, kappa = lll_from_coarse(M, stages, threshold)
+        U, kappa = lll_from_coarse(stages, threshold)
+        out = M @ U
         assert hnf(out)[0].data == hnf(M)[0].data
         assert_last_stage_reduced(M, out, stages[-1], kappa, threshold)
 
@@ -186,7 +188,8 @@ class TestLLLProperties:
         stages = _coarse_stages(lift, p.Q, p)
         E = trace.E.cleared()[1]
         threshold = colattice_threshold(stages, p)
-        out, kappa = lll_from_coarse(E, stages, threshold)
+        U, kappa = lll_from_coarse(stages, threshold)
+        out = E @ U
         assert hnf(out)[0].data == hnf(E)[0].data
         assert_last_stage_reduced(E, out, stages[-1], kappa, threshold)
 
@@ -235,10 +238,62 @@ class TestLLLProperties:
         monkeypatch.setattr(lll_module, "_lll_integer", counting)
         E = trace.E.cleared()[1]
         threshold = colattice_threshold(stages, p)
-        out, kappa = lll_from_coarse(E, stages, threshold)
+        U, kappa = lll_from_coarse(stages, threshold)
         assert len(swaps) == runs and swaps[0] > 0
         assert swaps[1] == 0 if rank == 5 else all(swaps)
-        assert_last_stage_reduced(E, out, stages[-1], kappa, threshold)
+        assert_last_stage_reduced(E, E @ U, stages[-1], kappa, threshold)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (14, 2), (70, 3), (160, 5)])
+    def test_stage_rounding(self, n, k):
+        """Every stage's last column is round(G lift(y) / modulus), half to
+        even, for noisy samples y1 over Q, for noiseless y0 over lcm(Delta,
+        Q), which has an odd factor, and for exact ties G c / modulus =
+        q + 1/2, q even and q odd, built at every stage."""
+        p = schedule(n, k)
+        rng = random.Random(n)
+        samples = []
+        for rank in range(k + 1):
+            secret = random_lattice(k, rank, 64, rng)
+            s = sample_fourier_point(secret, p, rng, debug=True)
+            samples += [(s.y1, p.Q), (s.true_y0, math.lcm(secret.gram_det, p.Q))]
+        assert any(modulus & (modulus - 1) for _, modulus in samples)
+        cases = [([c - m if 2 * c > m else c for c in y], m) for y, m in samples]
+        for _, modulus in samples:
+            for C in _coarse_stages([0] * k, modulus, p):
+                unit, rest = divmod(modulus, 2 * C[0, 0])
+                assert rest == 0
+                cases += [([(2 * q + 1) * unit] * k, modulus) for q in (2, 3, -2, -3)]
+        for lift, modulus in cases:
+            for C in _coarse_stages(lift, modulus, p):
+                G = C[0, 0]
+                assert list(C.column(k)[:k]) == [round_half_even(c * G, modulus) for c in lift]
+
+    @pytest.mark.parametrize("rank", [5, 4])
+    def test_prefix_of_lll_basis(self, monkeypatch, rank):
+        """On a k = 5, n = 160 sample the recovery forms E U for the U and
+        kappa that lll_from_coarse returns: trace.lll_basis is E U, and its
+        first kappa columns are the B1 handed to _colattice_from_prefix."""
+        p = schedule(160, 5)
+        rng = random.Random(rank)
+        secret = random_lattice(5, rank, 64, rng)
+        y1 = sample_fourier_point(secret, p, rng).y1
+        received = []
+        prefix = alg_a._colattice_from_prefix
+
+        def capture(B1, p, trace):
+            received.append(B1)
+            return prefix(B1, p, trace)
+
+        monkeypatch.setattr(alg_a, "_colattice_from_prefix", capture)
+        _, trace = recover_colattice(y1, p.Q, p)
+        lift = [c - p.Q if 2 * c > p.Q else c for c in y1]
+        stages = _coarse_stages(lift, p.Q, p)
+        U, kappa = lll_from_coarse(stages, colattice_threshold(stages, p))
+        assert kappa == 6 - rank and trace.ell_guess == rank
+        assert trace.U == U
+        assert trace.lll_basis == RatMatrix(trace.E.num @ U, trace.E.den)
+        assert received == [trace.B1]
+        assert trace.lll_basis.columns()[:kappa] == trace.B1.columns()
 
 
 def colattice_threshold(stages, p):

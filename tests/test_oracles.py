@@ -13,6 +13,8 @@ from hslattice.oracles import (
     SparseVec,
 )
 
+from verify import contains
+
 
 def col_lattice(cols, k):
     return Lattice.from_generators(IntMatrix.from_columns(cols, rows=k))
@@ -38,7 +40,7 @@ class TestBrickOracle:
         for x in pts:
             for y in pts:
                 same = tokens[x] == tokens[y]
-                member = L.contains([a - b for a, b in zip(x, y)])
+                member = contains(L, [a - b for a, b in zip(x, y)])
                 assert same == member
 
     def test_dimension_mismatch(self):

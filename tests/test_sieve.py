@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hslattice.experiments import random_lattice
 from hslattice.lattice import (
@@ -42,6 +42,8 @@ from hslattice.sieve import (
     sieve_config,
     tensor,
 )
+
+from verify import contains, reference_grid_noise
 
 
 def col_lattice(cols, k):
@@ -606,18 +608,37 @@ class TestIntegerTorus:
         L = random_lattice(k, data.draw(st.integers(0, k)), 8, random.Random(seed))
         modulus = grid * factor
         x = data.draw(st.tuples(*[st.integers(0, modulus - 1)] * k))
-        # the Fraction formula the noise step used before numerators
-        rng = random.Random(seed)
-        coords = [Fraction(c, modulus) for c in x]
-        sigma = 1 / (Fraction(35449077018110322, 10 ** 16) * width)
-        for vec, inv_norm in L.frame:
-            z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
-            if z:
-                coords = [c + z * g for c, g in zip(coords, vec)]
-        expect = [Fraction(math.floor(c * grid + Fraction(1, 2)), grid) for c in coords]
+        expect = reference_grid_noise(L, x, modulus, width, grid, random.Random(seed))
         out = gaussian_grid_noise(L, x, modulus, width, grid, random.Random(seed))
         assert all(0 <= c < grid for c in out)
-        assert torus(out, grid) == mod1(expect)
+        assert out == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 13100), st.integers(1, 6600), st.booleans(),
+           st.sampled_from(["lcm", "any"]), st.integers(0, 2 ** 32))
+    @example(5, 13060, 6530, True, "lcm", 0)
+    def test_noise_step_hsp_sizes(self, k, grid_bits, width_bits, powers_of_two, modulus_kind,
+                                  seed):
+        """Up to the sizes of hsp-k5 (grid Q = 2^13060, width S = 2^6530)
+        and beyond, the noise step gives the Fraction formula's grid point
+        and leaves the RNG where the formula leaves it, whether the grid
+        divides the modulus (lcm(Delta, grid), as the HSP sampler passes it)
+        or not (any modulus, any grid)."""
+        rng = random.Random(seed)
+        L = random_lattice(k, rng.randrange(k + 1), 64, rng)
+        if powers_of_two:
+            grid, width = 1 << grid_bits, 1 << width_bits
+        else:
+            grid, width = rng.getrandbits(grid_bits) + 1, rng.getrandbits(width_bits) + 1
+        if modulus_kind == "lcm":
+            modulus = math.lcm(L.gram_det, grid)
+        else:
+            modulus = rng.getrandbits(13200) + 1
+        x = [rng.randrange(modulus) for _ in range(k)]
+        ref_rng, rng = random.Random(seed), random.Random(seed)
+        expect = reference_grid_noise(L, x, modulus, width, grid, ref_rng)
+        assert gaussian_grid_noise(L, x, modulus, width, grid, rng) == expect
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestSieveRecursion:
@@ -794,7 +815,7 @@ class TestLiftShift:
         res = [sum(g * x for g, x in zip(f.generator, s)) % f.order
                for f in build_target_group(L, 2)]
         out = lift_shift(res, L, 2)
-        assert L.contains([a - b for a, b in zip(out, s)])
+        assert contains(L, [a - b for a, b in zip(out, s)])
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 3), st.data(), st.sampled_from([1, 2]))
@@ -810,7 +831,7 @@ class TestLiftShift:
         res = [sum(a * x for a, x in zip(f.generator, s)) % f.order for f in g]
         out = lift_shift(res, L, bound)
         assert [sum(a * x for a, x in zip(f.generator, out)) % f.order for f in g] == res
-        assert L.contains([a - b for a, b in zip(out, s)])
+        assert contains(L, [a - b for a, b in zip(out, s)])
 
     @pytest.mark.parametrize("cols,k", [([], 1), ([], 2), ([[2, 1]], 2), ([[1, 0]], 2)],
                              ids=["trivial-1", "trivial-2", "rank1-2-1", "rank1-1-0"])
@@ -821,7 +842,7 @@ class TestLiftShift:
         g = build_target_group(L, bound)
         for s in product(range(-bound, bound + 1), repeat=k):
             res = [sum(a * x for a, x in zip(f.generator, s)) % f.order for f in g]
-            assert L.contains([a - b for a, b in zip(lift_shift(res, L, bound), s)]), s
+            assert contains(L, [a - b for a, b in zip(lift_shift(res, L, bound), s)]), s
 
 
 class TestRecoverShift:

@@ -1,10 +1,11 @@
 """Exact oracles for checking lattice reductions and eliminations: the LLL
 conditions, short-vector enumeration, successive minima, a textbook
-rational inverse and determinant, and the finite stage that takes a fresh
-HNF on every growth.
+rational inverse and determinant, lattice membership, the finite stage that
+takes a fresh HNF on every growth, and the Fraction formulas of the noise
+step and of the coarse stages' rounding.
 
-These are slow brute-force references for small test lattices; no pipeline
-calls them.
+These are slow references, most of them brute force for small test
+lattices; no pipeline calls them.
 """
 
 from __future__ import annotations
@@ -12,13 +13,44 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import isqrt, prod
-from typing import List, Optional, Tuple
+from math import floor, isqrt, prod
+from typing import List, Optional, Sequence, Tuple
 
 from hslattice.alg_a import _pull_back
-from hslattice.lattice import Lattice
+from hslattice.lattice import Lattice, coset_canonical
 from hslattice.lll import gram_schmidt, lll
 from hslattice.matrix import IntMatrix, RatMatrix
+
+
+def contains(L: Lattice, x: Sequence[int]) -> bool:
+    """x lies in L: its canonical coset representative is zero."""
+    return all(c == 0 for c in coset_canonical(L, x))
+
+
+def contains_lattice(L: Lattice, other: Lattice) -> bool:
+    return all(contains(L, col) for col in other.columns)
+
+
+def round_half_even(a: int, b: int) -> int:
+    """round(Fraction(a, b)) for b > 0, without building the Fraction: the
+    rounding of each coarse stage of alg_a._coarse_stages."""
+    q, r = divmod(2 * a + b, 2 * b)
+    return q - 1 if r == 0 and q & 1 else q
+
+
+def reference_grid_noise(L: Lattice, x: Sequence[int], modulus: int, width: int, grid: int,
+                         rng: random.Random) -> Tuple[int, ...]:
+    """lattice.gaussian_grid_noise as a Fraction formula: the point
+    x / modulus plus the offset sum of z_i b*_i / |b*_i|, z_i a draw times
+    1 / (2 sqrt(pi) width), rounded half up to the grid and returned as
+    numerators in [0, grid); the same draws in the same order."""
+    coords = [Fraction(c, modulus) for c in x]
+    sigma = 1 / (Fraction(35449077018110322, 10 ** 16) * width)
+    for vec, inv_norm in L.frame:
+        z = Fraction(rng.gauss(0.0, 1.0)) * sigma * inv_norm
+        if z:
+            coords = [c + z * g for c, g in zip(coords, vec)]
+    return tuple(floor(c * grid + Fraction(1, 2)) % grid for c in coords)
 
 
 def is_size_reduced(B: RatMatrix) -> bool:
@@ -159,10 +191,10 @@ def leibniz_det(A: RatMatrix) -> Fraction:
 def reference_finite_stage(secret: Lattice, h1: Lattice,
                            rng: random.Random) -> Optional[Lattice]:
     """The finite stage with the grown group a Lattice, tested by
-    Lattice.contains and rebuilt by a fresh HNF on every growth: the same
+    contains and rebuilt by a fresh HNF on every growth: the same
     draws, stopping rule and annihilator as alg_a.finite_stage, which keeps
     the group as triangular rows modulo the index."""
-    if secret.rank != h1.rank or not h1.contains_lattice(secret):
+    if secret.rank != h1.rank or not contains_lattice(h1, secret):
         raise ValueError("finite_stage needs secret <= H1 of equal rank")
     ell = h1.rank
     if ell == 0:
@@ -186,7 +218,7 @@ def reference_finite_stage(secret: Lattice, h1: Lattice,
         draws += 1
         a = [rng.randrange(index) for _ in range(ell)]
         scaled = [sign * c % index for c in adj_t.mul_vec(a)]
-        if group.contains(scaled):
+        if contains(group, scaled):
             stable += 1
             continue
         stable = 0
