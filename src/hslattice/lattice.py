@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +41,6 @@ class Lattice:
         H, _ = hnf(G)
         return Lattice(IntMatrix.from_columns([col for col in H.columns() if any(col)],
                                               rows=G.rows))
-
-    @staticmethod
-    def zn(k: int) -> "Lattice":
-        return Lattice.from_generators(IntMatrix.identity(k))
 
     @staticmethod
     def trivial(k: int) -> "Lattice":
@@ -159,7 +156,10 @@ def dual_membership(L: Lattice, x: Sequence[int], modulus: int) -> bool:
     """True iff the point x / modulus pairs integrally with every basis vector."""
     if len(x) != L.k:
         raise ValueError("dimension mismatch")
-    return all(sum(a * b for a, b in zip(x, col)) % modulus == 0 for col in L.columns)
+    for col in L.columns:
+        if sum(map(operator.mul, x, col)) % modulus:
+            return False
+    return True
 
 
 def dual_sample_uniform(L: Lattice, torus_grid: int,

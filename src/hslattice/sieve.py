@@ -23,7 +23,9 @@ The three stages mirror the qubit-creation / recursive-collimation / final-
 measurement split: create_qubit draws the dual point y of one qubit {0, y},
 sieve() builds each stage-0 leaf as one fold of its qubits' points into a
 multiset and runs the depth-first recursion with tandem two-spot collimation
-windows, and recover_shift assembles one cyclic factor of the target group
+windows (each join draws its collimation tile first, as the tile of one
+uniform unit of the product, and builds only that tile's pair sums), and
+recover_shift assembles one cyclic factor of the target group
 at a time before lifting the measured residues to an integer shift through
 the Smith form of the lattice's basis: s* = V^-1 z, exact in every rank.
 """
@@ -33,7 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -224,22 +226,62 @@ def create_qubit(cfg: SieveConfig, rng: random.Random,
     return y
 
 
-def tensor(a: PhaseVector, b: PhaseVector, N: int) -> PhaseVector:
-    """Tensor product: pairwise multiplier sums mod N, window centers add in
-    tandem.
+def _arcs(lo: int, length: int, N: int) -> Tuple[Tuple[int, int], ...]:
+    """The residues lo, lo+1, ..., lo+length-1 mod N as at most two ranges
+    [x0, x1) of [0, N)."""
+    if length >= N:
+        return ((0, N),)
+    lo %= N
+    hi = lo + length
+    return ((lo, hi),) if hi <= N else ((lo, N), (0, hi - N))
 
-    b must be one-spot; a two-spot a keeps its two-spot structure."""
+
+def _walk(keys: list, ranges: list, axis: int, lo: int, hi: int, prefix: tuple, out: list) -> None:
+    """Append to out every key of the sorted keys[lo:hi], all sharing prefix
+    on axes 0..axis-1, whose coordinate on each axis from this one on lies
+    in one of that axis's ranges: bisect this axis, then the next within
+    each block of equal values on this one."""
+    last = axis == len(ranges) - 1
+    for x0, x1 in ranges[axis]:
+        start = bisect_left(keys, prefix + (x0,), lo, hi)
+        end = bisect_left(keys, prefix + (x1,), start, hi)
+        if last:
+            out.extend(keys[start:end])
+            continue
+        while start < end:
+            value = keys[start][axis]
+            stop = bisect_left(keys, prefix + (value + 1,), start, end)
+            _walk(keys, ranges, axis + 1, start, stop, prefix + (value,), out)
+            start = stop
+
+
+def tensor(a: PhaseVector, b: PhaseVector, N: int,
+           box: Sequence[Tuple[int, int]]) -> PhaseVector:
+    """The tensor product restricted to one box: the pairwise multiplier sums
+    mod N whose lifted offset from the joined center lies, on each axis i,
+    in the range box[i] = (lo, hi), inclusive and within the lift range
+    (-N/2, N/2]; window centers add in tandem.
+
+    b must be one-spot; a two-spot a keeps its two-spot structure.  On each
+    axis the box is, for a fixed u of a, at most two ranges of v mod N, and
+    b's sorted keys are walked one axis at a time (`_walk`), so only the
+    kept sums are built."""
     if len(b.spots) != 1:
         raise ValueError("the second factor of a tensor must be a one-spot phase vector")
     rspot = b.spots[0]
+    keys = sorted(rspot.counts)
+    bcounts = rspot.counts
     new_spots = []
     for spot in a.spots:
+        center = tuple([(x + y) % N for x, y in zip(spot.center, rspot.center)])
         counts: Counts = {}
         for u, cu in spot.counts.items():
-            for v, cv in rspot.counts.items():
+            ranges = [_arcs(c + lo - x, hi - lo + 1, N) for c, x, (lo, hi) in zip(center, u, box)]
+            kept: list = []
+            _walk(keys, ranges, 0, 0, len(keys), (), kept)
+            for v in kept:
                 w = tuple([(x + y) % N for x, y in zip(u, v)])
-                counts[w] = counts.get(w, 0) + cu * cv
-        center = tuple([(x + y) % N for x, y in zip(spot.center, rspot.center)])
+                counts[w] = counts.get(w, 0) + cu * bcounts[v]
         new_spots.append(Spot(counts, center))
     return PhaseVector(tuple(new_spots))
 
@@ -258,6 +300,20 @@ def _tile_index(y: Point, center: Point, r: int, N: int,
     return tuple(idx)
 
 
+def _tile_box(tile: Tuple[int, ...], r: int, N: int,
+              tiles_per_axis: int) -> Tuple[Tuple[int, int], ...]:
+    """Per axis, the inclusive range of lifted offsets from the center that
+    `_tile_index` puts in this tile: the end tiles run to the edge of the
+    lift range (-N/2, N/2], and every range is clipped to it, so no offset
+    is counted twice mod N."""
+    width = 2 * r // tiles_per_axis
+    top = tiles_per_axis - 1
+    low, high = -((N - 1) // 2), N // 2
+    return tuple((max(low, i * width - r) if i else low,
+                  min(high, (i + 1) * width - r - 1) if i < top else high)
+                 for i in tile)
+
+
 def _tile_center(tile: Tuple[int, ...], center: Point, r: int, N: int,
                  tiles_per_axis: int) -> Point:
     """The center of one tile of the window of radius r about center;
@@ -266,44 +322,49 @@ def _tile_center(tile: Tuple[int, ...], center: Point, r: int, N: int,
     return tuple([(c - r + (2 * i + 1) * sub) % N for c, i in zip(center, tile)])
 
 
-def collimation_tally(pv: PhaseVector, m: int, r: int, N: int):
-    """Tile assignment and joint tile occupancy for the collimation
-    measurement of windows of radius r; the outcome distribution is
-    tally/total exactly."""
-    tiles_per_axis = 2 ** (m + 1)
-    per_spot_idx = []
-    tally: Dict[Tuple[int, ...], int] = {}
-    for spot in pv.spots:
-        assignment: Dict[Point, Tuple[int, ...]] = {}
-        for y, c in spot.counts.items():
-            ti = _tile_index(y, spot.center, r, N, tiles_per_axis)
-            assignment[y] = ti
-            tally[ti] = tally.get(ti, 0) + c
-        per_spot_idx.append(assignment)
-    return per_spot_idx, tally
+def _unit_pair(a: PhaseVector, bcounts: Counts, unit: int) -> Tuple[int, Point, Point]:
+    """Unit `unit` of the product of a with the one spot bcounts, as its
+    spot of a and its multipliers u of that spot and v of b.  The spots of a
+    hold their units in turn; within a spot u takes c_u len(b) units in the
+    order of its counts, and unit q of those lies on unit q // c_u of b, in
+    the order of b's counts."""
+    blen = sum(bcounts.values())
+    for s, spot in enumerate(a.spots):
+        for u, cu in spot.counts.items():
+            if unit < cu * blen:
+                unit //= cu
+                for v, cv in bcounts.items():
+                    if unit < cv:
+                        return s, u, v
+                    unit -= cv
+            unit -= cu * blen
+    raise ValueError("unit index outside the product")
 
 
-def collimate(pv: PhaseVector, j: int, cfg: SieveConfig, rng: random.Random,
+def collimate(a: PhaseVector, b: PhaseVector, j: int, cfg: SieveConfig, rng: random.Random,
               stats: Optional[SieveStats] = None) -> PhaseVector:
-    """Collimation measurement at stage j: tile each joined window, of radius
-    2 stage_radius(j-1), into 2^(k(m+1)) subcubes of radius stage_radius(j)
-    (paired in tandem across two-spot windows), sample a tile with
-    probability proportional to its resident count, and restrict.
+    """Join a and b and take the collimation measurement at stage j: tile
+    each joined window, of radius 2 stage_radius(j-1), into 2^(k(m+1))
+    subcubes of radius stage_radius(j) (paired in tandem across two-spot
+    windows), sample a tile with probability proportional to its resident
+    count in the product a (x) b, and restrict the product to it.
 
-    Equal-magnitude amplitudes make the counting measure the exact Born
-    rule for this measurement."""
+    The tile drawn is that of one unit of the product drawn uniformly, which
+    is that law exactly, and `tensor` then builds only the pair sums that
+    land in it.  Equal-magnitude amplitudes make the counting measure the
+    exact Born rule for this measurement."""
     r, N, tiles_per_axis = 2 * cfg.stage_radius(j - 1), cfg.N, 2 ** (cfg.m + 1)
-    per_spot_idx, tally = collimation_tally(pv, cfg.m, r, N)
+    bspot = b.spots[0]
+    total = sum(spot.length for spot in a.spots) * bspot.length
+    s, u, v = _unit_pair(a, bspot.counts, rng.randrange(total))
+    joined = [(x + y) % N for x, y in zip(a.spots[s].center, bspot.center)]
+    chosen = _tile_index([(x + y) % N for x, y in zip(u, v)], joined, r, N, tiles_per_axis)
+    out = tensor(a, b, N, _tile_box(chosen, r, N, tiles_per_axis))
     stats = stats if stats is not None else SieveStats()
     stats.collimations += 1
-    stats.note_live(sum(len(s.counts) for s in pv.spots))
-    tiles, ends = _cumulative(tally)
-    chosen = tiles[bisect_right(ends, rng.randrange(ends[-1]))]
-    new_spots = []
-    for spot, assignment in zip(pv.spots, per_spot_idx):
-        counts = {y: c for y, c in spot.counts.items() if assignment[y] == chosen}
-        new_spots.append(Spot(counts, _tile_center(chosen, spot.center, r, N, tiles_per_axis)))
-    return PhaseVector(tuple(new_spots))
+    stats.note_live(sum(len(spot.counts) for spot in out.spots))
+    return PhaseVector(tuple(Spot(spot.counts, _tile_center(chosen, spot.center, r, N, tiles_per_axis))
+                             for spot in out.spots))
 
 
 def _submultiset(counts: Counts, size: int, rng: random.Random) -> Counts:
@@ -398,7 +459,7 @@ def sieve(j: int, p: int, target: Point, cfg: SieveConfig, rng: random.Random,
         # a one- or two-spot child as p is, joined with a one-spot child
         a = sieve(j - 1, p, target, cfg, rng, stats)
         b = sieve(j - 1, 1, target, cfg, rng, stats)
-        out = collimate(tensor(a, b, cfg.N), j, cfg, rng, stats)
+        out = collimate(a, b, j, cfg, rng, stats)
         if any(s.length < cfg.min_len for s in out.spots):
             stats.reject(j)
             continue

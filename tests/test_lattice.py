@@ -17,7 +17,7 @@ from hslattice.lattice import (
 from hslattice.matrix import IntMatrix
 from hslattice.experiments import random_lattice
 
-from verify import contains, contains_lattice
+from verify import contains, contains_lattice, zn
 
 
 def col_lattice(cols, k):
@@ -28,7 +28,7 @@ def col_lattice(cols, k):
 
 class TestConstruction:
     def test_zn(self):
-        L = Lattice.zn(3)
+        L = zn(3)
         assert L.rank == 3 and L.gram_det == 1
 
     def test_dependent_generators(self):
@@ -58,7 +58,7 @@ class TestConstruction:
 
 class TestReciprocal:
     def test_zn_self_reciprocal(self):
-        assert reciprocal_basis(Lattice.zn(3)).data == IntMatrix.identity(3).to_rational().data
+        assert reciprocal_basis(zn(3)).data == IntMatrix.identity(3).to_rational().data
 
     def test_scaling_1d(self):
         L = col_lattice([[2]], 1)
@@ -94,7 +94,7 @@ class TestReciprocal:
 
 class TestSaturation:
     def test_zn(self):
-        assert saturation(Lattice.zn(2)) == Lattice.zn(2)
+        assert saturation(zn(2)) == zn(2)
 
     def test_primitive_line(self):
         L = col_lattice([[2, 4]], 2)
@@ -106,7 +106,7 @@ class TestSaturation:
 
     def test_full_rank_saturates_to_zn(self):
         L = col_lattice([[2, 0], [0, 3]], 2)
-        assert saturation(L) == Lattice.zn(2)
+        assert saturation(L) == zn(2)
 
     def test_idempotence_and_index_law(self):
         rng = random.Random(2)
@@ -124,7 +124,7 @@ class TestSaturation:
 
 class TestIntegerOrthogonal:
     def test_zn_empty(self):
-        assert Lattice.zn(3).orthogonal.cols == 0
+        assert zn(3).orthogonal.cols == 0
 
     def test_line_in_z2(self):
         C = col_lattice([[1, 1]], 2).orthogonal
@@ -164,7 +164,7 @@ class TestDualMembership:
 class TestDualSampling:
     def test_zn_always_zero_mod_grid(self):
         rng = random.Random(4)
-        L = Lattice.zn(2)
+        L = zn(2)
         for _ in range(50):
             assert dual_sample_uniform(L, 8, rng)[0] == (0, 0)
 
@@ -214,7 +214,7 @@ class TestDualSampling:
 
 class TestCosetCanonical:
     def test_zn_all_zero(self):
-        L = Lattice.zn(2)
+        L = zn(2)
         assert coset_canonical(L, [5, -3]) == (0, 0)
 
     def test_trivial_unchanged(self):

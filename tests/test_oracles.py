@@ -13,7 +13,7 @@ from hslattice.oracles import (
     SparseVec,
 )
 
-from verify import contains
+from verify import contains, zn
 
 
 def col_lattice(cols, k):
@@ -22,7 +22,7 @@ def col_lattice(cols, k):
 
 class TestBrickOracle:
     def test_zn_constant(self):
-        f = BrickOracle(Lattice.zn(2))
+        f = BrickOracle(zn(2))
         tokens = {f.token((x, y)) for x in range(-3, 4) for y in range(-3, 4)}
         assert len(tokens) == 1
 
@@ -44,7 +44,7 @@ class TestBrickOracle:
                 assert same == member
 
     def test_dimension_mismatch(self):
-        f = BrickOracle(Lattice.zn(2))
+        f = BrickOracle(zn(2))
         with pytest.raises(ValueError):
             f.evaluate([1])
 
@@ -139,7 +139,7 @@ class TestShiftPairOracle:
             assert f.token(x, 0) == f.token(x, 1)
 
     def test_zn_constant(self):
-        f = ShiftPairOracle(Lattice.zn(2), [1, 1])
+        f = ShiftPairOracle(zn(2), [1, 1])
         tokens = {f.token(x, a) for x in product(range(-2, 3), repeat=2) for a in (0, 1)}
         assert len(tokens) == 1
 
@@ -160,7 +160,7 @@ class TestShiftPairOracle:
                 assert f.token(x, a) == g.token(x, a)
 
     def test_dimension_mismatch(self):
-        f = ShiftPairOracle(Lattice.zn(2), [1, 1])
+        f = ShiftPairOracle(zn(2), [1, 1])
         for a in (0, 1):
             with pytest.raises(ValueError):
                 f.evaluate([1, 2, 3], a)

@@ -33,7 +33,6 @@ from hslattice.sieve import (
     assemble_cyclic,
     build_target_group,
     collimate,
-    collimation_tally,
     create_qubit,
     lift_shift,
     recover_shift,
@@ -43,7 +42,7 @@ from hslattice.sieve import (
     tensor,
 )
 
-from verify import contains, reference_grid_noise
+from verify import contains, reference_grid_noise, reference_tally, reference_tensor, zn
 
 
 def col_lattice(cols, k):
@@ -104,10 +103,26 @@ def qubit(y):
     return PhaseVector((Spot(counts, zero),))
 
 
+def whole(k, n):
+    """The box of every lifted offset mod n on k axes: `tensor` over it is
+    the full product."""
+    return ((-((n - 1) // 2), n // 2),) * k
+
+
+def joined(a, b, n):
+    """The full product a (x) b, checked against `tensor` over the whole box."""
+    full = reference_tensor(a, b, n)
+    assert tensor(a, b, n, whole(len(a.spots[0].center), n)) == full
+    return full
+
+
+UNIT = single_spot([nv(0)])  # {0: 1}: joining it leaves a vector as it is
+
+
 def hand_cfg(m):
     """A config over the hand-built modulus N, for collimating hand-built
     vectors: the joined radius at stage j is N >> ((j-1) m)."""
-    return SieveConfig(lattice=Lattice.zn(1), t=1, m=m, G=1, Q=1, N=N)
+    return SieveConfig(lattice=zn(1), t=1, m=m, G=1, Q=1, N=N)
 
 
 class TestConfig:
@@ -116,7 +131,7 @@ class TestConfig:
         assert cfg.m == 3
 
     def test_m_floor(self):
-        cfg = sieve_config(Lattice.zn(2), 1)
+        cfg = sieve_config(zn(2), 1)
         assert cfg.m == 2
 
     def test_accuracy_forced(self):
@@ -130,7 +145,7 @@ class TestConfig:
 
     def test_ceiling(self):
         with pytest.raises(ValueError):
-            sieve_config(Lattice.zn(5), 20)
+            sieve_config(zn(5), 20)
 
     def test_order_ceiling(self):
         """The largest cyclic order of the target group is bounded: an
@@ -181,7 +196,7 @@ class TestConfig:
 class TestCreateQubit:
     def test_zn_always_zero(self):
         rng = random.Random(0)
-        cfg = sieve_config(Lattice.zn(1), 1)
+        cfg = sieve_config(zn(1), 1)
         for _ in range(10):
             q = qubit(create_qubit(cfg, rng))
             assert set(q.spots[0].counts) == {(0,)}
@@ -214,19 +229,19 @@ class TestTensor:
     def test_identity_element(self):
         a = single_spot([nv(0), nv(0)])  # {0} twice: the |0>+|1> qubit at y=0
         b = single_spot([nv(0), nv("1/4")])
-        out = tensor(a, b, N)
+        out = joined(a, b, N)
         assert out.spots[0].counts == {nv(0): 2, nv("1/4"): 2}
 
     def test_direct_sums(self):
         a = single_spot([nv(0), nv("1/4")])
         b = single_spot([nv(0), nv("1/8")])
-        out = tensor(a, b, N)
+        out = joined(a, b, N)
         assert out.spots[0].counts == {nv(0): 1, nv("1/8"): 1, nv("1/4"): 1, nv("3/8"): 1}
 
     def test_lengths_multiply(self):
         a = single_spot([nv("1/16")] * 4)
         b = single_spot([nv("1/32")] * 4)
-        assert tensor(a, b, N).spots[0].length == 16
+        assert joined(a, b, N).spots[0].length == 16
 
     def test_two_by_two_rejected(self):
         two = PhaseVector(
@@ -234,10 +249,60 @@ class TestTensor:
              Spot({nv("1/4"): 1}, nv("1/4"))),
         )
         with pytest.raises(ValueError):
-            tensor(two, two, N)
+            tensor(two, two, N, whole(1, N))
+
+
+@st.composite
+def collimation_cases(draw):
+    """(cfg, j, a, b): a one- or two-spot a and a one-spot b, each spot of
+    at most three distinct multipliers on k <= 3 axes mod N, N a power of
+    two or not, window centers anywhere (so windows wrap), and a stage j
+    whose tiles are at least one step wide (later stages clamp most sums
+    into the end tiles)."""
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n = draw(st.one_of(st.integers(m + 1, 7).map(lambda e: 2 ** e),
+                       st.integers(2 ** (m + 1), 150)))
+    cfg = SieveConfig(lattice=zn(k), t=1, m=m, G=1, Q=1, N=n)
+    j = draw(st.sampled_from([j for j in range(1, 5)
+                              if 4 * cfg.stage_radius(j - 1) >= 2 ** (m + 1)]))
+    point = st.tuples(*[st.integers(0, n - 1)] * k)
+    bag = st.dictionaries(point, st.integers(1, 3), min_size=1, max_size=3)
+    spots = tuple(Spot(draw(bag), draw(point)) for _ in range(draw(st.integers(1, 2))))
+    return cfg, j, PhaseVector(spots), PhaseVector((Spot(draw(bag), draw(point)),))
+
+
+# Stage 1 at N = 8, m = 1: offsets -3..-1 fall in tile 1, 0..3 in tile 2 and
+# N/2 = 4 in tile 3.  Tile 1 runs from offset -4, which is 4 mod 8, so
+# unless its range is clipped to the lift range it takes the sum 4 as well.
+ALIASING_CASE = (SieveConfig(lattice=zn(1), t=1, m=1, G=1, Q=1, N=8), 1,
+                 PhaseVector((Spot({(0,): 1}, (0,)),)),
+                 PhaseVector((Spot({(4,): 1, (7,): 2}, (0,)),)))
 
 
 class TestCollimate:
+    @settings(max_examples=80, deadline=None)
+    @given(collimation_cases())
+    @example(ALIASING_CASE)
+    def test_law_is_the_tally(self, case):
+        """For every unit r of the product, collimate with randrange
+        returning r keeps the reference product's multipliers in one tile,
+        about that tile's center, and each tile comes from tally[t] of the
+        total units: the outcome law is tally / total exactly."""
+        cfg, j, a, b = case
+        r, tiles = 2 * cfg.stage_radius(j - 1), 2 ** (cfg.m + 1)
+        full = reference_tensor(a, b, cfg.N)
+        per_spot, tally = reference_tally(full, cfg.m, r, cfg.N)
+        total = sum(tally.values())
+        expected = {}
+        for t, c in tally.items():
+            key = tuple((frozen({y: n for y, n in spot.counts.items() if where[y] == t}),
+                         _tile_center(t, spot.center, r, cfg.N, tiles))
+                        for spot, where in zip(full.spots, per_spot))
+            expected[key] = expected.get(key, 0) + Fraction(c, total)
+        law = exact_law(lambda rng: tuple((frozen(spot.counts), spot.center)
+                                          for spot in collimate(a, b, j, cfg, rng).spots))
+        assert law == expected
+
     def test_single_tile_unchanged(self):
         # stage 1's joined window is the whole torus; m = 2 tiles it into
         # quarters, and [0, 1/4) holds all three, about its center 1/8
@@ -245,7 +310,7 @@ class TestCollimate:
         mults = [nv("1/64"), nv("1/128"), nv(0)]
         pv = single_spot(mults)
         cfg = hand_cfg(2)
-        out = collimate(pv, 1, cfg, rng)
+        out = collimate(pv, UNIT, 1, cfg, rng)
         assert sum(out.spots[0].counts.values()) == 3
         assert out.spots[0].center == nv("1/8")
         assert all(_in_window(y, nv("1/8"), cfg.stage_radius(1), N) for y in mults)
@@ -254,12 +319,12 @@ class TestCollimate:
         # two occupied tiles with 3 and 1 residents: probabilities 3/4, 1/4
         mults = [nv("1/64"), nv("1/64"), nv("3/128"), nv("1/2")]
         pv = single_spot(mults)
-        _, tally = collimation_tally(pv, 1, N // 2, N)
+        _, tally = reference_tally(pv, 1, N // 2, N)
         occ = sorted(tally.values())
         assert occ == [1, 3]
         hits = {1: 0, 3: 0}
         for seed in range(2000):
-            out = collimate(pv, 2, hand_cfg(1), random.Random(seed))  # radius 1/2
+            out = collimate(pv, UNIT, 2, hand_cfg(1), random.Random(seed))  # radius 1/2
             hits[out.spots[0].length] += 1
         assert abs(hits[3] / 2000 - 0.75) < 0.05
 
@@ -279,7 +344,7 @@ class TestCollimate:
              Spot(spot2, offs)),
         )
         for seed in range(30):
-            out = collimate(pv, 4, hand_cfg(1), random.Random(seed))  # radius 1/8
+            out = collimate(pv, UNIT, 4, hand_cfg(1), random.Random(seed))  # radius 1/8
             assert out.spots[0].length == out.spots[1].length
 
     def test_born_micro_oracle(self):
@@ -288,7 +353,7 @@ class TestCollimate:
         rng = random.Random(5)
         mults = [(rng.randrange(64) * N // 64,) for _ in range(48)]
         pv = single_spot(mults)
-        per_spot, tally = collimation_tally(pv, 2, N // 2, N)
+        per_spot, tally = reference_tally(pv, 2, N // 2, N)
         total = sum(tally.values())
         assert total == 48
         born = {}
@@ -410,7 +475,7 @@ def total_variation(p, q):
     return sum(abs(p.get(x, 0) - q.get(x, 0)) for x in set(p) | set(q)) / 2
 
 
-TINY_CFG = SieveConfig(lattice=Lattice.zn(1), t=1, m=0, G=1, Q=1, N=1)  # min_len 1, max_len 4
+TINY_CFG = SieveConfig(lattice=zn(1), t=1, m=0, G=1, Q=1, N=1)  # min_len 1, max_len 4
 TINY_COUNTS = {nv(0): 3, nv("1/4"): 2, nv("1/2"): 2}
 ONE_BUCKET = {nv(0): 7}
 law_counts = pytest.mark.parametrize("counts", [TINY_COUNTS, ONE_BUCKET],
@@ -495,7 +560,7 @@ class TestSamplerProperties:
     @settings(max_examples=60, deadline=None)
     @given(multisets, st.integers(0, 2), st.integers(0, 2 ** 32))
     def test_shorten(self, counts, m, seed):
-        cfg = SieveConfig(lattice=Lattice.zn(1), t=1, m=m, G=1, Q=1, N=1)
+        cfg = SieveConfig(lattice=zn(1), t=1, m=m, G=1, Q=1, N=1)
         length = sum(counts.values())
         out = shorten(single_spot([y for y, c in counts.items() for _ in range(c)]),
                       cfg, random.Random(seed)).spots[0]
@@ -569,7 +634,8 @@ class TestIntegerTorus:
         point = st.tuples(*[st.integers(0, n - 1)] * k)
         bag = st.dictionaries(point, st.integers(1, 5), min_size=1, max_size=5)
         u, v = data.draw(bag), data.draw(bag)
-        out = tensor(PhaseVector((Spot(u, c1),)), PhaseVector((Spot(v, c2),)), n).spots[0]
+        out = tensor(PhaseVector((Spot(u, c1),)), PhaseVector((Spot(v, c2),)), n,
+                     whole(k, n)).spots[0]
         expect = {}
         for y, cy in u.items():
             for z, cz in v.items():
@@ -672,7 +738,7 @@ class TestSieveRecursion:
         rng = random.Random(seed)
         pv = qubit(create_qubit(cfg, rng))
         for _ in range(2 * cfg.k * cfg.m - 2 + p):
-            pv = tensor(pv, qubit(create_qubit(cfg, rng)), cfg.N)
+            pv = reference_tensor(pv, qubit(create_qubit(cfg, rng)), cfg.N)
         merged = {}
         for spot in out.spots:
             for y, c in spot.counts.items():
@@ -712,7 +778,7 @@ class TestSieveRecursion:
 
 class TestTargetGroup:
     def test_zn_trivial(self):
-        assert build_target_group(Lattice.zn(3), 2) == ()
+        assert build_target_group(zn(3), 2) == ()
 
     def test_2z(self):
         g = build_target_group(col_lattice([[2]], 1), 1)

@@ -1,8 +1,9 @@
 """Exact oracles for checking lattice reductions and eliminations: the LLL
 conditions, short-vector enumeration, successive minima, a textbook
 rational inverse and determinant, lattice membership, the finite stage that
-takes a fresh HNF on every growth, and the Fraction formulas of the noise
-step and of the coarse stages' rounding.
+takes a fresh HNF on every growth, the Fraction formulas of the noise
+step and of the coarse stages' rounding, and the sieve's full join product
+with its tile tally.
 
 These are slow references, most of them brute force for small test
 lattices; no pipeline calls them.
@@ -20,6 +21,12 @@ from hslattice.alg_a import _pull_back
 from hslattice.lattice import Lattice, coset_canonical
 from hslattice.lll import gram_schmidt, lll
 from hslattice.matrix import IntMatrix, RatMatrix
+from hslattice.sieve import PhaseVector, Spot, _tile_index
+
+
+def zn(k: int) -> Lattice:
+    """The lattice Z^k."""
+    return Lattice.from_generators(IntMatrix.identity(k))
 
 
 def contains(L: Lattice, x: Sequence[int]) -> bool:
@@ -29,6 +36,39 @@ def contains(L: Lattice, x: Sequence[int]) -> bool:
 
 def contains_lattice(L: Lattice, other: Lattice) -> bool:
     return all(contains(L, col) for col in other.columns)
+
+
+def reference_tensor(a: PhaseVector, b: PhaseVector, N: int) -> PhaseVector:
+    """The full tensor product: every pairwise multiplier sum mod N, with
+    the window centers added in tandem; b is one-spot."""
+    rspot = b.spots[0]
+    new_spots = []
+    for spot in a.spots:
+        counts = {}
+        for u, cu in spot.counts.items():
+            for v, cv in rspot.counts.items():
+                w = tuple((x + y) % N for x, y in zip(u, v))
+                counts[w] = counts.get(w, 0) + cu * cv
+        center = tuple((x + y) % N for x, y in zip(spot.center, rspot.center))
+        new_spots.append(Spot(counts, center))
+    return PhaseVector(tuple(new_spots))
+
+
+def reference_tally(pv: PhaseVector, m: int, r: int, N: int):
+    """The tile of every multiplier of each spot, and the joint tile
+    occupancy, for windows of radius r cut into 2^(m+1) tiles per axis: the
+    collimation outcome is tile t with probability tally[t] / total."""
+    tiles_per_axis = 2 ** (m + 1)
+    per_spot_idx = []
+    tally = {}
+    for spot in pv.spots:
+        assignment = {}
+        for y, c in spot.counts.items():
+            ti = _tile_index(y, spot.center, r, N, tiles_per_axis)
+            assignment[y] = ti
+            tally[ti] = tally.get(ti, 0) + c
+        per_spot_idx.append(assignment)
+    return per_spot_idx, tally
 
 
 def round_half_even(a: int, b: int) -> int:
