@@ -41,17 +41,17 @@ MULTI_STAGE_CASES = [
 
 SHIFT_CASES = [
     ({"k": 1, "basis": [[8]], "t": 2, "shift_bound": 3, "check": True}, "exact", 3,
-     "2bce6f55b764bf98846e428aac64d67bb15b35ee39961931b3b1092e4c99dd4b"),
+     "6bc4fcfcef646b95a73843372ea0083fb0d1fab31bd3438805742b60069a77cb"),
     ({"k": 1, "basis": [[2]], "t": 1}, "gaussian", 3,
-     "51af808007feeadaf0a28f7b53e83db8d1d81333319ece202ae2ca35adeadcb1"),
+     "da258f37dd1298ba855eaff26dfd681af0e6d105439aea97f6b0d2031ed7ed9a"),
     ({"k": 1, "basis": [], "t": 1}, "gaussian", 3,
-     "f1d731cd7bce80da0d4e878a942d2d4d64b1077da5eb67017ed8ed253bc8c22e"),
+     "fd27ccad91d5afef516177c83b209b0441006834234d1d9596bd815927fec1fb"),
     ({"k": 2, "basis": [[4, 0], [0, 4]], "t": 2, "check": True}, "exact", 2,
-     "a4b9a5aa44d256b6021200ac68b6c8d80d59049de4751e0d8176e40e31793622"),
+     "4618cc83f81c5121ebf765c5fcf5edd83412627a60effd4076a0172e7a8dfbea"),
     ({"k": 1, "basis": [[8]], "t": 2}, "gaussian", 3,
-     "0e4ad053ad2a61f6af8f3a707703025a3ad771e723c3bdd4bc1cde8d88fb4b68"),
+     "a6b03cac1f2d0a110a9be17a4a60fa135f4580e77cbf04a7c95be4765ca66975"),
     ({"k": 1, "basis": [], "t": 1, "check": True}, "exact", 3,
-     "e0cd3b6ba43e5005cbecbde5f0a35b93c37691addc7ced4b6a78ed31171ec4a1"),
+     "a0bfe40d144ccc6d13a742da4808f4dd21febb03a64f9869b3ef78500b6c0a28"),
 ]
 
 
